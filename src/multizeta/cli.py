@@ -24,39 +24,23 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from mpmath import mp
 
+from . import numerics
 from .numerics import (
     DEFAULT_DIGITS,
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_WEIGHT_CAP,
-    check_bbbl_family,
-    check_bowman_bradley,
-    check_cyclic_insertion,
-    check_symmetric_sum,
+    FAMILIES,
     eval_mzv_fast,
     eval_mzv_series,
-    _weak_compositions,
 )
 from .verifier import build_instance, verify_instance
-from .words import Composition
+from .words import BlockVector, Composition, weight_of
 
 ORACLE_TERMS = 5000
-
-FAMILIES = ("symmetric", "cyclic", "bowman-bradley", "bbbl")
-
-
-@dataclass
-class RunConfig:
-    digits: int = DEFAULT_DIGITS
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR
-    weight_cap: int = DEFAULT_WEIGHT_CAP
-    fmt: str = "json"
-    output: Optional[str] = None
-    jobs: int = 1
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -135,38 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_shared_flags(p_eval, ("json", "text"))
 
+    def used_by(param: str) -> str:
+        return ", ".join(name for name, family in FAMILIES.items() if param in family.params)
+
     p_check = sub.add_parser("check", help="numeric rationality report for a family")
-    p_check.add_argument("--family", required=True, choices=FAMILIES)
+    p_check.add_argument("--family", required=True, choices=list(FAMILIES))
     p_check.add_argument("--a", type=_int_tuple, metavar="B0,B1,...",
-                         help="block vector (symmetric and cyclic families)")
-    p_check.add_argument("--n", type=int, help="spine half-length (bbbl, bowman-bradley)")
-    p_check.add_argument("--m", type=int, help="insertion count (bbbl, bowman-bradley)")
+                         help=f"block vector ({used_by('a')})")
+    p_check.add_argument("--n", type=int, help=f"spine half-length ({used_by('n')})")
+    p_check.add_argument("--m", type=int, help=f"insertion count ({used_by('m')})")
     p_check.add_argument("--sweep", action="store_true",
                          help="run every instance of the family under the weight cap")
     p_check.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes for --sweep (default 1)")
     _add_shared_flags(p_check, ("json", "csv", "text"))
     return parser
-
-
-def _config_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    if args.digits < 20:
-        parser.error(f"--digits must be at least 20, got {args.digits}")
-    if args.weight_cap < 4:
-        parser.error(f"--weight-cap must be at least 4, got {args.weight_cap}")
-    if args.max_denominator < 1:
-        parser.error(f"--max-denominator must be positive, got {args.max_denominator}")
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {jobs}")
-    return RunConfig(
-        digits=args.digits,
-        max_denominator=args.max_denominator,
-        weight_cap=args.weight_cap,
-        fmt=args.fmt,
-        output=args.output,
-        jobs=jobs,
-    )
 
 
 def _certificate_text(cert) -> str:
@@ -188,15 +155,14 @@ def _certificate_text(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(a: Tuple[int, ...], config: RunConfig) -> int:
-    instance = build_instance(a)
-    if instance.weight > config.weight_cap:
-        raise ValueError(
-            f"weight {instance.weight} exceeds the cap {config.weight_cap}"
-        )
-    cert = verify_instance(instance)
-    text = cert.to_json() if config.fmt == "json" else _certificate_text(cert)
-    _write(text, config.output)
+def cmd_verify(args: argparse.Namespace) -> int:
+    # before build_instance, which enumerates all (2n+1)! permutations
+    weight = weight_of(BlockVector(args.a))
+    if weight > args.weight_cap:
+        raise ValueError(f"weight {weight} exceeds the cap {args.weight_cap}")
+    cert = verify_instance(build_instance(args.a))
+    text = cert.to_json() if args.fmt == "json" else _certificate_text(cert)
+    _write(text, args.output)
     if cert.verdict == "verified":
         return 0
     for check in cert.checks:
@@ -205,21 +171,21 @@ def cmd_verify(a: Tuple[int, ...], config: RunConfig) -> int:
     return 1
 
 
-def cmd_eval(zeta: Tuple[int, ...], config: RunConfig) -> int:
-    comp = Composition(zeta)
-    fast = eval_mzv_fast(comp, config.digits)
+def cmd_eval(args: argparse.Namespace) -> int:
+    comp = Composition(args.zeta)
+    fast = eval_mzv_fast(comp, args.digits)
     oracle = eval_mzv_series(comp, ORACLE_TERMS)
-    with mp.workdps(config.digits + 10):
+    with mp.workdps(args.digits + 10):
         diff = abs(fast.value - oracle.value)
-        agreement = config.digits if diff == 0 else max(0, int(mp.floor(-mp.log10(diff))))
+        agreement = args.digits if diff == 0 else max(0, int(mp.floor(-mp.log10(diff))))
     payload = {
-        "composition": list(zeta),
-        "digits": config.digits,
-        "value": mp.nstr(fast.value, config.digits),
+        "composition": list(args.zeta),
+        "digits": args.digits,
+        "value": mp.nstr(fast.value, args.digits),
         "engine_agreement_digits": agreement,
         "oracle_terms": ORACLE_TERMS,
     }
-    if config.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = (
@@ -227,70 +193,15 @@ def cmd_eval(zeta: Tuple[int, ...], config: RunConfig) -> int:
             f"engines agree to {agreement} digits "
             f"(series oracle truncated at {ORACLE_TERMS} terms)\n"
         )
-    _write(text, config.output)
+    _write(text, args.output)
     return 0
 
 
 def _run_check(job: Tuple) -> dict:
     family, params, digits, max_denominator, weight_cap = job
-    if family == "symmetric":
-        return check_symmetric_sum(params["a"], digits, max_denominator, weight_cap)
-    if family == "cyclic":
-        return check_cyclic_insertion(params["a"], digits, max_denominator, weight_cap)
-    if family == "bowman-bradley":
-        return check_bowman_bradley(params["n"], params["m"], digits, max_denominator, weight_cap)
-    if family == "bbbl":
-        return check_bbbl_family(params["n"], params["m"], digits, max_denominator, weight_cap)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _partitions_into(total: int, slots: int):
-    """Nonincreasing tuples of the given length summing to total."""
-
-    def rec(remaining: int, slots_left: int, maximum: int):
-        if slots_left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        top = min(remaining, maximum)
-        for first in range(top, -1, -1):
-            if first * slots_left < remaining:
-                break
-            for rest in rec(remaining - first, slots_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, slots, total)
-
-
-def _sweep_params(family: str, weight_cap: int) -> List[dict]:
-    items: List[dict] = []
-    if family in ("bbbl", "bowman-bradley"):
-        n = 1
-        while 4 * n <= weight_cap:
-            per_two = 2 * (2 * n + 1) if family == "bbbl" else 2
-            m = 0
-            while 4 * n + per_two * m <= weight_cap:
-                items.append({"n": n, "m": m})
-                m += 1
-            n += 1
-        items.sort(key=lambda p: (4 * p["n"] + (2 * (2 * p["n"] + 1) if family == "bbbl" else 2) * p["m"], p["n"]))
-        return items
-    n = 1
-    while 4 * n <= weight_cap:
-        slots = 2 * n + 1
-        for total in range((weight_cap - 4 * n) // 2 + 1):
-            if family == "symmetric":
-                # order inside the vector is irrelevant to the symmetrized sum
-                for part in _partitions_into(total, slots):
-                    items.append({"a": list(part)})
-            else:
-                # rotations give equal sums, keep one representative each
-                for comp in _weak_compositions(total, slots):
-                    rotations = [comp[i:] + comp[:i] for i in range(slots)]
-                    if comp == min(rotations):
-                        items.append({"a": list(comp)})
-        n += 1
-    return items
+    spec = FAMILIES[family]
+    check = getattr(numerics, spec.check)
+    return check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
 
 
 def _frac_compact(obj: Optional[dict]) -> str:
@@ -350,38 +261,36 @@ def _reports_text(reports: List[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
-    family = args.family
+def cmd_check(args: argparse.Namespace) -> int:
+    spec = FAMILIES[args.family]
     if args.sweep:
-        param_list = _sweep_params(family, config.weight_cap)
+        param_list = spec.sweep(args.weight_cap)
+    elif any(getattr(args, p) is None for p in spec.params):
+        flags = " and ".join(f"--{p}" for p in spec.params)
+        raise ValueError(f"--family {args.family} requires {flags}")
     else:
-        if family in ("symmetric", "cyclic"):
-            if args.a is None:
-                raise ValueError(f"--family {family} requires --a")
-            param_list = [{"a": list(args.a)}]
-        else:
-            if args.n is None or args.m is None:
-                raise ValueError(f"--family {family} requires --n and --m")
-            param_list = [{"n": args.n, "m": args.m}]
+        param_list = [{p: getattr(args, p) for p in spec.params}]
     jobs = [
-        (family, params, config.digits, config.max_denominator, config.weight_cap)
+        (args.family, params, args.digits, args.max_denominator, args.weight_cap)
         for params in param_list
     ]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # every worker is forked up front, so never start more than there are rows
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_check, jobs))
     else:
         reports = [_run_check(job) for job in jobs]
 
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         text = _reports_csv(reports)
-    elif config.fmt == "text":
+    elif args.fmt == "text":
         text = _reports_text(reports)
     elif args.sweep:
         text = json.dumps(reports, indent=2) + "\n"
     else:
         text = json.dumps(reports[0], indent=2) + "\n"
-    _write(text, config.output)
+    _write(text, args.output)
     return 0
 
 
@@ -392,13 +301,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    config = _config_from(args, parser)
+    if args.digits < 20:
+        parser.error(f"--digits must be at least 20, got {args.digits}")
+    if args.weight_cap < 4:
+        parser.error(f"--weight-cap must be at least 4, got {args.weight_cap}")
+    if args.max_denominator < 1:
+        parser.error(f"--max-denominator must be positive, got {args.max_denominator}")
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "verify":
-            return cmd_verify(args.a, config)
+            return cmd_verify(args)
         if args.command == "eval":
-            return cmd_eval(args.zeta, config)
-        return cmd_check(args, config)
+            return cmd_eval(args)
+        return cmd_check(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

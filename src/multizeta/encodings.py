@@ -36,6 +36,7 @@ __all__ = [
     "subsequence_of",
     "quotient_of",
     "window_of",
+    "pair_up",
     "pair_orbits",
 ]
 
@@ -165,7 +166,7 @@ def quotient_of(e: OddEncoding) -> BinaryWord:
     return BinaryWord(word.symbols[: start + 1] + word.symbols[end - 1 :])
 
 
-def _pair_up(encodings: List[OddEncoding]) -> Tuple[List[Orbit], List[str]]:
+def pair_up(encodings: List[OddEncoding]) -> Tuple[List[Orbit], List[str]]:
     """Greedy phi-pairing; returns orbits plus a description of any failures."""
     pool = {e.sort_key(): e for e in encodings}
     if len(pool) != len(encodings):
@@ -199,7 +200,7 @@ def pair_orbits(encodings: List[OddEncoding]) -> List[Orbit]:
     Raises ValueError if any encoding is a fixed point or its phi image is
     absent, since either would contradict the cancellation argument.
     """
-    orbits, failures = _pair_up(encodings)
+    orbits, failures = pair_up(encodings)
     if failures:
         raise ValueError("; ".join(failures))
     return orbits

@@ -18,15 +18,17 @@ cap and a five-digit guard below the trusted precision; returning None is
 the normal outcome for a value that is not a small-denominator rational.
 The family checks at the bottom combine the engines with the symbolic
 verifier to confirm that specific zeta combinations are rational multiples
-of pi^weight.
+of pi^weight; the table `FAMILIES` holds everything that distinguishes one
+family from another, and a single check body reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
 
@@ -54,6 +56,8 @@ __all__ = [
     "check_bowman_bradley",
     "check_bbbl_family",
     "check_cyclic_insertion",
+    "Family",
+    "FAMILIES",
 ]
 
 DEFAULT_DIGITS = 60
@@ -296,43 +300,40 @@ def reconstruct_rational(
 # family checks
 
 
-def _as_blockvector(a: Union[BlockVector, Iterable[int]]) -> BlockVector:
-    return a if isinstance(a, BlockVector) else BlockVector(tuple(a))
-
-
-def _zeta_sum_over(words: Sequence[BlockVector], digits: int) -> mpf:
-    inner = digits + 10
-    values = [
-        eval_mzv_fast(blockvector_to_composition(w), inner, max_digits=inner).value
-        for w in words
-    ]
-    return mp.fsum(values)
-
-
 def _fraction_obj(q: Optional[Fraction]) -> Optional[dict]:
     if q is None:
         return None
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _finish_report(
-    family: str,
-    params: dict,
-    weight: int,
-    digits: int,
-    ratio: mpf,
-    max_denominator: int,
-    target: Fraction,
-    proven_rational: bool,
-    conjectural_target: bool,
-    details: dict,
+def _check(
+    family: str, args: tuple, digits: int, max_denominator: int, weight_cap: int
 ) -> dict:
+    """The body of every family check; `FAMILIES[family]` supplies the rest.
+
+    The cap is enforced before any word is expanded, since expansion can
+    be factorial in the vector length.
+    """
+    spec = FAMILIES[family]
+    params, word = spec.parse(*args)
+    weight = weight_of(word)
+    if weight > weight_cap:
+        raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
+    multiplicity, words, details = spec.summands(**params)
+    inner = digits + 10
+    with mp.workdps(digits + 20):
+        values = [
+            eval_mzv_fast(blockvector_to_composition(w), inner, max_digits=inner).value
+            for w in words
+        ]
+        ratio = multiplicity * mp.fsum(values) / mp.pi**weight
+    target = spec.target(weight, **params)
     reconstructed = reconstruct_rational(ratio, digits, max_denominator)
     if reconstructed is None:
         status = "no-reconstruction"
-    elif conjectural_target and reconstructed == target:
+    elif spec.conjectural_target and reconstructed == target:
         status = "conjectural-match"
-    elif proven_rational:
+    elif spec.proven_rational:
         status = "verified-rational"
     else:
         # a reconstruction that misses the only available prediction is
@@ -349,7 +350,7 @@ def _finish_report(
         "reconstructed": _fraction_obj(reconstructed),
         "target": _fraction_obj(target),
         "matches_target": (reconstructed == target) if reconstructed is not None else None,
-        "proven_rational": proven_rational,
+        "proven_rational": spec.proven_rational,
         "status": status,
         "details": details,
     }
@@ -369,41 +370,7 @@ def check_symmetric_sum(
     (2n)! / (weight+1)! obtained by summing the cyclic conjecture over all
     cosets; rationality itself does not depend on it.
     """
-    base = _as_blockvector(a)
-    weight = weight_of(base)
-    if weight > weight_cap:
-        raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    instance = build_instance(base)
-    certificate = verify_instance(instance)
-    with mp.workdps(digits + 20):
-        total = instance.multiplicity * _zeta_sum_over(instance.words, digits)
-        ratio = total / mp.pi**weight
-    target = Fraction(factorial(2 * instance.n), factorial(weight + 1))
-    return _finish_report(
-        family="symmetric",
-        params={"a": list(base.entries)},
-        weight=weight,
-        digits=digits,
-        ratio=ratio,
-        max_denominator=max_denominator,
-        target=target,
-        proven_rational=True,
-        conjectural_target=False,
-        details={
-            "lambda": instance.multiplicity,
-            "word_count": len(instance.words),
-            "certificate": certificate.verdict,
-        },
-    )
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return _check("symmetric", (a,), digits, max_denominator, weight_cap)
 
 
 def check_bowman_bradley(
@@ -418,27 +385,7 @@ def check_bowman_bradley(
     The closed form binom(m+2n, m) / ((2n+1) (weight+1)!) is a proved
     evaluation, so a matching reconstruction is a verified rational.
     """
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    weight = 4 * n + 2 * m
-    if weight > weight_cap:
-        raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    words = [BlockVector(c) for c in _weak_compositions(m, 2 * n + 1)]
-    with mp.workdps(digits + 20):
-        ratio = _zeta_sum_over(words, digits) / mp.pi**weight
-    target = Fraction(comb(m + 2 * n, m), (2 * n + 1) * factorial(weight + 1))
-    return _finish_report(
-        family="bowman-bradley",
-        params={"n": n, "m": m},
-        weight=weight,
-        digits=digits,
-        ratio=ratio,
-        max_denominator=max_denominator,
-        target=target,
-        proven_rational=True,
-        conjectural_target=False,
-        details={"word_count": len(words)},
-    )
+    return _check("bowman-bradley", (n, m), digits, max_denominator, weight_cap)
 
 
 def check_bbbl_family(
@@ -454,27 +401,7 @@ def check_bbbl_family(
     1 / ((2n+1) (weight+1)!) is a conjectured evaluation, so a match is
     reported as conjectural.
     """
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    vector = BlockVector((m,) * (2 * n + 1))
-    weight = weight_of(vector)
-    if weight > weight_cap:
-        raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    with mp.workdps(digits + 20):
-        ratio = _zeta_sum_over([vector], digits) / mp.pi**weight
-    target = Fraction(1, (2 * n + 1) * factorial(weight + 1))
-    return _finish_report(
-        family="bbbl",
-        params={"n": n, "m": m},
-        weight=weight,
-        digits=digits,
-        ratio=ratio,
-        max_denominator=max_denominator,
-        target=target,
-        proven_rational=True,
-        conjectural_target=True,
-        details={"composition": str(blockvector_to_composition(vector))},
-    )
+    return _check("bbbl", (n, m), digits, max_denominator, weight_cap)
 
 
 def check_cyclic_insertion(
@@ -488,26 +415,178 @@ def check_cyclic_insertion(
     The prediction pi^weight / (weight+1)! is conjectural; no theorem backs
     rationality here, so only an exact match is reported as meaningful.
     """
-    base = _as_blockvector(a)
-    weight = weight_of(base)
-    if weight > weight_cap:
-        raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    entries = base.entries
-    rotations = [
-        BlockVector(entries[i:] + entries[:i]) for i in range(len(entries))
-    ]
-    with mp.workdps(digits + 20):
-        ratio = _zeta_sum_over(rotations, digits) / mp.pi**weight
-    target = Fraction(1, factorial(weight + 1))
-    return _finish_report(
-        family="cyclic",
-        params={"a": list(base.entries)},
-        weight=weight,
-        digits=digits,
-        ratio=ratio,
-        max_denominator=max_denominator,
-        target=target,
+    return _check("cyclic", (a,), digits, max_denominator, weight_cap)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything that tells one symmetrized family from another.
+
+    `params` names the parameters in report order.  `parse` validates raw
+    arguments and returns the report's `params` object together with one
+    summed word, built without expanding the others: its weight is the
+    family's, so the cap is checked before `summands` expands anything.
+    The other callables take the parsed parameters as keywords.  `summands`
+    returns the multiplicity every word carries, the summed words and the
+    report's `details`; `target(weight, ...)` is the closed-form
+    prediction, and `sweep(weight_cap)` lists the parameters of every
+    instance under the cap in row order.  `check` names the family's public
+    entry point in this module; callers look it up at call time, so a
+    rebinding of that attribute reaches every row.
+    """
+
+    check: str
+    params: Tuple[str, ...]
+    parse: Callable[..., Tuple[dict, BlockVector]]
+    summands: Callable[..., Tuple[int, Sequence[BlockVector], dict]]
+    target: Callable[..., Fraction]
+    proven_rational: bool
+    conjectural_target: bool
+    sweep: Callable[[int], List[dict]]
+
+
+def _weak_compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _greatest_arrangements(total: int, slots: int) -> List[Tuple[int, ...]]:
+    """The greatest arrangement of every multiset of entries, greatest first."""
+    return sorted(
+        (c for c in _weak_compositions(total, slots) if c == tuple(sorted(c, reverse=True))),
+        reverse=True,
+    )
+
+
+def _least_rotations(total: int, slots: int):
+    """The least rotation of every rotation class of weak compositions."""
+    for comp in _weak_compositions(total, slots):
+        if comp == min(comp[i:] + comp[:i] for i in range(slots)):
+            yield comp
+
+
+def _vector_sweep(vectors, weight_cap: int) -> List[dict]:
+    """`{"a": v}` for each v that `vectors(total, 2n + 1)` yields, shortest
+    vectors first, then by entry sum; a vector's weight is 4n + 2 total."""
+    items: List[dict] = []
+    n = 1
+    while 4 * n <= weight_cap:
+        for total in range((weight_cap - 4 * n) // 2 + 1):
+            items.extend({"a": list(v)} for v in vectors(total, 2 * n + 1))
+        n += 1
+    return items
+
+
+def _spine_sweep(word, weight_cap: int) -> List[dict]:
+    """Every (n, m) whose weight is within the cap, lightest first, then by n."""
+    items: List[dict] = []
+    n = 1
+    while weight_of(word(n, 0)) <= weight_cap:
+        m = 0
+        while weight_of(word(n, m)) <= weight_cap:
+            items.append({"n": n, "m": m})
+            m += 1
+        n += 1
+    return sorted(items, key=lambda p: (weight_of(word(**p)), p["n"]))
+
+
+def _parse_vector(a: Union[BlockVector, Iterable[int]]) -> Tuple[dict, BlockVector]:
+    word = BlockVector(tuple(a))
+    return {"a": list(word.entries)}, word
+
+
+def _parse_spine(word, n: int, m: int) -> Tuple[dict, BlockVector]:
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    return {"n": n, "m": m}, word(n, m)
+
+
+def _spread_word(n: int, m: int) -> BlockVector:
+    """All m insertions in the first of the 2n + 1 blocks."""
+    return BlockVector((m,) + (0,) * (2 * n))
+
+
+def _constant_word(n: int, m: int) -> BlockVector:
+    return BlockVector((m,) * (2 * n + 1))
+
+
+def _symmetric_summands(a: List[int]):
+    instance = build_instance(a)
+    certificate = verify_instance(instance)
+    details = {
+        "lambda": instance.multiplicity,
+        "word_count": len(instance.words),
+        "certificate": certificate.verdict,
+    }
+    return instance.multiplicity, instance.words, details
+
+
+def _cyclic_summands(a: List[int]):
+    rotations = [BlockVector(tuple(a[i:] + a[:i])) for i in range(len(a))]
+    return 1, rotations, {"rotations": len(rotations)}
+
+
+def _bowman_bradley_summands(n: int, m: int):
+    words = [BlockVector(c) for c in _weak_compositions(m, 2 * n + 1)]
+    return 1, words, {"word_count": len(words)}
+
+
+def _constant_summands(n: int, m: int):
+    vector = _constant_word(n, m)
+    return 1, [vector], {"composition": str(blockvector_to_composition(vector))}
+
+
+FAMILIES: Dict[str, Family] = {
+    "symmetric": Family(
+        check=check_symmetric_sum.__name__,
+        params=("a",),
+        parse=_parse_vector,
+        summands=_symmetric_summands,
+        target=lambda weight, a: Fraction(factorial(len(a) - 1), factorial(weight + 1)),
+        proven_rational=True,
+        conjectural_target=False,
+        # order inside the vector is irrelevant to the symmetrized sum
+        sweep=partial(_vector_sweep, _greatest_arrangements),
+    ),
+    "cyclic": Family(
+        check=check_cyclic_insertion.__name__,
+        params=("a",),
+        parse=_parse_vector,
+        summands=_cyclic_summands,
+        target=lambda weight, a: Fraction(1, factorial(weight + 1)),
         proven_rational=False,
         conjectural_target=True,
-        details={"rotations": len(rotations)},
-    )
+        # rotations give equal sums, keep one representative each
+        sweep=partial(_vector_sweep, _least_rotations),
+    ),
+    "bowman-bradley": Family(
+        check=check_bowman_bradley.__name__,
+        params=("n", "m"),
+        parse=partial(_parse_spine, _spread_word),
+        summands=_bowman_bradley_summands,
+        target=lambda weight, n, m: Fraction(
+            comb(m + 2 * n, m), (2 * n + 1) * factorial(weight + 1)
+        ),
+        proven_rational=True,
+        conjectural_target=False,
+        sweep=partial(_spine_sweep, _spread_word),
+    ),
+    "bbbl": Family(
+        check=check_bbbl_family.__name__,
+        params=("n", "m"),
+        parse=partial(_parse_spine, _constant_word),
+        summands=_constant_summands,
+        target=lambda weight, n, m: Fraction(1, (2 * n + 1) * factorial(weight + 1)),
+        proven_rational=True,
+        conjectural_target=True,
+        sweep=partial(_spine_sweep, _constant_word),
+    ),
+}

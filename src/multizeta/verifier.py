@@ -36,8 +36,8 @@ from typing import Iterable, List, Tuple, Union
 
 from .coaction import TermMultiset, dr_candidate_windows, dr_terms, accumulate
 from .encodings import (
-    _pair_up,
     enumerate_odd_encodings,
+    pair_up,
     quotient_of,
     subsequence_of,
     window_of,
@@ -192,7 +192,7 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
-    orbits, pair_failures = _pair_up(encodings)
+    orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
     for orb in orbits:
         sub_a = subsequence_of(orb.first)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from multizeta import cli
 from multizeta.cli import main
 
 
@@ -41,6 +42,16 @@ def test_verify_negative_entry_is_usage_error(capsys):
 
 def test_verify_weight_cap(capsys):
     code, _, err = run_cli(capsys, "verify", "--a", "9,9,9", "--weight-cap", "14")
+    assert code == 2
+    assert "cap" in err
+
+
+def test_verify_weight_cap_precedes_instance_build(capsys, monkeypatch):
+    def refuse(a):
+        raise AssertionError("build_instance ran before the weight cap was checked")
+
+    monkeypatch.setattr(cli, "build_instance", refuse)
+    code, _, err = run_cli(capsys, "verify", "--a", ",".join(["0"] * 13))
     assert code == 2
     assert "cap" in err
 
@@ -146,6 +157,41 @@ def test_check_sweep_jobs_match_serial(capsys):
     _, serial, _ = run_cli(capsys, *args)
     _, parallel, _ = run_cli(capsys, *args, "--jobs", "2")
     assert serial == parallel
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cap, rows, pool_sizes", [
+    ("8", "6", 2, [2]),  # cyclic rows (0,0,0) and (0,0,1)
+    ("3", "8", 5, [3]),
+    ("4", "4", 1, []),   # one row runs in-process
+])
+def test_check_sweep_pool_never_exceeds_rows(capsys, monkeypatch, jobs, cap, rows, pool_sizes):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    code, out, _ = run_cli(
+        capsys, "check", "--family", "cyclic", "--sweep", "--weight-cap", cap,
+        "--digits", "30", "--jobs", jobs,
+    )
+    assert code == 0
+    assert len(json.loads(out)) == rows
+    assert _SerialPool.sizes == pool_sizes
 
 
 def test_check_deterministic_bytes(capsys):

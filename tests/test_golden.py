@@ -1,0 +1,159 @@
+"""Byte-for-byte comparison of the command line against a recorded corpus.
+
+`tests/golden/cli.json` holds, for each recorded call of `multizeta.cli.main`,
+its arguments, exit code, stdout and stderr.  `tests/golden/sweep_params.jsonl`
+holds the parameter list every family sweeps at each weight cap from 4 to 24,
+which pins the row order of large sweeps without running them.
+
+The corpus is the behaviour contract: a refactor must leave it unchanged.
+A change that alters output on purpose regenerates it with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists every changed record, with the reason, in its change notes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from multizeta import cli
+from multizeta.numerics import FAMILIES
+
+GOLDEN = Path(__file__).parent / "golden"
+CLI_FILE = GOLDEN / "cli.json"
+SWEEP_FILE = GOLDEN / "sweep_params.jsonl"
+SWEEP_CAPS = range(4, 25)
+ENV_FLAGS = ("MULTIZETA_DIGITS", "MULTIZETA_WEIGHT_CAP")
+
+
+def _sweep_params(family: str, weight_cap: int):
+    return FAMILIES[family].sweep(weight_cap)
+
+
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def recorded_calls():
+    """Argument vectors of the corpus, in recording order."""
+    calls = []
+    for family in FAMILIES:
+        sweep = ["check", "--family", family, "--sweep", "--digits", "30"]
+        calls.append(sweep + ["--weight-cap", "10"])
+        for fmt in ("csv", "text"):
+            calls.append(sweep + ["--weight-cap", "8", "--format", fmt])
+    calls.append(["check", "--family", "symmetric", "--sweep", "--weight-cap", "8",
+                  "--digits", "30", "--jobs", "2"])
+
+    single = {
+        "symmetric": [["--a", "1,0,0"], ["--a", "0,1,0", "--max-denominator", "1000"]],
+        "cyclic": [["--a", "1,0,0"], ["--a", "0,0,1,0,0"]],
+        "bowman-bradley": [["--n", "1", "--m", "2"], ["--n", "2", "--m", "0"]],
+        "bbbl": [["--n", "1", "--m", "1"], ["--n", "2", "--m", "0"]],
+    }
+    for family, variants in single.items():
+        for params in variants:
+            base = ["check", "--family", family] + params + ["--digits", "30"]
+            calls.append(base)
+            calls.append(base + ["--format", "text"])
+            calls.append(base + ["--format", "csv"])
+    usage_errors = [
+        ["--family", "symmetric"],
+        ["--family", "cyclic"],
+        ["--family", "bowman-bradley", "--n", "1"],
+        ["--family", "bbbl", "--m", "1"],
+        ["--family", "bowman-bradley", "--n", "0", "--m", "1"],
+        ["--family", "bbbl", "--n", "0", "--m", "0"],
+        ["--family", "bowman-bradley", "--n", "1", "--m", "-1"],
+        ["--family", "bbbl", "--n", "1", "--m", "-1"],
+        ["--family", "symmetric", "--a", "0,0"],
+        ["--family", "cyclic", "--a", "1,0"],
+        ["--family", "symmetric", "--a", "1,-1,0"],
+        ["--family", "symmetric", "--a", "9,9,9"],
+        ["--family", "cyclic", "--a", "3,3,3"],
+        ["--family", "bowman-bradley", "--n", "3", "--m", "2"],
+        ["--family", "bbbl", "--n", "2", "--m", "1"],
+    ]
+    calls.extend(["check"] + args for args in usage_errors)
+    # weight 14: the proved closed form needs a denominator above the default cap
+    calls.append(["check", "--family", "bowman-bradley", "--n", "3", "--m", "1"])
+
+    for entry in _sweep_params("symmetric", 16):
+        for fmt in ("json", "text"):
+            calls.append(["verify", "--a", _csv(entry["a"]), "--weight-cap", "16",
+                          "--format", fmt])
+    calls.append(["verify", "--a", "0,1,0"])
+    calls.append(["verify", "--a", "0,0"])
+    calls.append(["verify", "--a", "9,9,9", "--weight-cap", "14"])
+
+    calls.append(["eval", "--zeta", "1,3", "--digits", "40"])
+    calls.append(["eval", "--zeta", "2,3", "--digits", "30", "--format", "text"])
+    return calls
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _load(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _sweep_lines():
+    """One JSON line per family and cap, in family order, then cap order."""
+    return [
+        json.dumps({"family": family, "weight_cap": cap, "params": _sweep_params(family, cap)})
+        for family in FAMILIES
+        for cap in SWEEP_CAPS
+    ]
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for name in ENV_FLAGS:
+        monkeypatch.delenv(name, raising=False)
+
+
+# the corpus is read at collection; run as a script, this module rewrites it
+RECORDS = _load(CLI_FILE) if __name__ != "__main__" else []
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: " ".join(record["argv"]))
+def test_cli_output_matches_corpus(record, clean_env):
+    assert run_cli(record["argv"]) == {
+        key: record[key] for key in ("code", "stdout", "stderr")
+    }
+
+
+def test_sweep_params_match_corpus():
+    recorded = SWEEP_FILE.read_text(encoding="utf-8").splitlines()
+    assert len(recorded) == len(FAMILIES) * len(SWEEP_CAPS)
+    for line, expected in zip(recorded, _sweep_lines()):
+        assert line == expected
+
+
+def write_corpus() -> None:
+    for name in ENV_FLAGS:
+        os.environ.pop(name, None)
+    GOLDEN.mkdir(exist_ok=True)
+    records = [{"argv": argv, **run_cli(argv)} for argv in recorded_calls()]
+    CLI_FILE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    SWEEP_FILE.write_text("\n".join(_sweep_lines()) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_corpus()
