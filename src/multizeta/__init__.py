@@ -18,15 +18,7 @@ from .words import (
     sign_of,
     weight_of,
 )
-from .coaction import (
-    TensorTerm,
-    TermMultiset,
-    Window,
-    accumulate,
-    dr_candidate_windows,
-    dr_terms,
-    reversal_canonical,
-)
+from .coaction import accumulate, dr_terms, reversal_canonical, surviving_windows
 from .encodings import (
     OddEncoding,
     Orbit,
@@ -72,9 +64,6 @@ __all__ = [
     "OddEncoding",
     "Orbit",
     "PrecisionReal",
-    "TensorTerm",
-    "TermMultiset",
-    "Window",
     "accumulate",
     "bernoulli_numbers",
     "blockvector_to_composition",
@@ -85,7 +74,6 @@ __all__ = [
     "check_cyclic_insertion",
     "check_symmetric_sum",
     "composition_to_word",
-    "dr_candidate_windows",
     "dr_terms",
     "enumerate_odd_encodings",
     "euler_zeta_even",
@@ -99,6 +87,7 @@ __all__ = [
     "reversal_canonical",
     "sign_of",
     "subsequence_of",
+    "surviving_windows",
     "verify_cancellation",
     "verify_instance",
     "weight_of",

@@ -156,7 +156,7 @@ def _certificate_text(cert) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # before build_instance, which enumerates all (2n+1)! permutations
+    # before build_instance, whose word count can reach (2n+1)!
     weight = weight_of(BlockVector(args.a))
     if weight > args.weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {args.weight_cap}")

@@ -5,105 +5,51 @@ tensor terms, one per window position p in 0..n-r: the left factor is the
 cut-out subword w[p : p+r+2] (boundaries of the window included) and the
 right factor is the quotient word with the window's interior removed.  A
 term vanishes when the two boundary symbols of its window agree, because the
-left factor then represents a zero integral.
+left factor then represents a zero integral.  A term is a plain
+(left, right) pair of words.
 
-Accumulation reduces a list of tensor terms modulo the reversal identity
-I(w) = (-1)^(interior length) I(reverse(w)) applied to left factors, so a
-collection of terms sums to zero exactly when the accumulated multiset is
-empty.
+Accumulation reduces a list of terms modulo the reversal identity
+I(w) = (-1)^(interior length) I(reverse(w)) applied to left factors, into a
+dict from (canonical left, right) to a nonzero coefficient, so a collection
+of terms sums to zero exactly when the dict is empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from .words import BinaryWord
 
 __all__ = [
-    "Window",
-    "TensorTerm",
-    "TermMultiset",
-    "dr_candidate_windows",
+    "surviving_windows",
     "dr_terms",
     "reversal_canonical",
     "accumulate",
 ]
 
-
-@dataclass(frozen=True)
-class Window:
-    """A cut window: start index into the full word, and subword length r + 2."""
-
-    start: int
-    length: int
+Term = Tuple[BinaryWord, BinaryWord]
 
 
-@dataclass(frozen=True)
-class TensorTerm:
-    """A signed left (x) right pair of full words."""
+def surviving_windows(w: BinaryWord, r: int) -> List[Tuple[int, int]]:
+    """Half-open ranges [start, end) of the degree-r windows that survive.
 
-    left: BinaryWord
-    right: BinaryWord
-    coefficient: int = 1
-
-
-class TermMultiset:
-    """Integer combination of tensor terms with left factors in canonical form.
-
-    Keys are (left, right) word pairs; zero coefficients are removed on the
-    spot, so emptiness is equivalent to the combination being zero.
+    Of the n - r + 1 windows of length r + 2, those whose two boundary
+    symbols agree are dropped.
     """
-
-    def __init__(self) -> None:
-        self._coeffs: Dict[Tuple[BinaryWord, BinaryWord], int] = {}
-
-    def add(self, term: TensorTerm) -> None:
-        canonical, sign = reversal_canonical(term.left)
-        if sign == 0:
-            return
-        key = (canonical, term.right)
-        value = self._coeffs.get(key, 0) + sign * term.coefficient
-        if value == 0:
-            self._coeffs.pop(key, None)
-        else:
-            self._coeffs[key] = value
-
-    def items(self) -> List[Tuple[Tuple[BinaryWord, BinaryWord], int]]:
-        return sorted(
-            self._coeffs.items(), key=lambda kv: (kv[0][0].symbols, kv[0][1].symbols)
-        )
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-
-def dr_candidate_windows(w: BinaryWord, r: int) -> List[Window]:
-    """All windows of a degree-r cut, before the vanishing filter."""
     n = w.interior_length
     if r < 1 or r > n:
         raise ValueError(f"cut degree must satisfy 1 <= r <= interior length {n}, got {r}")
-    return [Window(start=p, length=r + 2) for p in range(n - r + 1)]
+    s = w.symbols
+    return [(p, p + r + 2) for p in range(n - r + 1) if s[p] != s[p + r + 1]]
 
 
-def dr_terms(w: BinaryWord, r: int) -> List[TensorTerm]:
-    """Surviving tensor terms of the degree-r derivation of w.
-
-    Windows whose boundary symbols agree are dropped; each survivor
-    contributes coefficient +1.
-    """
-    terms = []
-    for win in dr_candidate_windows(w, r):
-        p, end = win.start, win.start + win.length
-        if w.symbols[p] == w.symbols[end - 1]:
-            continue
-        left = BinaryWord(w.symbols[p:end])
-        right = BinaryWord(w.symbols[: p + 1] + w.symbols[end - 1 :])
-        terms.append(TensorTerm(left=left, right=right))
-    return terms
+def dr_terms(w: BinaryWord, r: int) -> List[Term]:
+    """(left, right) terms of the degree-r derivation of w, one per surviving window."""
+    s = w.symbols
+    return [
+        (BinaryWord(s[start:end]), BinaryWord(s[: start + 1] + s[end - 1 :]))
+        for start, end in surviving_windows(w, r)
+    ]
 
 
 def reversal_canonical(w: BinaryWord) -> Tuple[BinaryWord, int]:
@@ -122,9 +68,17 @@ def reversal_canonical(w: BinaryWord) -> Tuple[BinaryWord, int]:
     return BinaryWord(rev), sign
 
 
-def accumulate(terms: Iterable[TensorTerm]) -> TermMultiset:
-    """Accumulate tensor terms modulo left-factor reversal."""
-    acc = TermMultiset()
-    for term in terms:
-        acc.add(term)
+def accumulate(terms: Iterable[Term]) -> Dict[Term, int]:
+    """Sum terms modulo left-factor reversal; zero coefficients are dropped."""
+    acc: Dict[Term, int] = {}
+    for left, right in terms:
+        canonical, sign = reversal_canonical(left)
+        if sign == 0:
+            continue
+        key = (canonical, right)
+        value = acc.get(key, 0) + sign
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
     return acc

@@ -311,8 +311,8 @@ def _check(
 ) -> dict:
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
-    The cap is enforced before any word is expanded, since expansion can
-    be factorial in the vector length.
+    The cap is enforced before any word is expanded, since the number of
+    summed words can be factorial in the vector length.
     """
     spec = FAMILIES[family]
     params, word = spec.parse(*args)

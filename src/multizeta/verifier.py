@@ -13,12 +13,12 @@ Each odd degree r is checked along two independent routes:
    paired under the offset-swapping involution.  Each orbit is checked to
    consist of mutually reversed cut subwords (odd interior, so their
    integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel.  The encodings found are also checked to match,
-   word by word, the windows of the degree-r cut that survive the boundary
-   filter.
+   the paired terms cancel; both are sliced from each word's symbols,
+   expanded once per degree.  The encodings found are also checked to
+   match, word by word, the windows of the degree-r cut that survive the
+   boundary filter.
 2. Expansion route: the degree-r terms of every word in C are expanded and
-   accumulated modulo left-factor reversal; the result must be the empty
-   multiset.
+   accumulated modulo left-factor reversal; no term may be left over.
 
 A certificate collects one record per odd degree 3 <= r < weight together
 with a verdict.  Serialization is deterministic: fixed key order, no
@@ -30,18 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
-from typing import Iterable, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
-from .coaction import TermMultiset, dr_candidate_windows, dr_terms, accumulate
-from .encodings import (
-    enumerate_odd_encodings,
-    pair_up,
-    quotient_of,
-    subsequence_of,
-    window_of,
-)
+from .coaction import Term, accumulate, dr_terms, surviving_windows
+from .encodings import OddEncoding, enumerate_odd_encodings, pair_up, window_of
 from .words import BlockVector, blockvector_to_word, weight_of
 
 __all__ = [
@@ -129,6 +122,27 @@ class CancellationCertificate:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def _distinct_permutations(entries: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """Each distinct ordering of the entries once, in lexicographic order.
+
+    The next-permutation walk from the sorted entries visits only distinct
+    orderings, so the cost follows the word count and not (2n+1)!.
+    """
+    p = sorted(entries)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
+
+
 def build_instance(a: BlockVectorLike) -> InsertionInstance:
     """Expand a block vector into its full permutation instance.
 
@@ -138,7 +152,7 @@ def build_instance(a: BlockVectorLike) -> InsertionInstance:
     carries a single well-defined sign.
     """
     base = a if isinstance(a, BlockVector) else BlockVector(tuple(a))
-    words = tuple(BlockVector(p) for p in sorted(set(permutations(base.entries))))
+    words = tuple(BlockVector(p) for p in _distinct_permutations(base.entries))
     order = factorial(len(base))
     multiplicity, rem = divmod(order, len(words))
     if rem:
@@ -156,12 +170,9 @@ def build_instance(a: BlockVectorLike) -> InsertionInstance:
     )
 
 
-def expansion_residual(words: Iterable[BlockVector], r: int) -> TermMultiset:
+def expansion_residual(words: Iterable[BlockVector], r: int) -> Dict[Term, int]:
     """Accumulated degree-r terms of a word collection; empty means they sum to zero."""
-    terms = []
-    for w in words:
-        terms.extend(dr_terms(blockvector_to_word(w), r))
-    return accumulate(terms)
+    return accumulate(t for w in words for t in dr_terms(blockvector_to_word(w), r))
 
 
 def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
@@ -174,15 +185,12 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
     failures: List[str] = []
     window_count = 0
     encodings = []
+    symbols = {}  # block vector -> its word, expanded once
     for w in instance.words:
         word = blockvector_to_word(w)
-        candidates = dr_candidate_windows(word, r)
-        window_count += len(candidates)
-        surviving = {
-            (v.start, v.start + v.length)
-            for v in candidates
-            if word[v.start] != word[v.start + v.length - 1]
-        }
+        symbols[w] = word.symbols
+        window_count += word.interior_length - r + 1
+        surviving = set(surviving_windows(word, r))
         encs = enumerate_odd_encodings(w, r + 2)
         encodings.extend(encs)
         positions = {window_of(e) for e in encs}
@@ -192,20 +200,24 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
+    def cut(e: OddEncoding) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        s = symbols[e.vector]
+        start, end = window_of(e)
+        return s[start:end], s[: start + 1] + s[end - 1 :]
+
     orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
     for orb in orbits:
-        sub_a = subsequence_of(orb.first)
-        sub_b = subsequence_of(orb.second)
-        if sub_a.symbols != tuple(reversed(sub_b.symbols)):
+        (sub_a, quo_a), (sub_b, quo_b) = cut(orb.first), cut(orb.second)
+        if sub_a != sub_b[::-1]:
             failures.append(
                 f"orbit subwords are not mutual reversals: {orb.first} / {orb.second}"
             )
-        if quotient_of(orb.first) != quotient_of(orb.second):
+        if quo_a != quo_b:
             failures.append(f"orbit quotients differ: {orb.first} / {orb.second}")
 
     residual = expansion_residual(instance.words, r)
-    for (left, right), coeff in residual.items():
+    for (left, right), coeff in sorted(residual.items()):
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")
 
     digest = hashlib.sha256(

@@ -65,7 +65,7 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BinaryWord:
     """A word over {0, 1}, boundary symbols included."""
 

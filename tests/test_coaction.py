@@ -1,11 +1,10 @@
 import pytest
 
 from multizeta.coaction import (
-    TensorTerm,
     accumulate,
-    dr_candidate_windows,
     dr_terms,
     reversal_canonical,
+    surviving_windows,
 )
 from multizeta.words import BinaryWord
 
@@ -14,19 +13,30 @@ def W(text):
     return BinaryWord.from_string(text)
 
 
-def test_candidate_window_count():
+def test_surviving_windows():
+    # half-open ranges of length r + 2 whose boundary symbols differ
+    assert surviving_windows(W("0101"), 1) == []
+    assert surviving_windows(W("011001"), 3) == []
+    assert surviving_windows(W("01011001"), 1) == [(2, 5), (3, 6), (4, 7), (5, 8)]
+    assert surviving_windows(W("01011001"), 3) == [(0, 5), (1, 6)]
+    assert surviving_windows(W("01011001"), 5) == []
+
+
+@pytest.mark.parametrize("text", ["0101", "01011001", "0110100101", "011010011001"])
+def test_surviving_windows_filter_the_candidate_positions(text):
     # interior length n gives n - r + 1 candidate positions
-    assert len(dr_candidate_windows(W("0101"), 1)) == 2
-    assert len(dr_candidate_windows(W("011001"), 3)) == 2
-    assert len(dr_candidate_windows(W("01011001"), 3)) == 4
-    assert len(dr_candidate_windows(W("01011001"), 5)) == 2
+    w = W(text)
+    n = w.interior_length
+    for r in range(1, n + 1):
+        expected = [(p, p + r + 2) for p in range(n - r + 1) if w[p] != w[p + r + 1]]
+        assert surviving_windows(w, r) == expected
 
 
 def test_degree_bounds_enforced():
     with pytest.raises(ValueError):
-        dr_candidate_windows(W("0101"), 0)
+        surviving_windows(W("0101"), 0)
     with pytest.raises(ValueError):
-        dr_candidate_windows(W("0101"), 3)
+        surviving_windows(W("0101"), 3)
     with pytest.raises(ValueError):
         dr_terms(W("011001"), 5)
 
@@ -45,18 +55,13 @@ def test_dr_terms_content():
     w = W("01011001")
     terms = dr_terms(w, 3)
     assert terms == [
-        TensorTerm(left=W("01011"), right=W("01001")),
-        TensorTerm(left=W("10110"), right=W("01001")),
+        (W("01011"), W("01001")),
+        (W("10110"), W("01001")),
     ]
     # left keeps the window verbatim, right stitches the window's boundaries
-    for t in terms:
-        assert len(t.left) == 5
-        assert len(t.right) == len(w) - 3
-
-
-def test_dr_terms_coefficients_are_one():
-    for t in dr_terms(W("0101101001"), 5):
-        assert t.coefficient == 1
+    for left, right in terms:
+        assert len(left) == 5
+        assert len(right) == len(w) - 3
 
 
 def test_reversal_canonical_cases():
@@ -77,27 +82,28 @@ def test_reversal_canonical_cases():
 
 def test_accumulate_cancels_reversed_pair():
     q = W("0101")
-    acc = accumulate([TensorTerm(W("10110"), q), TensorTerm(W("01101"), q)])
-    assert len(acc) == 0
-    assert not acc
+    assert accumulate([(W("10110"), q), (W("01101"), q)]) == {}
 
 
 def test_accumulate_keeps_non_cancelling_terms():
     q = W("0101")
-    acc = accumulate([TensorTerm(W("01101"), q), TensorTerm(W("01011"), q)])
-    assert len(acc) == 2
-    items = acc.items()
-    assert [str(left) for (left, _), _ in items] == ["01011", "01101"]
-    assert all(coeff == 1 for _, coeff in items)
+    acc = accumulate([(W("01101"), q), (W("01011"), q)])
+    assert acc == {(W("01101"), q): 1, (W("01011"), q): 1}
+    # words order by their symbols, which fixes the order of residual lines
+    assert [str(left) for (left, _), _ in sorted(acc.items())] == ["01011", "01101"]
 
 
 def test_accumulate_drops_palindromic_zero_terms():
-    acc = accumulate([TensorTerm(W("01110"), W("0101"))])
-    assert len(acc) == 0
+    assert accumulate([(W("01110"), W("0101"))]) == {}
 
 
 def test_accumulate_sums_coefficients():
     q = W("0101")
-    acc = accumulate([TensorTerm(W("01011"), q), TensorTerm(W("01011"), q)])
-    ((_, coeff),) = acc.items()
-    assert coeff == 2
+    assert accumulate([(W("01011"), q), (W("01011"), q)]) == {(W("01011"), q): 2}
+
+
+def test_accumulate_sums_signs_of_reversed_left_factors():
+    # 10110 is -I(01101), so it cancels one copy of 01101 and leaves the other
+    q = W("0101")
+    terms = [(W("01101"), q), (W("10110"), q), (W("01101"), q)]
+    assert accumulate(terms) == {(W("01101"), q): 1}

@@ -25,6 +25,7 @@ import pytest
 
 from multizeta import cli
 from multizeta.numerics import FAMILIES
+from multizeta.words import BlockVector, weight_of
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_FILE = GOLDEN / "cli.json"
@@ -89,6 +90,11 @@ def recorded_calls():
         for fmt in ("json", "text"):
             calls.append(["verify", "--a", _csv(entry["a"]), "--weight-cap", "16",
                           "--format", fmt])
+    for entry in _sweep_params("symmetric", 20):
+        if weight_of(BlockVector(tuple(entry["a"]))) > 16:
+            for fmt in ("json", "text"):
+                calls.append(["verify", "--a", _csv(entry["a"]), "--weight-cap", "20",
+                              "--format", fmt])
     calls.append(["verify", "--a", "0,1,0"])
     calls.append(["verify", "--a", "0,0"])
     calls.append(["verify", "--a", "9,9,9", "--weight-cap", "14"])

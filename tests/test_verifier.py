@@ -1,8 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import multizeta
 from multizeta.verifier import (
     CancellationCertificate,
     InsertionInstance,
@@ -36,6 +43,33 @@ def test_build_instance_repeated_entries():
 def test_multiplicity_times_word_count(entries):
     inst = build_instance(entries)
     assert inst.multiplicity * len(inst.words) == factorial(len(entries))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_build_instance_words_are_the_sorted_distinct_permutations(seed):
+    rng = random.Random(seed)
+    entries = tuple(rng.randrange(4) for _ in range(rng.choice((1, 3, 5, 7))))
+    inst = build_instance(entries)
+    assert [w.entries for w in inst.words] == sorted(set(permutations(entries)))
+    assert inst.multiplicity * len(inst.words) == factorial(len(entries))
+
+
+def test_build_instance_does_not_walk_every_permutation():
+    # 13! = 6.2e9 orderings of a single word; the alarm's default action
+    # kills the child, so a factorial-time build fails here instead of hanging
+    script = (
+        "import signal; signal.alarm(10)\n"
+        "from multizeta.verifier import build_instance\n"
+        "inst = build_instance((0,) * 13)\n"
+        "print(len(inst.words), inst.multiplicity)\n"
+    )
+    src = str(Path(multizeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", str(factorial(13))]
 
 
 def test_build_instance_rejects_even_arity():
@@ -128,6 +162,27 @@ def test_negative_control_residual():
     assert not record.ok
     assert record.residual_size > 0
     assert any("residual term" in f for f in record.failures)
+
+
+def test_negative_control_failure_lines_are_pinned():
+    # both routes report, in a fixed order: unpaired encodings first, then
+    # the residual terms sorted by (left, right)
+    broken = _drop_word(build_instance((1, 0, 0)), (0, 0, 1))
+    record = verify_cancellation(broken, 3)
+    assert (record.window_count, record.encoding_count, record.orbit_count) == (8, 6, 2)
+    assert record.residual_size == 2
+    assert record.failures == (
+        "phi image missing from the collection: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)",
+        "phi image missing from the collection: ([0,1,0]; 1,1; 2,0) -> ([0,0,1]; 1,0; 2,1)",
+        "residual term left=00101 right=01101 coefficient=-1",
+        "residual term left=01001 right=01101 coefficient=1",
+    )
+    # here the words expand to the two residual terms in the opposite order
+    record = verify_cancellation(_drop_word(build_instance((1, 0, 0)), (1, 0, 0)), 3)
+    assert record.failures[2:] == (
+        "residual term left=01011 right=01001 coefficient=-1",
+        "residual term left=01101 right=01001 coefficient=1",
+    )
 
 
 def test_negative_control_certificate():
