@@ -10,8 +10,11 @@ Two independent evaluation engines are provided.
 * `eval_mzv_fast` evaluates the word integral by splitting every
   integration path at 1/2 and convolving prefix values of the word with
   prefix values of its reversed-complemented dual.  Both prefix runs are a
-  single power-series sweep, and the geometric factor 2^(-M) makes the
-  tail rigorous, so sixty digits cost milliseconds.
+  single power-series sweep in fixed point (Python integers scaled by a
+  power of two), and the convolution is one exact integer sum, so sixty
+  digits cost a millisecond or two.  Its error bound is derived: the tail
+  after degree M, which the geometric factor 2^(-M) makes small, plus at
+  most one unit per floor division, carried through the sweep.
 
 Rational readback uses continued-fraction convergents with a denominator
 cap and a five-digit guard below the trusted precision; returning None is
@@ -27,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, factorial
+from operator import floordiv
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
@@ -178,37 +183,37 @@ def _interior_symbols(c: Composition) -> Tuple[int, ...]:
     return tuple(symbols)
 
 
-def _prefix_values_at_half(symbols: Sequence[int], m_max: int) -> List[mpf]:
+def _prefix_values_at_half(symbols: Sequence[int], m_max: int, bits: int) -> List[int]:
     """Values at 1/2 of the iterated integrals of every prefix of `symbols`.
 
-    The current integrand is carried as a truncated power series; symbol 1
-    is a prefix-sum followed by a term-by-term integration, symbol 0 only
-    the integration.  One sweep yields all prefixes.
+    The current integrand is carried as its power series up to degree
+    `m_max`, in fixed point: coefficient c_m is an integer just below
+    c_m 2^bits (`eval_mzv_fast` bounds the gap).  Symbol 1 is a running sum
+    followed by `// (m + 1)`, symbol 0 is `// m`; one sweep yields all
+    prefixes.  The value at 1/2 of each truncated series is exact, by
+    shift-and-add, as an integer over 2^(bits + m_max).
     """
-    half = mpf(1) / 2
-    coeffs = [mpf(0)] * (m_max + 1)
-    coeffs[0] = mpf(1)
-
-    def at_half(cs: List[mpf]) -> mpf:
-        acc = mpf(0)
-        for coefficient in reversed(cs):
-            acc = acc * half + coefficient
-        return acc
-
-    values = [mpf(1)]
+    degrees = range(1, m_max + 1)
+    coeffs = [1 << bits] + [0] * m_max
+    values = [1 << (bits + m_max)]
     for sym in symbols:
-        nxt = [mpf(0)] * (m_max + 1)
         if sym == 1:
-            running = mpf(0)
-            for m in range(m_max):
-                running += coeffs[m]
-                nxt[m + 1] = running / (m + 1)
+            coeffs = [0, *map(floordiv, accumulate(coeffs[:m_max]), degrees)]
         else:
-            for m in range(1, m_max + 1):
-                nxt[m] = coeffs[m] / m
-        coeffs = nxt
-        values.append(at_half(coeffs))
+            coeffs = [0, *map(floordiv, coeffs[1:], degrees)]
+        acc = 0
+        for coefficient in coeffs:
+            acc = (acc << 1) + coefficient
+        values.append(acc)
     return values
+
+
+def _half_split(word: Sequence[int], m_max: int, bits: int) -> int:
+    """The 1/2-split convolution of `word` as an integer over 2^(2 (bits + m_max))."""
+    dual = tuple(1 - s for s in reversed(word))
+    prefix = _prefix_values_at_half(word, m_max, bits)
+    suffix = _prefix_values_at_half(dual, m_max, bits)
+    return sum(p * q for p, q in zip(prefix, reversed(suffix)))
 
 
 def eval_mzv_fast(
@@ -216,12 +221,38 @@ def eval_mzv_fast(
 ) -> PrecisionReal:
     """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
 
-    The word integral over the simplex splits at 1/2 into a convolution of
-    prefix integrals of the word with prefix integrals of its
-    reverse-complement dual.  Power series coefficients of every integrand
-    are bounded by (m+1)^(weight-1), so truncation at degree M leaves a
-    tail below 6 (M+2)^weight 2^(-M); M is chosen to push that under
-    10^-(digits+8), leaving a wide margin under the reported bound.
+    The word integral over the simplex splits at 1/2 into the convolution
+    zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the word, where P_j is
+    the value at 1/2 of the iterated integral of the first j symbols and Q_j
+    the same for the reverse-complement dual.  `_prefix_values_at_half`
+    computes both runs in fixed point at B bits, the sum is taken exactly
+    in integers, and the result becomes an mpf once, at the working
+    precision of p bits (digits + 15 decimal digits).
+
+    `error_bound` is derived, as the sum of three parts:
+
+    * Truncation.  Every power series in the sweep has coefficients in
+      [0, 1]: it starts as the constant 1, symbol 0 divides c_m by m and
+      symbol 1 makes c_(m+1) the mean of c_0 .. c_m.  The constant term is
+      0 after the first symbol, so every P_j and Q_j lies in [0, 1], and
+      dropping the degrees above M costs each at most 2^(-M) and the
+      convolution at most 2 (n+1) 2^(-M).  M is the least 2 (n+1) + 8i with
+      6 (M+2)^n 2^(-M) <= 10^-(digits+8), and that larger tail is the one
+      reported.
+    * Rounding.  Degrees up to M are computed exactly but for the floor
+      divisions.  Each loses less than one unit of 2^(-B) and divides an
+      earlier error of at most k units (symbol 0 divides one coefficient by
+      m; symbol 1 sums m + 1 of them and divides by m + 1), so after k
+      symbols every coefficient is low by less than k units, the constant
+      term not at all.  The shift-and-add is exact, so P_j is low by less
+      than j 2^(-B) and Q_(n-j) by less than (n-j) 2^(-B); with all factors
+      in [0, 1] the convolution is low by less than n (n+1) 2^(-B).
+    * Conversion.  One rounding to nearest at p bits, at most 2^(-p) times
+      the value.
+
+    B = p + 2 bitlength(n) makes the rounding part below 2^(-p), so the sum,
+    rounded up, stays below 10^-(digits+7) and `guaranteed_digits` is at
+    least `digits`.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
@@ -235,15 +266,18 @@ def eval_mzv_fast(
     word = _interior_symbols(c)
     n = len(word)
     with mp.workdps(digits + 15):
-        target = mpf(10) ** (-(digits + 8))
         m_max = 2 * (n + 1)
-        while 6 * mpf(m_max + 2) ** n * mpf(2) ** (-m_max) > target:
+        while 6 * (m_max + 2) ** n * 10 ** (digits + 8) > 1 << m_max:
             m_max += 8
-        prefix = _prefix_values_at_half(word, m_max)
-        dual = tuple(1 - s for s in reversed(word))
-        suffix = _prefix_values_at_half(dual, m_max)
-        value = mp.fsum(prefix[j] * suffix[n - j] for j in range(n + 1))
-        bound = mpf(10) ** (-digits)
+        bits = mp.prec + 2 * n.bit_length()
+        total = _half_split(word, m_max, bits)
+        # every part of the bound as an integer over 2^scale
+        shift = 2 * (bits + m_max)
+        scale = shift + mp.prec
+        tail = 6 * (m_max + 2) ** n << (scale - m_max)
+        rounding = n * (n + 1) << (scale - bits)
+        value = mp.ldexp(mpf(total), -shift)
+        bound = mp.ldexp(mpf(tail + rounding + total, rounding="u"), -scale)
     return PrecisionReal(value=value, digits=digits, error_bound=bound)
 
 

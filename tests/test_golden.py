@@ -101,6 +101,15 @@ def recorded_calls():
 
     calls.append(["eval", "--zeta", "1,3", "--digits", "40"])
     calls.append(["eval", "--zeta", "2,3", "--digits", "30", "--format", "text"])
+
+    # the shipped defaults: cap 14 and 60 digits, each sweep as the benchmark runs it
+    for family in FAMILIES:
+        calls.append(["check", "--family", family, "--sweep", "--format", "json",
+                      "--jobs", "1"])
+    # closed forms at the largest default precision: zeta(w), and Euler's zeta(1, w-1)
+    for w in range(4, 17):
+        parts = (w,) if w % 2 == 0 else (1, w - 1)
+        calls.append(["eval", "--zeta", _csv(parts), "--digits", "200", "--format", "json"])
     return calls
 
 

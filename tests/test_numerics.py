@@ -5,6 +5,9 @@ import pytest
 from mpmath import mp, mpf
 
 from multizeta.numerics import (
+    _half_split,
+    _interior_symbols,
+    _prefix_values_at_half,
     bernoulli_numbers,
     check_bbbl_family,
     check_bowman_bradley,
@@ -45,12 +48,114 @@ def test_fast_engine_against_classical_values():
         assert abs(eval_mzv_fast(Composition((4,)), 60).value - mp.zeta(4)) < mpf(10) ** -60
 
 
-def test_fast_engine_duality_pair():
-    # reversing and complementing the word sends (1,1,2) to (4)
-    a = eval_mzv_fast(Composition((1, 1, 2)), 50).value
-    b = eval_mzv_fast(Composition((4,)), 50).value
-    with mp.workdps(60):
-        assert abs(a - b) < mpf(10) ** -50
+def dual(c):
+    """The composition of the reversed and complemented word of c."""
+    symbols = [1 - s for s in reversed(_interior_symbols(c))]
+    parts = []
+    for s in symbols:
+        if s == 1:
+            parts.append(1)
+        else:
+            parts[-1] += 1
+    return Composition(tuple(parts))
+
+
+def test_dual_of_known_pairs():
+    assert dual(Composition((1, 1, 2))) == Composition((4,))
+    assert dual(Composition((1, 3))) == Composition((1, 3))
+    assert dual(Composition((2, 3))) == Composition((1, 2, 2))
+
+
+DUALITY_PAIRS = sorted(
+    {(c, dual(c)) for c in admissible_compositions(10) if c.parts < dual(c).parts},
+    key=lambda pair: (pair[0].weight, pair[0].parts),
+)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+@pytest.mark.parametrize("c, d", DUALITY_PAIRS, ids=lambda c: str(c))
+def test_fast_engine_duality_pair(c, d, digits):
+    # the 1/2 split sweeps a word and its dual from opposite ends
+    a = eval_mzv_fast(c, digits)
+    b = eval_mzv_fast(d, digits)
+    with mp.workdps(digits + 20):
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+def euler_zeta_one(n):
+    """Euler's zeta(1, n) = n/2 zeta(n+1) - 1/2 sum_(j=1)^(n-2) zeta(n-j) zeta(j+1)."""
+    return n * mp.zeta(n + 1) / 2 - mp.fsum(
+        mp.zeta(n - j) * mp.zeta(j + 1) for j in range(1, n - 1)
+    ) / 2
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_fast_error_bound_holds_against_closed_forms(digits):
+    cases = [(Composition((2 * k,)), euler_zeta_even(k, digits + 30).value) for k in range(2, 9)]
+    with mp.workdps(digits + 40):
+        cases += [(Composition((1, n)), euler_zeta_one(n)) for n in range(2, 16)]
+    for comp, exact in cases:
+        out = eval_mzv_fast(comp, digits)
+        assert out.error_bound <= mpf(10) ** -digits
+        assert out.guaranteed_digits >= digits
+        with mp.workdps(digits + 40):
+            assert abs(out.value - exact) <= out.error_bound, comp
+
+
+def mpf_half_split(c, digits):
+    """The 1/2 split as mpf loops at digits + 15, with the same truncation degree."""
+    word = _interior_symbols(c)
+    n = len(word)
+
+    def prefix_values(symbols, m_max):
+        coeffs = [mpf(1)] + [mpf(0)] * m_max
+        values = [mpf(1)]
+        for sym in symbols:
+            nxt = [mpf(0)] * (m_max + 1)
+            running = mpf(0)
+            for m in range(1, m_max + 1):
+                running += coeffs[m - 1]
+                nxt[m] = (running if sym == 1 else coeffs[m]) / m
+            coeffs = nxt
+            values.append(mp.polyval(coeffs[::-1], mpf(1) / 2))
+        return values
+
+    with mp.workdps(digits + 15):
+        m_max = 2 * (n + 1)
+        while 6 * mpf(m_max + 2) ** n * mpf(2) ** (-m_max) > mpf(10) ** (-(digits + 8)):
+            m_max += 8
+        prefix = prefix_values(word, m_max)
+        suffix = prefix_values(tuple(1 - s for s in reversed(word)), m_max)
+        return mp.fsum(prefix[j] * suffix[n - j] for j in range(n + 1))
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_fixed_point_engine_matches_mpf_reference(digits):
+    rng = random.Random(11)
+    comps = rng.sample(sorted(set(admissible_compositions(9)), key=lambda c: c.parts), 12)
+    for comp in comps:
+        fast = eval_mzv_fast(comp, digits)
+        reference = mpf_half_split(comp, digits)
+        # equal truncation, so only the rounding of the two sweeps differs
+        with mp.workdps(digits + 20):
+            assert abs(fast.value - reference) <= mpf(10) ** -(digits + 12), comp
+
+
+@pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 1, 3), (2, 2, 1, 2, 3, 2), (1, 1, 1, 5, 2)])
+def test_fixed_point_rounding_within_stated_bound(parts):
+    word = _interior_symbols(Composition(parts))
+    n = len(word)
+    m_max, bits, more = 120, 200, 264
+    coarse = _prefix_values_at_half(word, m_max, bits)
+    fine = _prefix_values_at_half(word, m_max, more)
+    # after j symbols the value at 1/2 is low by less than j units of 2^-bits
+    for j, (p, q) in enumerate(zip(coarse, fine)):
+        gap = Fraction(q, 2 ** (more + m_max)) - Fraction(p, 2 ** (bits + m_max))
+        assert -Fraction(j, 2**more) <= gap <= Fraction(j, 2**bits)
+    low = Fraction(_half_split(word, m_max, bits), 2 ** (2 * (bits + m_max)))
+    high = Fraction(_half_split(word, m_max, more), 2 ** (2 * (bits + m_max + 64)))
+    assert abs(high - low) <= Fraction(n * (n + 1), 2**bits)
+    assert high != low
 
 
 def test_series_engine_known_value():
