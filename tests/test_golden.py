@@ -110,7 +110,23 @@ def recorded_calls():
     for w in range(4, 17):
         parts = (w,) if w % 2 == 0 else (1, w - 1)
         calls.append(["eval", "--zeta", _csv(parts), "--digits", "200", "--format", "json"])
+    # depth 2 to 4 at 200 digits: the seed-drawn compositions of the eval
+    # benchmark for seeds 1 to 3 that the closed forms above do not cover
+    for parts in DRAWN_COMPOSITIONS:
+        calls.append(["eval", "--zeta", _csv(parts), "--digits", "200", "--format", "json"])
+    for parts in ((1, 1, 1, 1, 2), (2, 1, 2, 1, 3), (1, 2, 1, 2, 1, 2, 2)):
+        for fmt in ("json", "text"):
+            calls.append(["eval", "--zeta", _csv(parts), "--format", fmt])
     return calls
+
+
+DRAWN_COMPOSITIONS = (
+    (1, 1, 2), (1, 1, 1, 2), (4, 2), (4, 1, 2), (1, 1, 2, 4), (7, 2), (4, 3, 3),
+    (1, 2, 5, 3), (4, 8), (2, 8, 3), (1, 5, 5, 3), (11, 4), (1, 8, 7), (3, 3),
+    (2, 1, 4), (1, 1, 3, 3), (4, 5), (7, 1, 2), (5, 1, 3, 2), (8, 4), (5, 4, 4),
+    (1, 5, 6, 2), (8, 7), (6, 1, 9), (1, 5), (3, 1, 3), (2, 3, 1, 2), (6, 3),
+    (5, 3, 2), (4, 4, 1, 2), (3, 9), (3, 1, 9), (1, 6, 2, 5), (2, 11, 3),
+)
 
 
 def run_cli(argv):
