@@ -18,9 +18,11 @@ from multizeta import (
     zeta_even_rational,
 )
 
-# Two independent engines.  The series engine sums the defining sums with a
-# rigorous tail bound; the fast engine uses an integral-shuffle split and
-# converges geometrically, so it is the default everywhere else.
+# Two independent engines, both integer sweeps in fixed point.  The series
+# engine sums the defining nested sums up to a cutoff; its error bound is
+# the derived tail plus the derived rounding of the sweep.  The fast engine
+# splits the word integral at 1/2 and converges geometrically, so it is the
+# default everywhere else.
 c = Composition((1, 3))
 slow = eval_mzv_series(c, terms=20000)
 fast = eval_mzv_fast(c, digits=60)

@@ -68,25 +68,31 @@ def _write(text: str, output: Optional[str]) -> None:
             handle.write(text)
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser, formats: Tuple[str, ...]) -> None:
-    sub.add_argument(
-        "--digits",
-        type=int,
-        default=_env_int("MULTIZETA_DIGITS", DEFAULT_DIGITS),
-        help="working precision in decimal digits (default %(default)s)",
-    )
-    sub.add_argument(
-        "--max-denominator",
-        type=int,
-        default=DEFAULT_MAX_DENOMINATOR,
-        help="largest denominator accepted by rational readback (default %(default)s)",
-    )
-    sub.add_argument(
-        "--weight-cap",
-        type=int,
-        default=_env_int("MULTIZETA_WEIGHT_CAP", DEFAULT_WEIGHT_CAP),
-        help="refuse instances above this weight (default %(default)s)",
-    )
+def _add_shared_flags(
+    sub: argparse.ArgumentParser, formats: Tuple[str, ...], *settings: str
+) -> None:
+    """`--output`, `--format` and those of the numeric settings the command reads."""
+    if "digits" in settings:
+        sub.add_argument(
+            "--digits",
+            type=int,
+            default=_env_int("MULTIZETA_DIGITS", DEFAULT_DIGITS),
+            help="working precision in decimal digits (default %(default)s)",
+        )
+    if "max-denominator" in settings:
+        sub.add_argument(
+            "--max-denominator",
+            type=int,
+            default=DEFAULT_MAX_DENOMINATOR,
+            help="largest denominator accepted by rational readback (default %(default)s)",
+        )
+    if "weight-cap" in settings:
+        sub.add_argument(
+            "--weight-cap",
+            type=int,
+            default=_env_int("MULTIZETA_WEIGHT_CAP", DEFAULT_WEIGHT_CAP),
+            help="refuse instances above this weight (default %(default)s)",
+        )
     sub.add_argument("--output", default=None, help="write to this path instead of stdout")
     sub.add_argument(
         "--format",
@@ -110,14 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--a", required=True, type=_int_tuple, metavar="B0,B1,...",
         help="block vector, an odd-length list of insertion counts",
     )
-    _add_shared_flags(p_verify, ("json", "text"))
+    _add_shared_flags(p_verify, ("json", "text"), "weight-cap")
 
     p_eval = sub.add_parser("eval", help="evaluate one zeta value with both engines")
     p_eval.add_argument(
         "--zeta", required=True, type=_int_tuple, metavar="N1,N2,...",
         help="composition indexing the zeta value, last part >= 2",
     )
-    _add_shared_flags(p_eval, ("json", "text"))
+    _add_shared_flags(p_eval, ("json", "text"), "digits")
 
     def used_by(param: str) -> str:
         return ", ".join(name for name, family in FAMILIES.items() if param in family.params)
@@ -132,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run every instance of the family under the weight cap")
     p_check.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes for --sweep (default 1)")
-    _add_shared_flags(p_check, ("json", "csv", "text"))
+    _add_shared_flags(
+        p_check, ("json", "csv", "text"), "digits", "max-denominator", "weight-cap"
+    )
     return parser
 
 
@@ -301,13 +309,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    if args.digits < 20:
+    # each subcommand registers only the settings it reads
+    if "digits" in args and args.digits < 20:
         parser.error(f"--digits must be at least 20, got {args.digits}")
-    if args.weight_cap < 4:
+    if "weight_cap" in args and args.weight_cap < 4:
         parser.error(f"--weight-cap must be at least 4, got {args.weight_cap}")
-    if args.max_denominator < 1:
+    if "max_denominator" in args and args.max_denominator < 1:
         parser.error(f"--max-denominator must be positive, got {args.max_denominator}")
-    if getattr(args, "jobs", 1) < 1:
+    if "jobs" in args and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "verify":

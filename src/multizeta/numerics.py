@@ -3,10 +3,14 @@
 Two independent evaluation engines are provided.
 
 * `eval_mzv_series` sums the defining nested series directly up to a cutoff
-  and returns a rigorous truncation bound, derived from the elementary
-  estimate f_j(k) <= k^(-n_j) H_{k-1}^(j-1) / (j-1)! on the inner partial
-  sums (H is the harmonic number, bounded by 1 + log).  It converges slowly
-  and serves as the trusted-but-cheap oracle.
+  N, in fixed point: one running sum per depth level, each a Python
+  integer scaled by a power of two.  Its error bound is derived: the
+  truncation tail, from the elementary estimate f_j(k) <= k^(-n_j)
+  H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the harmonic
+  number, bounded by 1 + log), plus the floors of the sweep, which enough
+  guard bits keep below the working precision.  The tail shrinks only
+  like a power of N, so it gives a few digits; it is the independent
+  oracle, sharing no code with the other engine.
 * `eval_mzv_fast` evaluates the word integral by splitting every
   integration path at 1/2 and convolving prefix values of the word with
   prefix values of its reversed-complemented dual.  Both prefix runs are a
@@ -27,12 +31,13 @@ family from another, and a single check body reads it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
-from operator import floordiv
+from operator import floordiv, mul, rshift
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
@@ -143,12 +148,66 @@ def _series_tail_bound(parts: Tuple[int, ...], terms: int) -> mpf:
     return (head + n ** (1 - s) * series) / factorial(p)
 
 
-def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
-    """Direct nested summation with a rigorous crude tail bound.
+def _series_rounding_units(depth: int, terms: int) -> int:
+    """How many units of 2^(-S) `_truncated_series` may fall short by.
 
-    Sums over 0 < k_1 < ... < k_r <= terms by a single sweep that carries
-    one running partial sum per depth level.  Accuracy is limited by the
-    tail, roughly terms^(1 - last part) up to logarithms.
+    Runs the recurrence u_j = N (1 + ceil(h^(j-1) / (j-1)!) + u_(j-1)),
+    u_0 = 0, with N = `terms` and h = bitlength(N); `eval_mzv_series`
+    derives it.
+    """
+    h = terms.bit_length()
+    units = 0
+    for j in range(depth):
+        units = terms * (1 + -(-(h**j) // factorial(j)) + units)
+    return units
+
+
+def _truncated_series(parts: Tuple[int, ...], terms: int, bits: int) -> int:
+    """The nested sum over 0 < k_1 < ... < k_r <= terms, as an integer over 2^bits.
+
+    Level j is the running sum over k of level j-1 at k - 1 times
+    floor(2^bits k^(-n_j)), shifted down by `bits`.  The levels are lazy
+    iterators chained into one another, so only O(depth) integers are live.
+    """
+    one = 1 << bits
+    ks = range(1, terms + 1)
+    previous = repeat(one)
+    for e in parts:
+        powers = map(floordiv, repeat(one), map(pow, ks, repeat(e)))
+        level = accumulate(map(rshift, map(mul, previous, powers), repeat(bits)))
+        # level j-1 at k - 1 feeds level j at k: the strict k_(j-1) < k_j
+        previous = chain((0,), level)
+    return deque(level, maxlen=1)[0]
+
+
+def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
+    """Direct nested summation with a derived error bound.
+
+    Sums over 0 < k_1 < ... < k_r <= N, N = `terms`, in fixed point: every
+    level is a Python integer scaled by 2^S and becomes an mpf once, at the
+    end.  Accuracy is limited by the tail, roughly N^(1 - last part) up to
+    logarithms; `digits` is the count the tail alone allows, and the sum
+    is converted at p bits, p the precision of digits + 10 (at least 30)
+    decimal digits.
+
+    `error_bound` is the sum of three parts:
+
+    * Truncation.  `_series_tail_bound`: every inner sum L_j(k) of the
+      first j parts is at most H_k^j / j! <= (1 + ln k)^j / j!, H the
+      harmonic number, and the tail beyond N is bounded by integration.
+    * Rounding.  Each power floor(2^S k^(-e)) is low by less than one unit
+      of 2^(-S), and each update floor(l_(j-1) power / 2^S) loses less
+      than one more.  Every floor lowers the result, so the error d_j of
+      level j, in units of 2^(-S), is never negative, and step k adds to it
+      at most d_(j-1) k^(-e) + L_(j-1) + 1 <= d_(j-1) + L_(j-1) + 1.
+      Summed over N steps, d_j <= N (1 + L_(j-1)(N) + d_(j-1)), with
+      d_0 = 0 and L_0 = 1.  `_series_rounding_units` runs this with
+      L_(j-1)(N) <= h^(j-1) / (j-1)!, h = bitlength(N) >= 1 + ln N
+      (true for N >= 8).
+    * Conversion.  One rounding to nearest at p bits, at most 2^(-p) times
+      the value.
+
+    S = p + bitlength(d_r) makes the rounding part below 2^(-p).
     """
     if terms < 10:
         raise ValueError(f"need terms >= 10, got {terms}")
@@ -158,20 +217,19 @@ def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
         return PrecisionReal(value=mpf(1), digits=MAX_EVAL_DIGITS, error_bound=mpf(0))
 
     parts = c.parts
-    depth = len(parts)
     with mp.workdps(30):
-        bound = _series_tail_bound(parts, terms)
-        claimed = max(1, int(mp.floor(-mp.log10(bound))))
+        tail = _series_tail_bound(parts, terms)
+        claimed = max(1, int(mp.floor(-mp.log10(tail))))
     with mp.workdps(max(30, claimed + 10)):
-        levels = [mpf(1)] + [mpf(0)] * depth
-        exponents = sorted(set(parts))
-        for k in range(1, terms + 1):
-            base = mpf(k)
-            powers = {e: base ** (-e) for e in exponents}
-            # descending j keeps the strict inequality k_{j-1} < k_j intact
-            for j in range(depth, 0, -1):
-                levels[j] += levels[j - 1] * powers[parts[j - 1]]
-        value = +levels[depth]
+        units = _series_rounding_units(len(parts), terms)
+        bits = mp.prec + units.bit_length()
+        total = _truncated_series(parts, terms, bits)
+        value = mp.ldexp(mpf(total), -bits)
+        # rounding and conversion as an integer over 2^(bits + p)
+        rest = (units << mp.prec) + total
+        bound = mp.fadd(
+            tail, mp.ldexp(mpf(rest, rounding="u"), -(bits + mp.prec)), rounding="u"
+        )
     return PrecisionReal(value=value, digits=claimed, error_bound=bound)
 
 
@@ -216,6 +274,15 @@ def _half_split(word: Sequence[int], m_max: int, bits: int) -> int:
     return sum(p * q for p, q in zip(prefix, reversed(suffix)))
 
 
+def _truncation_degree(n: int, digits: int) -> int:
+    """The least M = 2 (n+1) + 8i with 2 (n+1) 2^(-M) <= 10^-(digits+8)."""
+    m_max = 2 * (n + 1)
+    scaled_tail = 2 * (n + 1) * 10 ** (digits + 8)
+    while scaled_tail > 1 << m_max:
+        m_max += 8
+    return m_max
+
+
 def eval_mzv_fast(
     c: Composition, digits: int = DEFAULT_DIGITS, max_digits: int = MAX_EVAL_DIGITS
 ) -> PrecisionReal:
@@ -236,9 +303,8 @@ def eval_mzv_fast(
       symbol 1 makes c_(m+1) the mean of c_0 .. c_m.  The constant term is
       0 after the first symbol, so every P_j and Q_j lies in [0, 1], and
       dropping the degrees above M costs each at most 2^(-M) and the
-      convolution at most 2 (n+1) 2^(-M).  M is the least 2 (n+1) + 8i with
-      6 (M+2)^n 2^(-M) <= 10^-(digits+8), and that larger tail is the one
-      reported.
+      convolution at most 2 (n+1) 2^(-M).  `_truncation_degree` picks M
+      so that this tail is at most 10^-(digits+8).
     * Rounding.  Degrees up to M are computed exactly but for the floor
       divisions.  Each loses less than one unit of 2^(-B) and divides an
       earlier error of at most k units (symbol 0 divides one coefficient by
@@ -266,15 +332,13 @@ def eval_mzv_fast(
     word = _interior_symbols(c)
     n = len(word)
     with mp.workdps(digits + 15):
-        m_max = 2 * (n + 1)
-        while 6 * (m_max + 2) ** n * 10 ** (digits + 8) > 1 << m_max:
-            m_max += 8
+        m_max = _truncation_degree(n, digits)
         bits = mp.prec + 2 * n.bit_length()
         total = _half_split(word, m_max, bits)
         # every part of the bound as an integer over 2^scale
         shift = 2 * (bits + m_max)
         scale = shift + mp.prec
-        tail = 6 * (m_max + 2) ** n << (scale - m_max)
+        tail = 2 * (n + 1) << (scale - m_max)
         rounding = n * (n + 1) << (scale - bits)
         value = mp.ldexp(mpf(total), -shift)
         bound = mp.ldexp(mpf(tail + rounding + total, rounding="u"), -scale)

@@ -107,6 +107,20 @@ def test_digits_floor_enforced(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "1,0,0", "--digits", "40"],
+    ["verify", "--a", "1,0,0", "--max-denominator", "1000"],
+    ["eval", "--zeta", "1,3", "--weight-cap", "20"],
+    ["eval", "--zeta", "1,3", "--max-denominator", "1000"],
+])
+def test_unread_settings_are_not_flags(argv, capsys):
+    # verify never evaluates and eval never reads back a rational or caps a weight
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_check_single_json(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--family", "bbbl", "--n", "1", "--m", "1", "--digits", "40"

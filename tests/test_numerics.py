@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,10 @@ from multizeta.numerics import (
     _half_split,
     _interior_symbols,
     _prefix_values_at_half,
+    _series_rounding_units,
+    _series_tail_bound,
+    _truncated_series,
+    _truncation_degree,
     bernoulli_numbers,
     check_bbbl_family,
     check_bowman_bradley,
@@ -121,9 +126,7 @@ def mpf_half_split(c, digits):
         return values
 
     with mp.workdps(digits + 15):
-        m_max = 2 * (n + 1)
-        while 6 * mpf(m_max + 2) ** n * mpf(2) ** (-m_max) > mpf(10) ** (-(digits + 8)):
-            m_max += 8
+        m_max = _truncation_degree(n, digits)
         prefix = prefix_values(word, m_max)
         suffix = prefix_values(tuple(1 - s for s in reversed(word)), m_max)
         return mp.fsum(prefix[j] * suffix[n - j] for j in range(n + 1))
@@ -155,6 +158,71 @@ def test_fixed_point_rounding_within_stated_bound(parts):
     low = Fraction(_half_split(word, m_max, bits), 2 ** (2 * (bits + m_max)))
     high = Fraction(_half_split(word, m_max, more), 2 ** (2 * (bits + m_max + 64)))
     assert abs(high - low) <= Fraction(n * (n + 1), 2**bits)
+    assert high != low
+
+
+@pytest.mark.parametrize("n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102)])
+def test_truncation_degree_is_the_least_admissible(n, digits, degree):
+    m_max = _truncation_degree(n, digits)
+    assert m_max == degree
+    assert (m_max - 2 * (n + 1)) % 8 == 0
+    assert Fraction(2 * (n + 1), 2**m_max) <= Fraction(1, 10 ** (digits + 8))
+    assert Fraction(2 * (n + 1), 2 ** (m_max - 8)) > Fraction(1, 10 ** (digits + 8))
+
+
+def exact_nested_sum(parts, terms):
+    """The sum over 0 < k_1 < ... < k_r <= terms of prod k_i^(-n_i), exactly."""
+    levels = [Fraction(1)] + [Fraction(0)] * len(parts)
+    for k in range(1, terms + 1):
+        for j in range(len(parts), 0, -1):
+            levels[j] += levels[j - 1] / Fraction(k) ** parts[j - 1]
+    return levels[-1]
+
+
+SERIES_CASES = [(2,), (1, 2), (3, 2), (3, 1, 2), (1, 1, 1, 2), (2, 3, 1, 4), (1, 4, 1, 3)]
+
+
+def test_harmonic_estimate_behind_the_rounding_units():
+    # the rounding recurrence bounds 1 + ln N by bitlength(N)
+    assert all(1 + math.log(n) <= n.bit_length() for n in range(8, 1 << 16))
+
+
+@pytest.mark.parametrize("terms", [10, 23, 60])
+@pytest.mark.parametrize("parts", SERIES_CASES, ids=str)
+def test_fixed_point_series_is_low_by_at_most_the_rounding_units(parts, terms):
+    exact = exact_nested_sum(parts, terms)
+    units = _series_rounding_units(len(parts), terms)
+    for bits in (12, 40, 120):
+        gap = exact - Fraction(_truncated_series(parts, terms, bits), 2**bits)
+        assert 0 <= gap <= Fraction(units, 2**bits), bits
+
+
+@pytest.mark.parametrize("terms", [10, 60])
+@pytest.mark.parametrize("parts", SERIES_CASES, ids=str)
+def test_series_oracle_value_within_rounding_and_conversion(parts, terms):
+    exact = exact_nested_sum(parts, terms)
+    out = eval_mzv_series(Composition(parts), terms)
+    with mp.workdps(30):
+        tail = _series_tail_bound(parts, terms)
+    with mp.workdps(max(30, out.digits + 10)):
+        prec = mp.prec
+    with mp.workdps(out.digits + 60):
+        gap = abs(mpf(exact.numerator) / exact.denominator - out.value)
+        # what is left of the bound once the tail is taken out: the rounding,
+        # below 2^-prec, and the conversion, 2^-prec times a value below 2
+        rest = out.error_bound - tail
+        assert gap <= rest < 3 * mpf(2) ** -prec
+
+
+@pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 8, 3), (1, 5, 5, 3), (1, 2, 1, 2, 1, 2, 2)])
+def test_series_rounding_agrees_with_64_more_bits(parts):
+    terms = 5000
+    units = _series_rounding_units(len(parts), terms)
+    bits = 200 + units.bit_length()
+    more = bits + 64
+    low = Fraction(_truncated_series(parts, terms, bits), 2**bits)
+    high = Fraction(_truncated_series(parts, terms, more), 2**more)
+    assert -Fraction(units, 2**more) <= high - low <= Fraction(units, 2**bits)
     assert high != low
 
 
