@@ -5,6 +5,7 @@ from multizeta.encodings import (
     OddEncoding,
     enumerate_odd_encodings,
     pair_orbits,
+    pair_up,
     phi,
     quotient_of,
     subsequence_of,
@@ -133,3 +134,8 @@ def test_pair_orbits_detects_missing_partner():
     # phi sends these into permuted vectors, absent from this list
     with pytest.raises(ValueError):
         pair_orbits(encodings)
+
+
+def test_pair_up_reports_duplicate_encodings():
+    e = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)[0]
+    assert pair_up([e, e]) == ([], ["duplicate encodings in input"])

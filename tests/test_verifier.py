@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import multizeta
+from multizeta import encodings, verifier
 from multizeta.verifier import (
     CancellationCertificate,
     InsertionInstance,
@@ -201,3 +202,94 @@ def test_residual_of_closed_set_is_empty():
     inst = build_instance((1, 1, 0, 0, 0))
     for r in (3, 5, 7, 9, 11):
         assert len(expansion_residual(inst.words, r)) == 0
+
+
+# Negative controls for the orbit route.  A real phi is a fixed-point-free
+# involution with the reversal and quotient properties, so each failure line
+# below is reached by swapping in a broken enumeration or pairing.
+
+
+def _orbit_route(monkeypatch, *, enumerate_with=None, phi=None):
+    if enumerate_with is not None:
+        monkeypatch.setattr(verifier, "enumerate_odd_encodings", enumerate_with)
+    if phi is not None:
+        monkeypatch.setattr(encodings, "phi", phi)
+    return verify_cancellation(build_instance((1, 0, 0)), 3)
+
+
+def _sorted_encodings_100():
+    inst = build_instance((1, 0, 0))
+    found = [e for w in inst.words for e in encodings.enumerate_odd_encodings(w, 5)]
+    return sorted(found, key=lambda e: e.sort_key())
+
+
+def test_orbit_route_reports_duplicate_encodings(monkeypatch):
+    real = encodings.enumerate_odd_encodings
+    record = _orbit_route(monkeypatch, enumerate_with=lambda b, length: real(b, length) * 2)
+    assert (record.encoding_count, record.orbit_count, record.residual_size) == (16, 0, 0)
+    assert record.failures == ("duplicate encodings in input",)
+
+
+def test_orbit_route_reports_fixed_points_of_phi(monkeypatch):
+    record = _orbit_route(monkeypatch, phi=lambda e: e)
+    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 0, 0)
+    assert record.failures == (
+        "fixed point of phi: ([0,0,1]; 1,0; 2,1)",
+        "fixed point of phi: ([0,0,1]; 1,1; 2,0)",
+        "fixed point of phi: ([0,1,0]; 0,0; 1,1)",
+        "fixed point of phi: ([0,1,0]; 0,1; 1,0)",
+        "fixed point of phi: ([0,1,0]; 1,0; 2,1)",
+        "fixed point of phi: ([0,1,0]; 1,1; 2,0)",
+        "fixed point of phi: ([1,0,0]; 0,0; 1,1)",
+        "fixed point of phi: ([1,0,0]; 0,1; 1,0)",
+    )
+
+
+def test_orbit_route_reports_window_set_mismatch(monkeypatch):
+    real = encodings.enumerate_odd_encodings
+
+    def drop_first_of_010(b, length):
+        found = real(b, length)
+        return found[1:] if b.entries == (0, 1, 0) else found
+
+    record = _orbit_route(monkeypatch, enumerate_with=drop_first_of_010)
+    assert (record.encoding_count, record.orbit_count, record.residual_size) == (7, 3, 0)
+    assert record.failures == (
+        "window sets disagree on [0,1,0] at r=3: "
+        "encoded [(1, 6), (2, 7), (3, 8)] vs surviving [(0, 5), (1, 6), (2, 7), (3, 8)]",
+        "phi image missing from the collection: ([1,0,0]; 0,1; 1,0) -> ([0,1,0]; 0,0; 1,1)",
+    )
+
+
+def test_orbit_route_reports_unreversed_subwords_and_unequal_quotients(monkeypatch):
+    # pair the i-th encoding in sorted order with the (7 - i)-th
+    found = _sorted_encodings_100()
+    partner = dict(zip(found, reversed(found)))
+    record = _orbit_route(monkeypatch, phi=partner.__getitem__)
+    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 4, 0)
+    assert record.failures == (
+        "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([1,0,0]; 0,1; 1,0)",
+        "orbit quotients differ: ([0,0,1]; 1,0; 2,1) / ([1,0,0]; 0,1; 1,0)",
+        "orbit subwords are not mutual reversals: ([0,0,1]; 1,1; 2,0) / ([1,0,0]; 0,0; 1,1)",
+        "orbit quotients differ: ([0,0,1]; 1,1; 2,0) / ([1,0,0]; 0,0; 1,1)",
+        "orbit subwords are not mutual reversals: ([0,1,0]; 0,0; 1,1) / ([0,1,0]; 1,1; 2,0)",
+        "orbit quotients differ: ([0,1,0]; 0,0; 1,1) / ([0,1,0]; 1,1; 2,0)",
+        "orbit subwords are not mutual reversals: ([0,1,0]; 0,1; 1,0) / ([0,1,0]; 1,0; 2,1)",
+        "orbit quotients differ: ([0,1,0]; 0,1; 1,0) / ([0,1,0]; 1,0; 2,1)",
+    )
+
+
+def test_orbit_route_reports_unreversed_subwords_alone(monkeypatch):
+    # neighbouring windows of one word share their quotient here
+    found = _sorted_encodings_100()
+    partner = {}
+    for a, b in zip(found[::2], found[1::2]):
+        partner[a], partner[b] = b, a
+    record = _orbit_route(monkeypatch, phi=partner.__getitem__)
+    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 4, 0)
+    assert record.failures == (
+        "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([0,0,1]; 1,1; 2,0)",
+        "orbit subwords are not mutual reversals: ([0,1,0]; 0,0; 1,1) / ([0,1,0]; 0,1; 1,0)",
+        "orbit subwords are not mutual reversals: ([0,1,0]; 1,0; 2,1) / ([0,1,0]; 1,1; 2,0)",
+        "orbit subwords are not mutual reversals: ([1,0,0]; 0,0; 1,1) / ([1,0,0]; 0,1; 1,0)",
+    )
