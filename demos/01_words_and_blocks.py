@@ -9,6 +9,7 @@ from multizeta import (
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_word,
     sign_of,
     weight_of,
 )
@@ -19,11 +20,11 @@ c = Composition((1, 3))
 print(f"composition {c}: weight {c.weight}, depth {c.depth}, "
       f"admissible: {c.is_admissible()}")
 
-# Its integration word keeps both boundary symbols, so the length is
-# weight + 2.  Admissibility is visible at the word level: the word starts
-# with 01 and ends with 01.
+# Its integration word, a plain tuple of symbols, keeps both boundary
+# symbols, so the length is weight + 2.  Admissibility is visible at the
+# word level: the word starts with 01 and ends with 01.
 word = composition_to_word(c)
-print(f"word of {c}: {word} (interior length {word.interior_length})")
+print(f"word of {c}: {format_word(word)} (interior length {len(word) - 2})")
 
 # Interleaving runs of 2s with the alternating 1,3 spine is recorded by a
 # block vector with an odd number of entries.
@@ -33,9 +34,9 @@ print(f"encoded composition: {blockvector_to_composition(b)}")
 
 # The word of a block vector is a chain of two-symbol blocks, alternating
 # 01 and 10; entry b_i contributes b_i + 1 copies of its block.
-print(f"block word: {blockvector_to_word(b)}")
+print(f"block word: {format_word(blockvector_to_word(b))}")
 print(f"same word from the composition: "
-      f"{composition_to_word(blockvector_to_composition(b))}")
+      f"{format_word(composition_to_word(blockvector_to_composition(b)))}")
 
 # The series and its word integral differ by the depth sign.
 for entries in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:

@@ -20,7 +20,8 @@ from multizeta import (
     dr_terms,
     enumerate_odd_encodings,
     expansion_residual,
-    pair_orbits,
+    format_word,
+    pair_up,
     phi,
     quotient_of,
     subsequence_of,
@@ -35,7 +36,7 @@ print(f"base {inst.base}: weight {inst.weight}, "
       f"{len(inst.words)} words, multiplicity {inst.multiplicity}, "
       f"sign {inst.sign:+d}")
 for b in inst.words:
-    print(f"  {b} -> {blockvector_to_word(b)}")
+    print(f"  {b} -> {format_word(blockvector_to_word(b))}")
 
 # Look at one word under D_3.  A degree-r cut reads a window of r + 2
 # symbols (the r removed symbols plus the boundary symbol on each side)
@@ -46,7 +47,7 @@ b = inst.words[0]
 word = blockvector_to_word(b)
 terms = dr_terms(word, r)
 encs = enumerate_odd_encodings(b, r + 2)
-print(f"\nD_{r} on {word}: {len(terms)} surviving terms, "
+print(f"\nD_{r} on {format_word(word)}: {len(terms)} surviving terms, "
       f"{len(encs)} odd encodings of length {r + 2}")
 for e in encs:
     print(f"  {e} covers window {window_of(e)}")
@@ -57,8 +58,10 @@ for e in encs:
 e = encs[0]
 partner = phi(e)
 print(f"\nphi{e} = {partner}")
-print(f"  subsequences: {subsequence_of(e)} / {subsequence_of(partner)}")
-print(f"  quotients:    {quotient_of(e)} == {quotient_of(partner)}")
+print(f"  subsequences: {format_word(subsequence_of(e))} / "
+      f"{format_word(subsequence_of(partner))}")
+print(f"  quotients:    {format_word(quotient_of(e))} == "
+      f"{format_word(quotient_of(partner))}")
 
 # phi can land on a rearranged block vector, i.e. on a different word of
 # the family.  That is the whole point of symmetrizing: only the union of
@@ -70,9 +73,9 @@ for e in all_encodings:
     if phi(e).vector != e.vector:
         print(f"phi{e} = {phi(e)}  <- lands on a different word")
         break
-orbits = pair_orbits(all_encodings)
+orbits, failures = pair_up(all_encodings)
 print(f"encodings across the family: {len(all_encodings)}, "
-      f"orbits: {len(orbits)}")
+      f"orbits: {len(orbits)}, pairing failures: {len(failures)}")
 
 # Full verification across every odd degree, with the machine-checkable
 # certificate.

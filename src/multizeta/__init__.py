@@ -9,21 +9,20 @@ rational coefficient of pi^weight back off the digits.
 """
 
 from .words import (
-    BinaryWord,
     BlockVector,
     Composition,
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_word,
     sign_of,
     weight_of,
 )
-from .coaction import accumulate, dr_terms, reversal_canonical, surviving_windows
+from .coaction import accumulate, cut, dr_terms, reversal_canonical, surviving_windows
 from .encodings import (
     OddEncoding,
-    Orbit,
     enumerate_odd_encodings,
-    pair_orbits,
+    pair_up,
     phi,
     quotient_of,
     subsequence_of,
@@ -55,14 +54,12 @@ from .numerics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryWord",
     "BlockVector",
     "CancellationCertificate",
     "CheckRecord",
     "Composition",
     "InsertionInstance",
     "OddEncoding",
-    "Orbit",
     "PrecisionReal",
     "accumulate",
     "bernoulli_numbers",
@@ -74,13 +71,15 @@ __all__ = [
     "check_cyclic_insertion",
     "check_symmetric_sum",
     "composition_to_word",
+    "cut",
     "dr_terms",
     "enumerate_odd_encodings",
     "euler_zeta_even",
     "eval_mzv_fast",
     "eval_mzv_series",
     "expansion_residual",
-    "pair_orbits",
+    "format_word",
+    "pair_up",
     "phi",
     "quotient_of",
     "reconstruct_rational",

@@ -63,9 +63,13 @@ def _int_tuple(text: str) -> Tuple[int, ...]:
 def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    try:
+        handle = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from None
+    with handle:
+        handle.write(text)
 
 
 def _add_shared_flags(

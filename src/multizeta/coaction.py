@@ -1,12 +1,15 @@
 """Weight-graded derivation cuts on full words and signed term accumulation.
 
+A word is a plain tuple of symbols (see `words`).  Cutting the window
+[start, end) out of a word w gives the pair (subword, quotient): the
+subword is w[start:end], boundary symbols of the window included, and the
+quotient is w with the window's interior removed.  `cut` is the only place
+that knows this slicing.
+
 The degree-r derivation of a full word w with interior length n is a sum of
-tensor terms, one per window position p in 0..n-r: the left factor is the
-cut-out subword w[p : p+r+2] (boundaries of the window included) and the
-right factor is the quotient word with the window's interior removed.  A
-term vanishes when the two boundary symbols of its window agree, because the
-left factor then represents a zero integral.  A term is a plain
-(left, right) pair of words.
+tensor terms, one per window of length r + 2 at position p in 0..n-r, each
+the cut of that window.  A term vanishes when the two boundary symbols of
+its window agree, because the subword then represents a zero integral.
 
 Accumulation reduces a list of terms modulo the reversal identity
 I(w) = (-1)^(interior length) I(reverse(w)) applied to left factors, into a
@@ -18,54 +21,55 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from .words import BinaryWord
+from .words import Word
 
 __all__ = [
+    "cut",
     "surviving_windows",
     "dr_terms",
     "reversal_canonical",
     "accumulate",
 ]
 
-Term = Tuple[BinaryWord, BinaryWord]
+Term = Tuple[Word, Word]
 
 
-def surviving_windows(w: BinaryWord, r: int) -> List[Tuple[int, int]]:
+def cut(w: Word, start: int, end: int) -> Term:
+    """(subword, quotient) of the window [start, end) of w, both keeping its boundaries."""
+    return w[start:end], w[: start + 1] + w[end - 1 :]
+
+
+def surviving_windows(w: Word, r: int) -> List[Tuple[int, int]]:
     """Half-open ranges [start, end) of the degree-r windows that survive.
 
     Of the n - r + 1 windows of length r + 2, those whose two boundary
     symbols agree are dropped.
     """
-    n = w.interior_length
+    n = len(w) - 2
     if r < 1 or r > n:
         raise ValueError(f"cut degree must satisfy 1 <= r <= interior length {n}, got {r}")
-    s = w.symbols
-    return [(p, p + r + 2) for p in range(n - r + 1) if s[p] != s[p + r + 1]]
+    return [(p, p + r + 2) for p in range(n - r + 1) if w[p] != w[p + r + 1]]
 
 
-def dr_terms(w: BinaryWord, r: int) -> List[Term]:
+def dr_terms(w: Word, r: int) -> List[Term]:
     """(left, right) terms of the degree-r derivation of w, one per surviving window."""
-    s = w.symbols
-    return [
-        (BinaryWord(s[start:end]), BinaryWord(s[: start + 1] + s[end - 1 :]))
-        for start, end in surviving_windows(w, r)
-    ]
+    return [cut(w, start, end) for start, end in surviving_windows(w, r)]
 
 
-def reversal_canonical(w: BinaryWord) -> Tuple[BinaryWord, int]:
+def reversal_canonical(w: Word) -> Tuple[Word, int]:
     """Lexicographically smaller of w and its reverse, with the relating sign.
 
     Returns (canonical, s) such that I(w) = s * I(canonical).  A palindrome
     with odd interior length satisfies I(w) = -I(w), so it is zero; the
     returned sign is then 0.
     """
-    rev = tuple(reversed(w.symbols))
-    if rev == w.symbols and w.interior_length % 2 == 1:
+    rev = w[::-1]
+    odd_interior = len(w) % 2 == 1
+    if rev == w and odd_interior:
         return w, 0
-    if w.symbols <= rev:
+    if w <= rev:
         return w, 1
-    sign = -1 if w.interior_length % 2 == 1 else 1
-    return BinaryWord(rev), sign
+    return rev, -1 if odd_interior else 1
 
 
 def accumulate(terms: Iterable[Term]) -> Dict[Term, int]:

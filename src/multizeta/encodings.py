@@ -18,7 +18,9 @@ encoding type enforces oddness outright.
 The involution phi reverses the slice (b_s, ..., b_t) in place and swaps
 the two offsets.  It preserves window length, has no fixed points, reverses
 the cut-out subword, and leaves the quotient word unchanged; those four
-facts drive the pairwise cancellation proof in the verifier.
+facts drive the pairwise cancellation proof in the verifier.  An orbit is
+a plain (e, phi(e)) pair, smaller `sort_key` first; the subword and the
+quotient of an encoding are `coaction.cut` of its word at its window.
 """
 
 from __future__ import annotations
@@ -26,18 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .words import BinaryWord, BlockVector, blockvector_to_word, weight_of
+from .coaction import cut
+from .words import BlockVector, Word, blockvector_to_word, weight_of
 
 __all__ = [
     "OddEncoding",
-    "Orbit",
     "enumerate_odd_encodings",
     "phi",
     "subsequence_of",
     "quotient_of",
     "window_of",
     "pair_up",
-    "pair_orbits",
 ]
 
 
@@ -76,9 +77,8 @@ class OddEncoding:
     @property
     def length(self) -> int:
         """Window length: total size of the spanned blocks minus both offsets."""
-        b = self.vector
-        span = sum(2 * (b[i] + 1) for i in range(self.start_block, self.end_block + 1))
-        return span - self.start_offset - self.end_offset
+        start, end = window_of(self)
+        return end - start
 
     def sort_key(self) -> Tuple:
         return (
@@ -96,14 +96,6 @@ class OddEncoding:
         )
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """An unordered phi-orbit {e, phi(e)}, stored with the smaller member first."""
-
-    first: OddEncoding
-    second: OddEncoding
-
-
 def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
     """All odd encodings of windows of the given length, in positional order.
 
@@ -119,13 +111,14 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
             f"window length must lie in [3, {weight_of(b) + 1}], got {length}"
         )
     found = []
+    offs = _block_offsets(b)
     k = len(b)
     for s in range(k):
         for t in range(s + 1, k, 2):
-            span = sum(2 * (b[i] + 1) for i in range(s, t + 1))
-            for l in range(2 * (b[s] + 1)):
+            span = offs[t + 1] - offs[s]
+            for l in range(offs[s + 1] - offs[s]):
                 m = span - l - length
-                if 0 <= m < 2 * (b[t] + 1):
+                if 0 <= m < offs[t + 1] - offs[t]:
                     found.append(OddEncoding(b, s, l, t, m))
     return found
 
@@ -152,22 +145,24 @@ def window_of(e: OddEncoding) -> Tuple[int, int]:
     return start, end
 
 
-def subsequence_of(e: OddEncoding) -> BinaryWord:
+def subsequence_of(e: OddEncoding) -> Word:
     """The cut-out left factor: the window's symbols."""
-    word = blockvector_to_word(e.vector)
-    start, end = window_of(e)
-    return BinaryWord(word.symbols[start:end])
+    return cut(blockvector_to_word(e.vector), *window_of(e))[0]
 
 
-def quotient_of(e: OddEncoding) -> BinaryWord:
+def quotient_of(e: OddEncoding) -> Word:
     """The right factor: the word with the window's interior removed."""
-    word = blockvector_to_word(e.vector)
-    start, end = window_of(e)
-    return BinaryWord(word.symbols[: start + 1] + word.symbols[end - 1 :])
+    return cut(blockvector_to_word(e.vector), *window_of(e))[1]
 
 
-def pair_up(encodings: List[OddEncoding]) -> Tuple[List[Orbit], List[str]]:
-    """Greedy phi-pairing; returns orbits plus a description of any failures."""
+def pair_up(
+    encodings: List[OddEncoding],
+) -> Tuple[List[Tuple[OddEncoding, OddEncoding]], List[str]]:
+    """Greedy phi-pairing into (e, phi(e)) orbits, smaller `sort_key` first.
+
+    Returns the orbits plus a description of any failures; the cancellation
+    argument needs none.
+    """
     pool = {e.sort_key(): e for e in encodings}
     if len(pool) != len(encodings):
         return [], ["duplicate encodings in input"]
@@ -190,17 +185,5 @@ def pair_up(encodings: List[OddEncoding]) -> Tuple[List[Orbit], List[str]]:
             continue
         seen.add(key)
         seen.add(fkey)
-        orbits.append(Orbit(first=e, second=f) if key < fkey else Orbit(first=f, second=e))
+        orbits.append((e, f) if key < fkey else (f, e))
     return orbits, failures
-
-
-def pair_orbits(encodings: List[OddEncoding]) -> List[Orbit]:
-    """Partition a phi-closed collection of encodings into 2-element orbits.
-
-    Raises ValueError if any encoding is a fixed point or its phi image is
-    absent, since either would contradict the cancellation argument.
-    """
-    orbits, failures = pair_up(encodings)
-    if failures:
-        raise ValueError("; ".join(failures))
-    return orbits

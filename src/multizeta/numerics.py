@@ -47,6 +47,7 @@ from .words import (
     BlockVector,
     Composition,
     blockvector_to_composition,
+    composition_to_word,
     weight_of,
 )
 
@@ -233,14 +234,6 @@ def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
     return PrecisionReal(value=value, digits=claimed, error_bound=bound)
 
 
-def _interior_symbols(c: Composition) -> Tuple[int, ...]:
-    symbols: List[int] = []
-    for p in c.parts:
-        symbols.append(1)
-        symbols.extend([0] * (p - 1))
-    return tuple(symbols)
-
-
 def _prefix_values_at_half(symbols: Sequence[int], m_max: int, bits: int) -> List[int]:
     """Values at 1/2 of the iterated integrals of every prefix of `symbols`.
 
@@ -329,7 +322,7 @@ def eval_mzv_fast(
     if c.depth == 0:
         return PrecisionReal(value=mpf(1), digits=digits, error_bound=mpf(0))
 
-    word = _interior_symbols(c)
+    word = composition_to_word(c)[1:-1]
     n = len(word)
     with mp.workdps(digits + 15):
         m_max = _truncation_degree(n, digits)

@@ -13,8 +13,8 @@ Each odd degree r is checked along two independent routes:
    paired under the offset-swapping involution.  Each orbit is checked to
    consist of mutually reversed cut subwords (odd interior, so their
    integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel; both are sliced from each word's symbols,
-   expanded once per degree.  The encodings found are also checked to
+   the paired terms cancel; both are `coaction.cut` of each word, expanded
+   once per degree.  The encodings found are also checked to
    match, word by word, the windows of the degree-r cut that survive the
    boundary filter.
 2. Expansion route: the degree-r terms of every word in C are expanded and
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
-from .coaction import Term, accumulate, dr_terms, surviving_windows
+from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
 from .encodings import OddEncoding, enumerate_odd_encodings, pair_up, window_of
-from .words import BlockVector, blockvector_to_word, weight_of
+from .words import BlockVector, Word, blockvector_to_word, format_word, weight_of
 
 __all__ = [
     "InsertionInstance",
@@ -185,11 +185,10 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
     failures: List[str] = []
     window_count = 0
     encodings = []
-    symbols = {}  # block vector -> its word, expanded once
+    expanded: Dict[BlockVector, Word] = {}  # each word expanded once
     for w in instance.words:
-        word = blockvector_to_word(w)
-        symbols[w] = word.symbols
-        window_count += word.interior_length - r + 1
+        word = expanded[w] = blockvector_to_word(w)
+        window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
         encs = enumerate_odd_encodings(w, r + 2)
         encodings.extend(encs)
@@ -200,24 +199,21 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
-    def cut(e: OddEncoding) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        s = symbols[e.vector]
-        start, end = window_of(e)
-        return s[start:end], s[: start + 1] + s[end - 1 :]
+    def cut_of(e: OddEncoding) -> Term:
+        return cut(expanded[e.vector], *window_of(e))
 
     orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
-    for orb in orbits:
-        (sub_a, quo_a), (sub_b, quo_b) = cut(orb.first), cut(orb.second)
-        if sub_a != sub_b[::-1]:
-            failures.append(
-                f"orbit subwords are not mutual reversals: {orb.first} / {orb.second}"
-            )
-        if quo_a != quo_b:
-            failures.append(f"orbit quotients differ: {orb.first} / {orb.second}")
+    for e, f in orbits:
+        (sub_e, quo_e), (sub_f, quo_f) = cut_of(e), cut_of(f)
+        if sub_e != sub_f[::-1]:
+            failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
+        if quo_e != quo_f:
+            failures.append(f"orbit quotients differ: {e} / {f}")
 
     residual = expansion_residual(instance.words, r)
     for (left, right), coeff in sorted(residual.items()):
+        left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")
 
     digest = hashlib.sha256(

@@ -5,10 +5,11 @@ Conventions used throughout the package:
 * A multiple zeta value is indexed by a composition (n_1, ..., n_r) and sums
   over 0 < k_1 < k_2 < ... < k_r, so convergence requires the *last* part to
   be at least 2.
-* The binary word of a composition is the full integration word, boundary
-  symbols included: 0, then 1 0^(n_1 - 1) ... 1 0^(n_r - 1), then 1.  Its
-  length is weight + 2, and admissibility of the composition is equivalent to
-  the word starting with 01 and ending with 01.
+* A word is a plain tuple of 0s and 1s, derived only from a validated
+  composition or block vector.  The word of a composition is the full
+  integration word, boundary symbols included: 0, then 1 0^(n_1 - 1) ...
+  1 0^(n_r - 1), then 1.  Its length is weight + 2; it starts with 01, and
+  ends with 01 exactly when the composition is admissible.
 * A block vector (b_0, ..., b_{2n}) with an odd number of entries encodes the
   interleaved composition ({2}^b_0, 1, {2}^b_1, 3, ..., 3, {2}^b_{2n}); its
   word is a concatenation of alternating two-symbol blocks, (01)^(b_i + 1)
@@ -18,18 +19,21 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 __all__ = [
+    "Word",
     "Composition",
-    "BinaryWord",
     "BlockVector",
     "composition_to_word",
     "blockvector_to_composition",
     "blockvector_to_word",
+    "format_word",
     "weight_of",
     "sign_of",
 ]
+
+Word = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,55 +67,6 @@ class Composition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-@dataclass(frozen=True, order=True)
-class BinaryWord:
-    """A word over {0, 1}, boundary symbols included."""
-
-    symbols: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(self.symbols) < 2:
-            raise ValueError("a full word has at least 2 symbols (its boundaries)")
-        for s in self.symbols:
-            if s not in (0, 1):
-                raise ValueError(f"word symbols must be 0 or 1, got {s!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "BinaryWord":
-        return cls(tuple(int(ch) for ch in text))
-
-    @property
-    def interior_length(self) -> int:
-        """Number of symbols strictly between the two boundaries."""
-        return len(self.symbols) - 2
-
-    def reverse(self) -> "BinaryWord":
-        return BinaryWord(tuple(reversed(self.symbols)))
-
-    def is_admissible(self) -> bool:
-        # The length-2 boundary word stands for the empty integral, value 1.
-        if len(self.symbols) == 2:
-            return self.symbols == (0, 1)
-        return (
-            len(self.symbols) >= 4
-            and self.symbols[:2] == (0, 1)
-            and self.symbols[-2:] == (0, 1)
-        )
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
-
-    def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
 
 
 @dataclass(frozen=True)
@@ -153,21 +108,20 @@ class BlockVector:
         return "[" + ",".join(str(b) for b in self.entries) + "]"
 
 
-def composition_to_word(c: Composition) -> BinaryWord:
+def composition_to_word(c: Composition) -> Word:
     """Full integration word of an admissible composition.
 
     Raises ValueError when the composition is non-admissible, since the
     integral representation only exists for convergent values.
     """
+    if not c.is_admissible():
+        raise ValueError(f"composition {c} is not admissible (last part must be >= 2)")
     symbols = [0]
     for p in c.parts:
         symbols.append(1)
         symbols.extend([0] * (p - 1))
     symbols.append(1)
-    word = BinaryWord(tuple(symbols))
-    if not word.is_admissible():
-        raise ValueError(f"composition {c} is not admissible (last part must be >= 2)")
-    return word
+    return tuple(symbols)
 
 
 def blockvector_to_composition(b: BlockVector) -> Composition:
@@ -181,13 +135,18 @@ def blockvector_to_composition(b: BlockVector) -> Composition:
     return Composition(tuple(parts))
 
 
-def blockvector_to_word(b: BlockVector) -> BinaryWord:
+def blockvector_to_word(b: BlockVector) -> Word:
     """Concatenate the alternating blocks (01)^(b_i+1), (10)^(b_i+1)."""
     symbols = []
     for i, count in enumerate(b.entries):
         block = (0, 1) if i % 2 == 0 else (1, 0)
         symbols.extend(block * (count + 1))
-    return BinaryWord(tuple(symbols))
+    return tuple(symbols)
+
+
+def format_word(w: Word) -> str:
+    """The symbols of a word as a string, e.g. "011001"."""
+    return "".join(map(str, w))
 
 
 def weight_of(b: BlockVector) -> int:

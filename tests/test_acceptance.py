@@ -120,7 +120,7 @@ def test_criterion_3_involution_property_suite():
         assert phi(f) == e
         assert f.length == e.length
         assert f != e
-        assert subsequence_of(f) == subsequence_of(e).reverse()
+        assert subsequence_of(f) == subsequence_of(e)[::-1]
         assert quotient_of(f) == quotient_of(e)
     record_criterion(f"PASS criterion 3: {runs} random encodings, 0 involution violations")
 

@@ -65,6 +65,16 @@ def test_verify_output_file(tmp_path, capsys):
     assert payload["a"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("name", [".", "missing/cert.json"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, name):
+    # a directory, or a file in a directory that does not exist
+    target = tmp_path / name
+    code, out, err = run_cli(capsys, "verify", "--a", "1,0,0", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_verify_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, "verify", "--a", "1,0,0")
     _, second, _ = run_cli(capsys, "verify", "--a", "1,0,0")

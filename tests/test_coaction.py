@@ -2,15 +2,16 @@ import pytest
 
 from multizeta.coaction import (
     accumulate,
+    cut,
     dr_terms,
     reversal_canonical,
     surviving_windows,
 )
-from multizeta.words import BinaryWord
+from multizeta.words import format_word
 
 
 def W(text):
-    return BinaryWord.from_string(text)
+    return tuple(int(ch) for ch in text)
 
 
 def test_surviving_windows():
@@ -26,7 +27,7 @@ def test_surviving_windows():
 def test_surviving_windows_filter_the_candidate_positions(text):
     # interior length n gives n - r + 1 candidate positions
     w = W(text)
-    n = w.interior_length
+    n = len(w) - 2
     for r in range(1, n + 1):
         expected = [(p, p + r + 2) for p in range(n - r + 1) if w[p] != w[p + r + 1]]
         assert surviving_windows(w, r) == expected
@@ -39,6 +40,14 @@ def test_degree_bounds_enforced():
         surviving_windows(W("0101"), 3)
     with pytest.raises(ValueError):
         dr_terms(W("011001"), 5)
+
+
+def test_cut_keeps_the_window_boundaries_on_both_sides():
+    w = W("01011001")
+    assert cut(w, 2, 7) == (W("01100"), W("01001"))
+    assert cut(w, 0, len(w)) == (w, W("01"))
+    # a window of two symbols has an empty interior: the quotient is w
+    assert cut(w, 3, 5) == (W("11"), w)
 
 
 def test_weight_two_word_has_no_surviving_terms():
@@ -67,14 +76,14 @@ def test_dr_terms_content():
 def test_reversal_canonical_cases():
     w = W("10110")
     canonical, sign = reversal_canonical(w)
-    assert str(canonical) == "01101" and sign == -1  # odd interior flips sign
+    assert canonical == W("01101") and sign == -1  # odd interior flips sign
     canonical, sign = reversal_canonical(W("01101"))
-    assert str(canonical) == "01101" and sign == 1
+    assert canonical == W("01101") and sign == 1
     canonical, sign = reversal_canonical(W("1101"))
-    assert str(canonical) == "1011" and sign == 1  # even interior keeps sign
+    assert canonical == W("1011") and sign == 1  # even interior keeps sign
     # even-interior palindrome is its own canonical form
     canonical, sign = reversal_canonical(W("1001"))
-    assert str(canonical) == "1001" and sign == 1
+    assert canonical == W("1001") and sign == 1
     # odd-interior palindrome represents zero
     canonical, sign = reversal_canonical(W("01110"))
     assert sign == 0
@@ -90,7 +99,7 @@ def test_accumulate_keeps_non_cancelling_terms():
     acc = accumulate([(W("01101"), q), (W("01011"), q)])
     assert acc == {(W("01101"), q): 1, (W("01011"), q): 1}
     # words order by their symbols, which fixes the order of residual lines
-    assert [str(left) for (left, _), _ in sorted(acc.items())] == ["01011", "01101"]
+    assert [format_word(left) for (left, _), _ in sorted(acc.items())] == ["01011", "01101"]
 
 
 def test_accumulate_drops_palindromic_zero_terms():

@@ -7,7 +7,6 @@ from mpmath import mp, mpf
 
 from multizeta.numerics import (
     _half_split,
-    _interior_symbols,
     _prefix_values_at_half,
     _series_rounding_units,
     _series_tail_bound,
@@ -24,7 +23,7 @@ from multizeta.numerics import (
     reconstruct_rational,
     zeta_even_rational,
 )
-from multizeta.words import Composition
+from multizeta.words import Composition, composition_to_word
 
 
 def admissible_compositions(max_weight):
@@ -55,7 +54,7 @@ def test_fast_engine_against_classical_values():
 
 def dual(c):
     """The composition of the reversed and complemented word of c."""
-    symbols = [1 - s for s in reversed(_interior_symbols(c))]
+    symbols = [1 - s for s in reversed(composition_to_word(c)[1:-1])]
     parts = []
     for s in symbols:
         if s == 1:
@@ -109,7 +108,7 @@ def test_fast_error_bound_holds_against_closed_forms(digits):
 
 def mpf_half_split(c, digits):
     """The 1/2 split as mpf loops at digits + 15, with the same truncation degree."""
-    word = _interior_symbols(c)
+    word = composition_to_word(c)[1:-1]
     n = len(word)
 
     def prefix_values(symbols, m_max):
@@ -146,7 +145,7 @@ def test_fixed_point_engine_matches_mpf_reference(digits):
 
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 1, 3), (2, 2, 1, 2, 3, 2), (1, 1, 1, 5, 2)])
 def test_fixed_point_rounding_within_stated_bound(parts):
-    word = _interior_symbols(Composition(parts))
+    word = composition_to_word(Composition(parts))[1:-1]
     n = len(word)
     m_max, bits, more = 120, 200, 264
     coarse = _prefix_values_at_half(word, m_max, bits)

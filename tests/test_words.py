@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multizeta.words import (
-    BinaryWord,
     BlockVector,
     Composition,
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_word,
     sign_of,
     weight_of,
 )
@@ -20,9 +20,10 @@ def block_vectors(max_n=3, max_entry=5):
 
 
 def test_composition_word_small_cases():
-    assert str(composition_to_word(Composition((2,)))) == "0101"
-    assert str(composition_to_word(Composition((1, 3)))) == "011001"
-    assert str(composition_to_word(Composition((2, 1, 2, 3, 2)))) == "010110100101"
+    assert format_word(composition_to_word(Composition((2,)))) == "0101"
+    assert format_word(composition_to_word(Composition((1, 3)))) == "011001"
+    assert format_word(composition_to_word(Composition((2, 1, 2, 3, 2)))) == "010110100101"
+    assert composition_to_word(Composition(())) == (0, 1)
 
 
 def test_word_length_is_weight_plus_two():
@@ -72,7 +73,7 @@ def test_blockvector_word_equivalence_random(b):
     word = blockvector_to_word(b)
     assert word == composition_to_word(blockvector_to_composition(b))
     assert len(word) == weight_of(b) + 2
-    assert word.is_admissible()
+    assert word[:2] == word[-2:] == (0, 1)
 
 
 @given(block_vectors())
@@ -103,27 +104,3 @@ def test_blockvector_arity_enforced():
     with pytest.raises(ValueError):
         BlockVector((1, 0, -1))
 
-
-def test_binary_word_basics():
-    w = BinaryWord.from_string("011001")
-    assert w.interior_length == 4
-    assert str(w.reverse()) == "100110"
-    assert w.reverse().reverse() == w
-    assert list(w) == [0, 1, 1, 0, 0, 1]
-    assert w[0] == 0 and w[-1] == 1
-
-
-def test_binary_word_validation():
-    with pytest.raises(ValueError):
-        BinaryWord((0,))
-    with pytest.raises(ValueError):
-        BinaryWord((0, 2))
-
-
-def test_binary_word_admissibility_is_word_level():
-    assert BinaryWord.from_string("0101").is_admissible()
-    assert BinaryWord.from_string("011001").is_admissible()
-    assert not BinaryWord.from_string("0110").is_admissible()
-    assert not BinaryWord.from_string("010011").is_admissible()  # word of (3,1)
-    # the bare boundary pair stands for the empty integral
-    assert BinaryWord.from_string("01").is_admissible()
