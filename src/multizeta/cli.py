@@ -60,6 +60,19 @@ def _int_tuple(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _check_writable(output: Optional[str]) -> None:
+    """Fail before any work when --output cannot be opened, changing no file."""
+    if output is None:
+        return
+    existed = os.path.lexists(output)
+    try:
+        open(output, "a", encoding="utf-8").close()  # append mode truncates nothing
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from None
+    if not existed:
+        os.remove(output)
+
+
 def _write(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -323,6 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if "jobs" in args and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        _check_writable(args.output)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "eval":

@@ -12,21 +12,24 @@ window of that word is recorded positionally as (b; s, l; t, m):
 The window length is then sum(2*(b_i + 1) for s <= i <= t) - l - m, and it
 is odd exactly when l and m have different parities, which forces t - s to
 be odd as well.  Windows lying inside a single block, and even-length
-windows generally, never participate in a degree-r cut with odd r, so the
-encoding type enforces oddness outright.
+windows generally, never participate in a degree-r cut with odd r.  An
+encoding is a plain named tuple (entries, s, l, t, m) whose native order is
+positional order; it checks nothing itself.  Its two producers,
+`enumerate_odd_encodings` and `phi`, keep 0 <= s < t < len(b), t - s odd,
+0 <= l < 2*(b_s + 1), 0 <= m < 2*(b_t + 1) and l - m odd by construction,
+and the tests check those rules on both.
 
 The involution phi reverses the slice (b_s, ..., b_t) in place and swaps
 the two offsets.  It preserves window length, has no fixed points, reverses
 the cut-out subword, and leaves the quotient word unchanged; those four
 facts drive the pairwise cancellation proof in the verifier.  An orbit is
-a plain (e, phi(e)) pair, smaller `sort_key` first; the subword and the
+a plain (e, phi(e)) pair, smaller encoding first; the subword and the
 quotient of an encoding are `coaction.cut` of its word at its window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .coaction import cut
 from .words import BlockVector, Word, blockvector_to_word, weight_of
@@ -42,37 +45,14 @@ __all__ = [
 ]
 
 
-def _block_offsets(b: BlockVector) -> List[int]:
-    """Start index of each block inside the expanded word."""
-    offs = [0]
-    for count in b.entries:
-        offs.append(offs[-1] + 2 * (count + 1))
-    return offs
-
-
-@dataclass(frozen=True)
-class OddEncoding:
+class OddEncoding(NamedTuple):
     """Positional record (b; s, l; t, m) of an odd-length window."""
 
-    vector: BlockVector
+    vector: Tuple[int, ...]
     start_block: int
     start_offset: int
     end_block: int
     end_offset: int
-
-    def __post_init__(self) -> None:
-        b, s, t = self.vector, self.start_block, self.end_block
-        l, m = self.start_offset, self.end_offset
-        if not (0 <= s < t < len(b)):
-            raise ValueError(f"need 0 <= s < t < {len(b)}, got s={s}, t={t}")
-        if (t - s) % 2 == 0:
-            raise ValueError(f"start and end blocks must differ in parity, got s={s}, t={t}")
-        if not (0 <= l < 2 * (b[s] + 1)):
-            raise ValueError(f"start offset {l} out of range for block of size {2 * (b[s] + 1)}")
-        if not (0 <= m < 2 * (b[t] + 1)):
-            raise ValueError(f"end offset {m} out of range for block of size {2 * (b[t] + 1)}")
-        if (l - m) % 2 == 0:
-            raise ValueError(f"offsets must differ in parity, got l={l}, m={m}")
 
     @property
     def length(self) -> int:
@@ -80,18 +60,10 @@ class OddEncoding:
         start, end = window_of(self)
         return end - start
 
-    def sort_key(self) -> Tuple:
-        return (
-            self.vector.entries,
-            self.start_block,
-            self.start_offset,
-            self.end_block,
-            self.end_offset,
-        )
-
     def __str__(self) -> str:
+        entries = ",".join(str(c) for c in self.vector)
         return (
-            f"({self.vector}; {self.start_block},{self.start_offset};"
+            f"([{entries}]; {self.start_block},{self.start_offset};"
             f" {self.end_block},{self.end_offset})"
         )
 
@@ -111,7 +83,9 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
             f"window length must lie in [3, {weight_of(b) + 1}], got {length}"
         )
     found = []
-    offs = _block_offsets(b)
+    offs = [0]  # start index of each block inside the expanded word
+    for count in b.entries:
+        offs.append(offs[-1] + 2 * (count + 1))
     k = len(b)
     for s in range(k):
         for t in range(s + 1, k, 2):
@@ -119,71 +93,57 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
             for l in range(offs[s + 1] - offs[s]):
                 m = span - l - length
                 if 0 <= m < offs[t + 1] - offs[t]:
-                    found.append(OddEncoding(b, s, l, t, m))
+                    found.append(OddEncoding(b.entries, s, l, t, m))
     return found
 
 
 def phi(e: OddEncoding) -> OddEncoding:
     """Reverse the block slice [s..t] and swap the two offsets."""
-    b = e.vector.entries
-    s, t = e.start_block, e.end_block
-    reversed_slice = b[:s] + tuple(reversed(b[s : t + 1])) + b[t + 1 :]
-    return OddEncoding(
-        vector=BlockVector(reversed_slice),
-        start_block=s,
-        start_offset=e.end_offset,
-        end_block=t,
-        end_offset=e.start_offset,
-    )
+    b, s, l, t, m = e
+    return OddEncoding(b[:s] + b[s : t + 1][::-1] + b[t + 1 :], s, m, t, l)
 
 
 def window_of(e: OddEncoding) -> Tuple[int, int]:
     """Half-open symbol range [start, end) of the window in the expanded word."""
-    offs = _block_offsets(e.vector)
-    start = offs[e.start_block] + e.start_offset
-    end = offs[e.end_block + 1] - e.end_offset
-    return start, end
+    b, s, l, t, m = e
+    # the blocks before block i hold 2*i + 2*sum(b[:i]) symbols
+    return 2 * (s + sum(b[:s])) + l, 2 * (t + 1 + sum(b[: t + 1])) - m
 
 
 def subsequence_of(e: OddEncoding) -> Word:
     """The cut-out left factor: the window's symbols."""
-    return cut(blockvector_to_word(e.vector), *window_of(e))[0]
+    return cut(blockvector_to_word(BlockVector(e.vector)), *window_of(e))[0]
 
 
 def quotient_of(e: OddEncoding) -> Word:
     """The right factor: the word with the window's interior removed."""
-    return cut(blockvector_to_word(e.vector), *window_of(e))[1]
+    return cut(blockvector_to_word(BlockVector(e.vector)), *window_of(e))[1]
 
 
 def pair_up(
     encodings: List[OddEncoding],
 ) -> Tuple[List[Tuple[OddEncoding, OddEncoding]], List[str]]:
-    """Greedy phi-pairing into (e, phi(e)) orbits, smaller `sort_key` first.
+    """Greedy phi-pairing into (e, phi(e)) orbits, smaller encoding first.
 
     Returns the orbits plus a description of any failures; the cancellation
     argument needs none.
     """
-    pool = {e.sort_key(): e for e in encodings}
+    pool = set(encodings)
     if len(pool) != len(encodings):
         return [], ["duplicate encodings in input"]
     orbits = []
     failures = []
     seen = set()
-    for key in sorted(pool):
-        if key in seen:
+    for e in sorted(pool):
+        if e in seen:
             continue
-        e = pool[key]
+        seen.add(e)
         f = phi(e)
-        fkey = f.sort_key()
-        if fkey == key:
+        if f == e:
             failures.append(f"fixed point of phi: {e}")
-            seen.add(key)
-            continue
-        if fkey not in pool:
+        elif f not in pool:
             failures.append(f"phi image missing from the collection: {e} -> {f}")
-            seen.add(key)
-            continue
-        seen.add(key)
-        seen.add(fkey)
-        orbits.append((e, f) if key < fkey else (f, e))
+        else:
+            seen.add(f)
+            orbits.append((e, f) if e < f else (f, e))
     return orbits, failures

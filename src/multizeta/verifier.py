@@ -13,10 +13,10 @@ Each odd degree r is checked along two independent routes:
    paired under the offset-swapping involution.  Each orbit is checked to
    consist of mutually reversed cut subwords (odd interior, so their
    integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel; both are `coaction.cut` of each word, expanded
-   once per degree.  The encodings found are also checked to
-   match, word by word, the windows of the degree-r cut that survive the
-   boundary filter.
+   the paired terms cancel.  Each encoding's window is located once per
+   degree; the orbit check cuts the word there (`coaction.cut`), and the
+   same windows are checked to match, word by word, the windows of the
+   degree-r cut that survive the boundary filter.
 2. Expansion route: the degree-r terms of every word in C are expanded and
    accumulated modulo left-factor reversal; no term may be left over.
 
@@ -184,28 +184,28 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
 
     failures: List[str] = []
     window_count = 0
-    encodings = []
-    expanded: Dict[BlockVector, Word] = {}  # each word expanded once
+    encodings: List[OddEncoding] = []
+    windows: Dict[OddEncoding, Tuple[int, int]] = {}
+    expanded: Dict[Tuple[int, ...], Word] = {}  # each word expanded once
     for w in instance.words:
-        word = expanded[w] = blockvector_to_word(w)
+        word = expanded[w.entries] = blockvector_to_word(w)
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
         encs = enumerate_odd_encodings(w, r + 2)
         encodings.extend(encs)
-        positions = {window_of(e) for e in encs}
+        windows.update((e, window_of(e)) for e in encs)
+        positions = {windows[e] for e in encs}
         if positions != surviving:
             failures.append(
                 f"window sets disagree on {w} at r={r}: "
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
-    def cut_of(e: OddEncoding) -> Term:
-        return cut(expanded[e.vector], *window_of(e))
-
     orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
     for e, f in orbits:
-        (sub_e, quo_e), (sub_f, quo_f) = cut_of(e), cut_of(f)
+        sub_e, quo_e = cut(expanded[e.vector], *windows[e])
+        sub_f, quo_f = cut(expanded[f.vector], *windows[f])
         if sub_e != sub_f[::-1]:
             failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
         if quo_e != quo_f:

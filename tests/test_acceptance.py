@@ -108,14 +108,13 @@ def test_criterion_3_involution_property_suite():
     for _ in range(runs):
         n = rng.randint(1, 3)
         entries = tuple(rng.randint(0, 5) for _ in range(2 * n + 1))
-        vector = BlockVector(entries)
         s = rng.randrange(0, 2 * n)
         t = rng.choice(range(s + 1, 2 * n + 1, 2))
         l = rng.randrange(0, 2 * (entries[s] + 1))
         m = rng.choice(
             [v for v in range(2 * (entries[t] + 1)) if (v - l) % 2 == 1]
         )
-        e = OddEncoding(vector, s, l, t, m)
+        e = OddEncoding(entries, s, l, t, m)
         f = phi(e)
         assert phi(f) == e
         assert f.length == e.length

@@ -75,6 +75,39 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, name):
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "1,0,0"],
+    ["eval", "--zeta", "1,3"],
+    ["check", "--family", "symmetric", "--sweep", "--weight-cap", "16"],
+])
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("work started before --output was checked")
+
+    for name in ("_run_check", "build_instance", "eval_mzv_fast"):
+        monkeypatch.setattr(cli, name, refuse)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_failed_command_leaves_output_unchanged(tmp_path, capsys):
+    existing = tmp_path / "report.json"
+    existing.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (existing, fresh):
+        code, _, err = run_cli(
+            capsys, "check", "--family", "symmetric", "--a", "9,9,9",
+            "--weight-cap", "14", "--output", str(target),
+        )
+        assert code == 2
+        assert "cap" in err
+    assert existing.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
 def test_verify_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, "verify", "--a", "1,0,0")
     _, second, _ = run_cli(capsys, "verify", "--a", "1,0,0")

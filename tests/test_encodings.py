@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,14 +13,14 @@ from multizeta.encodings import (
     subsequence_of,
     window_of,
 )
+from multizeta.verifier import build_instance
 from multizeta.words import BlockVector, blockvector_to_word, format_word, weight_of
 
 
 @st.composite
 def odd_encodings(draw, max_n=3, max_entry=5):
     n = draw(st.integers(1, max_n))
-    entries = tuple(draw(st.integers(0, max_entry)) for _ in range(2 * n + 1))
-    b = BlockVector(entries)
+    b = tuple(draw(st.integers(0, max_entry)) for _ in range(2 * n + 1))
     s = draw(st.integers(0, len(b) - 2))
     t_choices = list(range(s + 1, len(b), 2))
     t = draw(st.sampled_from(t_choices))
@@ -27,18 +30,28 @@ def odd_encodings(draw, max_n=3, max_entry=5):
     return OddEncoding(b, s, l, t, m)
 
 
-def test_validation_rules():
-    b = BlockVector((1, 0, 0))
-    with pytest.raises(ValueError):
-        OddEncoding(b, 0, 0, 2, 1)  # same-parity blocks
-    with pytest.raises(ValueError):
-        OddEncoding(b, 1, 0, 0, 1)  # s >= t
-    with pytest.raises(ValueError):
-        OddEncoding(b, 0, 4, 1, 1)  # start offset too large
-    with pytest.raises(ValueError):
-        OddEncoding(b, 0, 0, 1, 2)  # end offset too large
-    with pytest.raises(ValueError):
-        OddEncoding(b, 0, 0, 1, 0)  # same-parity offsets (even window)
+def _rules_hold(e):
+    b, s, l, t, m = e
+    return (
+        0 <= s < t < len(b)
+        and (t - s) % 2 == 1
+        and 0 <= l < 2 * (b[s] + 1)
+        and 0 <= m < 2 * (b[t] + 1)
+        and (l - m) % 2 == 1
+    )
+
+
+def test_producers_keep_the_encoding_rules():
+    # the encoding type checks nothing, so both of its producers must
+    for k in (1, 3, 5):
+        for entries in itertools.product(range(4), repeat=k):
+            b = BlockVector(entries)
+            for length in range(3, weight_of(b) + 2, 2):
+                for e in enumerate_odd_encodings(b, length):
+                    f = phi(e)
+                    assert _rules_hold(e), e
+                    assert _rules_hold(f), (e, f)
+                    assert e.length == f.length == length
 
 
 def test_frozen_enumeration_100():
@@ -98,7 +111,7 @@ def test_subword_boundaries_differ(e):
 
 @given(odd_encodings())
 def test_quotient_glues_window_ends(e):
-    word = blockvector_to_word(e.vector)
+    word = blockvector_to_word(BlockVector(e.vector))
     start, end = window_of(e)
     quotient = quotient_of(e)
     assert len(quotient) == len(word) - e.length + 2
@@ -107,9 +120,9 @@ def test_quotient_glues_window_ends(e):
 
 
 def test_phi_worked_example():
-    e = OddEncoding(BlockVector((1, 2, 3, 1, 2)), 1, 2, 2, 5)
+    e = OddEncoding((1, 2, 3, 1, 2), 1, 2, 2, 5)
     f = phi(e)
-    assert f.vector.entries == (1, 3, 2, 1, 2)
+    assert f.vector == (1, 3, 2, 1, 2)
     assert (f.start_block, f.start_offset, f.end_block, f.end_offset) == (1, 5, 2, 2)
     assert format_word(subsequence_of(e)) == "1010010"
     assert format_word(subsequence_of(f)) == "0100101"
@@ -126,7 +139,7 @@ def test_pair_up_on_closed_set():
     assert len(orbits) == len(encodings) // 2
     for e, f in orbits:
         assert phi(e) == f
-        assert e.sort_key() < f.sort_key()
+        assert e < f
 
 
 def test_pair_up_detects_missing_partner():
@@ -143,3 +156,17 @@ def test_pair_up_detects_missing_partner():
 def test_pair_up_reports_duplicate_encodings():
     e = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)[0]
     assert pair_up([e, e]) == ([], ["duplicate encodings in input"])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_up_ignores_input_order(seed):
+    closed = [
+        e for w in build_instance((1, 1, 0, 0, 0)).words
+        for e in enumerate_odd_encodings(w, 5)
+    ]
+    open_ = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)  # partners missing
+    for encodings in (closed, open_):
+        shuffled = list(encodings)
+        random.Random(seed).shuffle(shuffled)
+        assert pair_up(shuffled) == pair_up(sorted(encodings))
+    assert pair_up(open_)[1]  # the missing-partner lines are compared too

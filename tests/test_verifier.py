@@ -220,7 +220,7 @@ def _orbit_route(monkeypatch, *, enumerate_with=None, phi=None):
 def _sorted_encodings_100():
     inst = build_instance((1, 0, 0))
     found = [e for w in inst.words for e in encodings.enumerate_odd_encodings(w, 5)]
-    return sorted(found, key=lambda e: e.sort_key())
+    return sorted(found)
 
 
 def test_orbit_route_reports_duplicate_encodings(monkeypatch):
