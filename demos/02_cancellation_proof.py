@@ -95,7 +95,7 @@ broken = InsertionInstance(
     weight=inst.weight,
     sign=inst.sign,
 )
-residual = expansion_residual(broken.words, 3)
+residual = expansion_residual([blockvector_to_word(w) for w in broken.words], 3)
 bad = verify_instance(broken)
 print(f"\nwithout {inst.words[-1]}: residual size {len(residual)}, "
       f"verdict {bad.verdict}")

@@ -10,9 +10,11 @@ Three subcommands cover the package's capabilities:
   writes a report; ``--sweep`` iterates a whole family under the weight
   cap, optionally in parallel with ``--jobs``.
 
-``MULTIZETA_DIGITS`` and ``MULTIZETA_WEIGHT_CAP`` override the built-in
-defaults; explicit flags beat both.  Output is deterministic for identical
-inputs and configuration: fixed key order, no timestamps.
+Each command registers only the numeric settings of `SETTINGS` it reads:
+``MULTIZETA_DIGITS`` counts for ``eval`` and ``check``, ``MULTIZETA_WEIGHT_CAP``
+for ``verify`` and ``check``, and an explicit flag beats both.  ``eval``
+refuses more than `MAX_EVAL_DIGITS` digits.  Output is deterministic for
+identical inputs and configuration: fixed key order, no timestamps.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .numerics import (
     DEFAULT_MAX_DENOMINATOR,
     DEFAULT_WEIGHT_CAP,
     FAMILIES,
+    MAX_EVAL_DIGITS,
     eval_mzv_fast,
     eval_mzv_series,
 )
@@ -41,6 +44,20 @@ from .verifier import build_instance, verify_instance
 from .words import BlockVector, Composition, weight_of
 
 ORACLE_TERMS = 5000
+
+
+# flag name: (environment variable or None, default, least value, help)
+SETTINGS = {
+    "digits": ("MULTIZETA_DIGITS", DEFAULT_DIGITS, 20, "working precision in decimal digits"),
+    "max-denominator": (None, DEFAULT_MAX_DENOMINATOR, 1,
+                        "largest denominator accepted by rational readback"),
+    "weight-cap": ("MULTIZETA_WEIGHT_CAP", DEFAULT_WEIGHT_CAP, 4,
+                   "refuse instances above this weight"),
+    "jobs": (None, 1, 1, "parallel worker processes for --sweep"),
+}
+
+# the parameter flags of `check`, in the order the families first use them
+PARAMS = tuple(dict.fromkeys(p for family in FAMILIES.values() for p in family.params))
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -64,13 +81,13 @@ def _check_writable(output: Optional[str]) -> None:
     """Fail before any work when --output cannot be opened, changing no file."""
     if output is None:
         return
-    existed = os.path.lexists(output)
+    existed = os.path.exists(output)  # a dangling symlink does not count
     try:
         open(output, "a", encoding="utf-8").close()  # append mode truncates nothing
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc.strerror}") from None
     if not existed:
-        os.remove(output)
+        os.remove(os.path.realpath(output))  # the probe's file, never a symlink
 
 
 def _write(text: str, output: Optional[str]) -> None:
@@ -88,28 +105,11 @@ def _write(text: str, output: Optional[str]) -> None:
 def _add_shared_flags(
     sub: argparse.ArgumentParser, formats: Tuple[str, ...], *settings: str
 ) -> None:
-    """`--output`, `--format` and those of the numeric settings the command reads."""
-    if "digits" in settings:
-        sub.add_argument(
-            "--digits",
-            type=int,
-            default=_env_int("MULTIZETA_DIGITS", DEFAULT_DIGITS),
-            help="working precision in decimal digits (default %(default)s)",
-        )
-    if "max-denominator" in settings:
-        sub.add_argument(
-            "--max-denominator",
-            type=int,
-            default=DEFAULT_MAX_DENOMINATOR,
-            help="largest denominator accepted by rational readback (default %(default)s)",
-        )
-    if "weight-cap" in settings:
-        sub.add_argument(
-            "--weight-cap",
-            type=int,
-            default=_env_int("MULTIZETA_WEIGHT_CAP", DEFAULT_WEIGHT_CAP),
-            help="refuse instances above this weight (default %(default)s)",
-        )
+    """`--output`, `--format` and the numeric settings the command reads, left for `main`."""
+    for name in settings:
+        env, default, _, text = SETTINGS[name]
+        shown = f"${env}, else {default}" if env else default
+        sub.add_argument(f"--{name}", type=int, help=f"{text} (default {shown})")
     sub.add_argument("--output", default=None, help="write to this path instead of stdout")
     sub.add_argument(
         "--format",
@@ -153,10 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--m", type=int, help=f"insertion count ({used_by('m')})")
     p_check.add_argument("--sweep", action="store_true",
                          help="run every instance of the family under the weight cap")
-    p_check.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes for --sweep (default 1)")
     _add_shared_flags(
-        p_check, ("json", "csv", "text"), "digits", "max-denominator", "weight-cap"
+        p_check, ("json", "csv", "text"), "digits", "max-denominator", "weight-cap", "jobs"
     )
     return parser
 
@@ -198,6 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     comp = Composition(args.zeta)
+    if args.digits > MAX_EVAL_DIGITS:
+        raise ValueError(f"precision request {args.digits} exceeds the cap {MAX_EVAL_DIGITS}")
     fast = eval_mzv_fast(comp, args.digits)
     oracle = eval_mzv_series(comp, ORACLE_TERMS)
     with mp.workdps(args.digits + 10):
@@ -288,6 +288,11 @@ def _reports_text(reports: List[dict]) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = FAMILIES[args.family]
+    read = () if args.sweep else spec.params
+    unread = [f"--{p}" for p in PARAMS if p not in read and getattr(args, p) is not None]
+    if unread:
+        reader = "--sweep" if args.sweep else f"--family {args.family}"
+        raise ValueError(f"{reader} does not read {' and '.join(unread)}")
     if args.sweep:
         param_list = spec.sweep(args.weight_cap)
     elif any(getattr(args, p) is None for p in spec.params):
@@ -320,22 +325,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parser = build_parser()
     args = parser.parse_args(argv)
-    # each subcommand registers only the settings it reads
-    if "digits" in args and args.digits < 20:
-        parser.error(f"--digits must be at least 20, got {args.digits}")
-    if "weight_cap" in args and args.weight_cap < 4:
-        parser.error(f"--weight-cap must be at least 4, got {args.weight_cap}")
-    if "max_denominator" in args and args.max_denominator < 1:
-        parser.error(f"--max-denominator must be positive, got {args.max_denominator}")
-    if "jobs" in args and args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        # each subcommand registered only the settings it reads; the flag
+        # beats the environment variable, which beats the default
+        for name, (env, default, floor, _) in SETTINGS.items():
+            dest = name.replace("-", "_")
+            if dest in args:
+                value = getattr(args, dest)
+                if value is None:
+                    value = _env_int(env, default) if env else default
+                if value < floor:
+                    parser.error(f"--{name} must be at least {floor}, got {value}")
+                setattr(args, dest, value)
         _check_writable(args.output)
         if args.command == "verify":
             return cmd_verify(args)

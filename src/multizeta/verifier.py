@@ -170,9 +170,9 @@ def build_instance(a: BlockVectorLike) -> InsertionInstance:
     )
 
 
-def expansion_residual(words: Iterable[BlockVector], r: int) -> Dict[Term, int]:
+def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
     """Accumulated degree-r terms of a word collection; empty means they sum to zero."""
-    return accumulate(t for w in words for t in dr_terms(blockvector_to_word(w), r))
+    return accumulate(t for w in words for t in dr_terms(w, r))
 
 
 def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
@@ -186,9 +186,10 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
     window_count = 0
     encodings: List[OddEncoding] = []
     windows: Dict[OddEncoding, Tuple[int, int]] = {}
-    expanded: Dict[Tuple[int, ...], Word] = {}  # each word expanded once
-    for w in instance.words:
-        word = expanded[w.entries] = blockvector_to_word(w)
+    # each word expanded once; the list keeps instance order and repeats
+    words = [blockvector_to_word(w) for w in instance.words]
+    expanded = {w.entries: word for w, word in zip(instance.words, words)}
+    for w, word in zip(instance.words, words):
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
         encs = enumerate_odd_encodings(w, r + 2)
@@ -211,7 +212,7 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
         if quo_e != quo_f:
             failures.append(f"orbit quotients differ: {e} / {f}")
 
-    residual = expansion_residual(instance.words, r)
+    residual = expansion_residual(words, r)
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")

@@ -108,6 +108,20 @@ def test_failed_command_leaves_output_unchanged(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_failed_command_through_dangling_symlink_creates_no_file(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    code, _, err = run_cli(
+        capsys, "check", "--family", "symmetric", "--a", "9,9,9",
+        "--weight-cap", "14", "--output", str(link),
+    )
+    assert code == 2
+    assert "cap" in err
+    assert link.is_symlink()
+    assert not target.exists()
+
+
 def test_verify_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, "verify", "--a", "1,0,0")
     _, second, _ = run_cli(capsys, "verify", "--a", "1,0,0")
@@ -136,6 +150,13 @@ def test_eval_divergent_exits_2(capsys):
     assert "diverges" in err
     code, _, err = run_cli(capsys, "eval", "--zeta", "3,1")
     assert code == 2
+
+
+def test_eval_digits_cap(capsys):
+    code, out, err = run_cli(capsys, "eval", "--zeta", "2", "--digits", "201")
+    assert code == 2
+    assert out == ""
+    assert err == "error: precision request 201 exceeds the cap 200\n"
 
 
 def test_eval_bad_tokens_usage_error(capsys):
@@ -181,6 +202,18 @@ def test_check_missing_params_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--family", "symmetric")
     assert code == 2
     assert "--a" in err
+
+
+@pytest.mark.parametrize("params, message", [
+    (["--sweep", "--n", "1", "--m", "0"], "--sweep does not read --n and --m"),
+    (["--sweep", "--a", "1,0,0"], "--sweep does not read --a"),
+    (["--n", "1", "--m", "0", "--a", "1,0,0"], "--family bbbl does not read --a"),
+])
+def test_check_rejects_unread_params(capsys, params, message):
+    code, out, err = run_cli(capsys, "check", "--family", "bbbl", *params)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_check_sweep_csv(capsys):
@@ -286,6 +319,29 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "eval", "--zeta", "2")
     assert code == 2
     assert "MULTIZETA_DIGITS" in err
+
+
+@pytest.mark.parametrize("name, value, argv", [
+    ("MULTIZETA_DIGITS", "lots", ["verify", "--a", "1,0,0"]),
+    ("MULTIZETA_WEIGHT_CAP", "x", ["eval", "--zeta", "2"]),
+])
+def test_bad_env_value_of_an_unread_setting_is_ignored(capsys, monkeypatch, name, value, argv):
+    monkeypatch.delenv(name, raising=False)
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
+@pytest.mark.parametrize("name", ["MULTIZETA_DIGITS", "MULTIZETA_WEIGHT_CAP"])
+def test_help_ignores_bad_env_value(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: multizeta" in capsys.readouterr().out
 
 
 def test_module_entry_point():
