@@ -4,11 +4,12 @@ Run as: python3 demos/01_words_and_blocks.py
 """
 
 from multizeta import (
-    BlockVector,
     Composition,
+    block_vector,
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_vector,
     format_word,
     sign_of,
     weight_of,
@@ -27,9 +28,10 @@ word = composition_to_word(c)
 print(f"word of {c}: {format_word(word)} (interior length {len(word) - 2})")
 
 # Interleaving runs of 2s with the alternating 1,3 spine is recorded by a
-# block vector with an odd number of entries.
-b = BlockVector((1, 1, 1))
-print(f"\nblock vector {b}: n = {b.n}, weight {weight_of(b)}, depth {b.depth}")
+# block vector: a plain tuple with an odd number of entries, 2n + 1.
+b = block_vector((1, 1, 1))
+print(f"\nblock vector {format_vector(b)}: n = {len(b) // 2}, weight {weight_of(b)}, "
+      f"depth {blockvector_to_composition(b).depth}")
 print(f"encoded composition: {blockvector_to_composition(b)}")
 
 # The word of a block vector is a chain of two-symbol blocks, alternating
@@ -39,10 +41,9 @@ print(f"same word from the composition: "
       f"{format_word(composition_to_word(blockvector_to_composition(b)))}")
 
 # The series and its word integral differ by the depth sign.
-for entries in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:
-    vec = BlockVector(entries)
+for vec in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:
     comp = blockvector_to_composition(vec)
-    print(f"{vec} -> {comp}, sign {sign_of(comp):+d}")
+    print(f"{format_vector(vec)} -> {comp}, sign {sign_of(comp):+d}")
 
 # Non-admissible compositions have no integral representation and are
 # rejected up front.

@@ -20,6 +20,7 @@ from multizeta import (
     dr_terms,
     enumerate_odd_encodings,
     expansion_residual,
+    format_vector,
     format_word,
     pair_up,
     phi,
@@ -32,11 +33,11 @@ from multizeta import (
 # Build the instance for a = (1, 0, 0): all distinct arrangements of the
 # entries, each taken with the same multiplicity.
 inst = build_instance((1, 0, 0))
-print(f"base {inst.base}: weight {inst.weight}, "
+print(f"base {format_vector(inst.base)}: weight {inst.weight}, "
       f"{len(inst.words)} words, multiplicity {inst.multiplicity}, "
       f"sign {inst.sign:+d}")
 for b in inst.words:
-    print(f"  {b} -> {format_word(blockvector_to_word(b))}")
+    print(f"  {format_vector(b)} -> {format_word(blockvector_to_word(b))}")
 
 # Look at one word under D_3.  A degree-r cut reads a window of r + 2
 # symbols (the r removed symbols plus the boundary symbol on each side)
@@ -80,7 +81,7 @@ print(f"encodings across the family: {len(all_encodings)}, "
 # Full verification across every odd degree, with the machine-checkable
 # certificate.
 cert = verify_instance(inst)
-print(f"\nverdict for {inst.base}: {cert.verdict}")
+print(f"\nverdict for {format_vector(inst.base)}: {cert.verdict}")
 for rec in cert.checks:
     print(f"  D_{rec.r}: {rec.window_count} windows, "
           f"{rec.encoding_count} encodings, {rec.orbit_count} orbits, "
@@ -97,5 +98,5 @@ broken = InsertionInstance(
 )
 residual = expansion_residual([blockvector_to_word(w) for w in broken.words], 3)
 bad = verify_instance(broken)
-print(f"\nwithout {inst.words[-1]}: residual size {len(residual)}, "
+print(f"\nwithout {format_vector(inst.words[-1])}: residual size {len(residual)}, "
       f"verdict {bad.verdict}")

@@ -9,11 +9,12 @@ rational coefficient of pi^weight back off the digits.
 """
 
 from .words import (
-    BlockVector,
     Composition,
+    block_vector,
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_vector,
     format_word,
     sign_of,
     weight_of,
@@ -54,7 +55,6 @@ from .numerics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockVector",
     "CancellationCertificate",
     "CheckRecord",
     "Composition",
@@ -63,6 +63,7 @@ __all__ = [
     "PrecisionReal",
     "accumulate",
     "bernoulli_numbers",
+    "block_vector",
     "blockvector_to_composition",
     "blockvector_to_word",
     "build_instance",
@@ -78,6 +79,7 @@ __all__ = [
     "eval_mzv_fast",
     "eval_mzv_series",
     "expansion_residual",
+    "format_vector",
     "format_word",
     "pair_up",
     "phi",

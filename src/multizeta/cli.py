@@ -12,7 +12,8 @@ Three subcommands cover the package's capabilities:
 
 Each command registers only the numeric settings of `SETTINGS` it reads:
 ``MULTIZETA_DIGITS`` counts for ``eval`` and ``check``, ``MULTIZETA_WEIGHT_CAP``
-for ``verify`` and ``check``, and an explicit flag beats both.  ``eval``
+for ``verify`` and ``check``, and an explicit flag beats both; a value below
+its floor is reported under the flag or variable it came from.  ``eval``
 refuses more than `MAX_EVAL_DIGITS` digits.  Output is deterministic for
 identical inputs and configuration: fixed key order, no timestamps.
 """
@@ -41,7 +42,7 @@ from .numerics import (
     eval_mzv_series,
 )
 from .verifier import build_instance, verify_instance
-from .words import BlockVector, Composition, weight_of
+from .words import Composition, block_vector, format_vector, weight_of
 
 ORACLE_TERMS = 5000
 
@@ -60,10 +61,8 @@ SETTINGS = {
 PARAMS = tuple(dict.fromkeys(p for family in FAMILIES.values() for p in family.params))
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
+def _env_int(name: str) -> int:
+    raw = os.environ[name]
     try:
         return int(raw)
     except ValueError:
@@ -162,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _certificate_text(cert) -> str:
     inst = cert.instance
     lines = [
-        f"instance a={inst.base} n={inst.n} weight={inst.weight} "
+        f"instance a={format_vector(inst.base)} n={inst.n} weight={inst.weight} "
         f"lambda={inst.multiplicity} words={len(inst.words)} sign={inst.sign:+d}"
     ]
     for check in cert.checks:
@@ -180,7 +179,7 @@ def _certificate_text(cert) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # before build_instance, whose word count can reach (2n+1)!
-    weight = weight_of(BlockVector(args.a))
+    weight = weight_of(block_vector(args.a))
     if weight > args.weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {args.weight_cap}")
     cert = verify_instance(build_instance(args.a))
@@ -333,11 +332,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, (env, default, floor, _) in SETTINGS.items():
             dest = name.replace("-", "_")
             if dest in args:
-                value = getattr(args, dest)
+                value, source = getattr(args, dest), f"--{name}"
                 if value is None:
-                    value = _env_int(env, default) if env else default
+                    value = default
+                    if env is not None and env in os.environ:
+                        value, source = _env_int(env), env
                 if value < floor:
-                    parser.error(f"--{name} must be at least {floor}, got {value}")
+                    parser.error(f"{source} must be at least {floor}, got {value}")
                 setattr(args, dest, value)
         _check_writable(args.output)
         if args.command == "verify":

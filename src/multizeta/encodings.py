@@ -13,8 +13,10 @@ The window length is then sum(2*(b_i + 1) for s <= i <= t) - l - m, and it
 is odd exactly when l and m have different parities, which forces t - s to
 be odd as well.  Windows lying inside a single block, and even-length
 windows generally, never participate in a degree-r cut with odd r.  An
-encoding is a plain named tuple (entries, s, l, t, m) whose native order is
-positional order; it checks nothing itself.  Its two producers,
+encoding is a plain named tuple (b, s, l, t, m), b the block vector tuple
+itself, whose native order is positional order; it checks nothing itself,
+and b was checked once by `words.block_vector` where it entered the
+package.  The two producers of encodings,
 `enumerate_odd_encodings` and `phi`, keep 0 <= s < t < len(b), t - s odd,
 0 <= l < 2*(b_s + 1), 0 <= m < 2*(b_t + 1) and l - m odd by construction,
 and the tests check those rules on both.
@@ -32,7 +34,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Tuple
 
 from .coaction import cut
-from .words import BlockVector, Word, blockvector_to_word, weight_of
+from .words import BlockVector, Word, blockvector_to_word, format_vector, weight_of
 
 __all__ = [
     "OddEncoding",
@@ -48,7 +50,7 @@ __all__ = [
 class OddEncoding(NamedTuple):
     """Positional record (b; s, l; t, m) of an odd-length window."""
 
-    vector: Tuple[int, ...]
+    vector: BlockVector
     start_block: int
     start_offset: int
     end_block: int
@@ -61,9 +63,8 @@ class OddEncoding(NamedTuple):
         return end - start
 
     def __str__(self) -> str:
-        entries = ",".join(str(c) for c in self.vector)
         return (
-            f"([{entries}]; {self.start_block},{self.start_offset};"
+            f"({format_vector(self.vector)}; {self.start_block},{self.start_offset};"
             f" {self.end_block},{self.end_offset})"
         )
 
@@ -84,7 +85,7 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
         )
     found = []
     offs = [0]  # start index of each block inside the expanded word
-    for count in b.entries:
+    for count in b:
         offs.append(offs[-1] + 2 * (count + 1))
     k = len(b)
     for s in range(k):
@@ -93,7 +94,7 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
             for l in range(offs[s + 1] - offs[s]):
                 m = span - l - length
                 if 0 <= m < offs[t + 1] - offs[t]:
-                    found.append(OddEncoding(b.entries, s, l, t, m))
+                    found.append(OddEncoding(b, s, l, t, m))
     return found
 
 
@@ -112,12 +113,12 @@ def window_of(e: OddEncoding) -> Tuple[int, int]:
 
 def subsequence_of(e: OddEncoding) -> Word:
     """The cut-out left factor: the window's symbols."""
-    return cut(blockvector_to_word(BlockVector(e.vector)), *window_of(e))[0]
+    return cut(blockvector_to_word(e.vector), *window_of(e))[0]
 
 
 def quotient_of(e: OddEncoding) -> Word:
     """The right factor: the word with the window's interior removed."""
-    return cut(blockvector_to_word(BlockVector(e.vector)), *window_of(e))[1]
+    return cut(blockvector_to_word(e.vector), *window_of(e))[1]
 
 
 def pair_up(

@@ -46,6 +46,7 @@ from .verifier import build_instance, verify_instance
 from .words import (
     BlockVector,
     Composition,
+    block_vector,
     blockvector_to_composition,
     composition_to_word,
     weight_of,
@@ -441,7 +442,7 @@ def _check(
 
 
 def check_symmetric_sum(
-    a: Union[BlockVector, Iterable[int]],
+    a: Iterable[int],
     digits: int = DEFAULT_DIGITS,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
@@ -489,7 +490,7 @@ def check_bbbl_family(
 
 
 def check_cyclic_insertion(
-    a: Union[BlockVector, Iterable[int]],
+    a: Iterable[int],
     digits: int = DEFAULT_DIGITS,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
@@ -582,9 +583,9 @@ def _spine_sweep(word, weight_cap: int) -> List[dict]:
     return sorted(items, key=lambda p: (weight_of(word(**p)), p["n"]))
 
 
-def _parse_vector(a: Union[BlockVector, Iterable[int]]) -> Tuple[dict, BlockVector]:
-    word = BlockVector(tuple(a))
-    return {"a": list(word.entries)}, word
+def _parse_vector(a: Iterable[int]) -> Tuple[dict, BlockVector]:
+    word = block_vector(a)
+    return {"a": list(word)}, word
 
 
 def _parse_spine(word, n: int, m: int) -> Tuple[dict, BlockVector]:
@@ -595,11 +596,11 @@ def _parse_spine(word, n: int, m: int) -> Tuple[dict, BlockVector]:
 
 def _spread_word(n: int, m: int) -> BlockVector:
     """All m insertions in the first of the 2n + 1 blocks."""
-    return BlockVector((m,) + (0,) * (2 * n))
+    return (m,) + (0,) * (2 * n)
 
 
 def _constant_word(n: int, m: int) -> BlockVector:
-    return BlockVector((m,) * (2 * n + 1))
+    return (m,) * (2 * n + 1)
 
 
 def _symmetric_summands(a: List[int]):
@@ -614,12 +615,12 @@ def _symmetric_summands(a: List[int]):
 
 
 def _cyclic_summands(a: List[int]):
-    rotations = [BlockVector(tuple(a[i:] + a[:i])) for i in range(len(a))]
+    rotations = [tuple(a[i:] + a[:i]) for i in range(len(a))]
     return 1, rotations, {"rotations": len(rotations)}
 
 
 def _bowman_bradley_summands(n: int, m: int):
-    words = [BlockVector(c) for c in _weak_compositions(m, 2 * n + 1)]
+    words = list(_weak_compositions(m, 2 * n + 1))
     return 1, words, {"word_count": len(words)}
 
 

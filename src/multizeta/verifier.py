@@ -1,8 +1,9 @@
 """Cancellation certificates for symmetrized insertion sums.
 
-An instance is built from a block vector a: its word set C consists of the
-distinct permutations of a's entries, each standing for one zeta value of
-the symmetrized sum, together with the multiplicity lambda = (2n+1)! / |C|
+An instance is built from a block vector a, which `build_instance` checks
+once (`words.block_vector`): its word set C consists of the distinct
+permutations of a's entries, plain tuples each standing for one zeta value
+of the symmetrized sum, together with the multiplicity lambda = (2n+1)! / |C|
 carried by every word.  Because lambda and the common depth sign factor out
 of every degree-r derivation, the verifier works with unweighted, unsigned
 term lists and records both constants in the certificate.
@@ -31,11 +32,21 @@ import hashlib
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
 from .encodings import OddEncoding, enumerate_odd_encodings, pair_up, window_of
-from .words import BlockVector, Word, blockvector_to_word, format_word, weight_of
+from .words import (
+    BlockVector,
+    Word,
+    block_vector,
+    blockvector_to_composition,
+    blockvector_to_word,
+    format_vector,
+    format_word,
+    sign_of,
+    weight_of,
+)
 
 __all__ = [
     "InsertionInstance",
@@ -46,9 +57,6 @@ __all__ = [
     "verify_cancellation",
     "verify_instance",
 ]
-
-BlockVectorLike = Union[BlockVector, Iterable[int]]
-
 
 @dataclass(frozen=True)
 class InsertionInstance:
@@ -62,7 +70,7 @@ class InsertionInstance:
 
     @property
     def n(self) -> int:
-        return self.base.n
+        return len(self.base) // 2
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ class CancellationCertificate:
         inst = self.instance
         return {
             "version": "cert-v1",
-            "a": list(inst.base.entries),
+            "a": list(inst.base),
             "n": inst.n,
             "weight": inst.weight,
             "lambda": inst.multiplicity,
@@ -143,30 +151,25 @@ def _distinct_permutations(entries: Tuple[int, ...]) -> Iterator[Tuple[int, ...]
         p[i + 1 :] = reversed(p[i + 1 :])
 
 
-def build_instance(a: BlockVectorLike) -> InsertionInstance:
-    """Expand a block vector into its full permutation instance.
+def build_instance(a: Iterable[int]) -> InsertionInstance:
+    """Check a block vector and expand it into its full permutation instance.
 
-    The multiplicity satisfies lambda * |C| = (2n+1)! exactly, and the depth
-    of the encoded composition is the same for every word (permutations move
-    insertion counts around without changing their sum), so the instance
-    carries a single well-defined sign.
+    The multiplicity satisfies lambda * |C| = (2n+1)! exactly.  Every
+    permutation has the base's length and entry sum, so its composition has
+    the base's depth, and the instance carries the base's sign.
     """
-    base = a if isinstance(a, BlockVector) else BlockVector(tuple(a))
-    words = tuple(BlockVector(p) for p in _distinct_permutations(base.entries))
+    base = block_vector(a)
+    words = tuple(_distinct_permutations(base))
     order = factorial(len(base))
     multiplicity, rem = divmod(order, len(words))
     if rem:
         raise AssertionError(f"word count {len(words)} does not divide {order}")
-    depths = {w.depth for w in words}
-    if len(depths) != 1:
-        raise AssertionError(f"depth not constant across permutations of {base}")
-    sign = -1 if depths.pop() % 2 else 1
     return InsertionInstance(
         base=base,
         words=words,
         multiplicity=multiplicity,
         weight=weight_of(base),
-        sign=sign,
+        sign=sign_of(blockvector_to_composition(base)),
     )
 
 
@@ -188,7 +191,7 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
     windows: Dict[OddEncoding, Tuple[int, int]] = {}
     # each word expanded once; the list keeps instance order and repeats
     words = [blockvector_to_word(w) for w in instance.words]
-    expanded = {w.entries: word for w, word in zip(instance.words, words)}
+    expanded = dict(zip(instance.words, words))
     for w, word in zip(instance.words, words):
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
@@ -198,7 +201,7 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
         positions = {windows[e] for e in encs}
         if positions != surviving:
             failures.append(
-                f"window sets disagree on {w} at r={r}: "
+                f"window sets disagree on {format_vector(w)} at r={r}: "
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 

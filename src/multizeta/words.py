@@ -13,27 +13,33 @@ Conventions used throughout the package:
 * A block vector (b_0, ..., b_{2n}) with an odd number of entries encodes the
   interleaved composition ({2}^b_0, 1, {2}^b_1, 3, ..., 3, {2}^b_{2n}); its
   word is a concatenation of alternating two-symbol blocks, (01)^(b_i + 1)
-  for even i and (10)^(b_i + 1) for odd i.
+  for even i and (10)^(b_i + 1) for odd i.  It is a plain tuple of entries:
+  `block_vector` checks one where it enters the package, and every vector
+  derived from a checked one (a permutation, a rotation, a weak composition)
+  keeps the rules by construction and is not checked again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, Tuple
 
 __all__ = [
     "Word",
     "Composition",
     "BlockVector",
+    "block_vector",
     "composition_to_word",
     "blockvector_to_composition",
     "blockvector_to_word",
     "format_word",
+    "format_vector",
     "weight_of",
     "sign_of",
 ]
 
 Word = Tuple[int, ...]
+BlockVector = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -69,45 +75,6 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class BlockVector:
-    """Nonnegative insertion counts (b_0, ..., b_{2n}), always of odd length."""
-
-    entries: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) % 2 == 0 or not self.entries:
-            raise ValueError(
-                f"a block vector has an odd number of entries, got {len(self.entries)}"
-            )
-        for b in self.entries:
-            if not isinstance(b, int) or b < 0:
-                raise ValueError(f"block vector entries must be >= 0, got {b!r}")
-
-    @property
-    def n(self) -> int:
-        """Half the number of 1,3 separator pairs; entry count is 2n + 1."""
-        return (len(self.entries) - 1) // 2
-
-    @property
-    def weight(self) -> int:
-        return weight_of(self)
-
-    @property
-    def depth(self) -> int:
-        return 2 * self.n + sum(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(b) for b in self.entries) + "]"
-
-
 def composition_to_word(c: Composition) -> Word:
     """Full integration word of an admissible composition.
 
@@ -124,11 +91,22 @@ def composition_to_word(c: Composition) -> Word:
     return tuple(symbols)
 
 
+def block_vector(a: Iterable[int]) -> BlockVector:
+    """Check a block vector from outside the package and return it as a tuple."""
+    b = tuple(a)
+    if len(b) % 2 == 0:
+        raise ValueError(f"a block vector has an odd number of entries, got {len(b)}")
+    for count in b:
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"block vector entries must be >= 0, got {count!r}")
+    return b
+
+
 def blockvector_to_composition(b: BlockVector) -> Composition:
     """Interleave runs of 2s with the alternating 1, 3, 1, 3, ..., 3 spine."""
     parts = []
-    separators = [1, 3] * b.n
-    for i, count in enumerate(b.entries):
+    separators = [1, 3] * (len(b) // 2)
+    for i, count in enumerate(b):
         parts.extend([2] * count)
         if i < len(separators):
             parts.append(separators[i])
@@ -138,7 +116,7 @@ def blockvector_to_composition(b: BlockVector) -> Composition:
 def blockvector_to_word(b: BlockVector) -> Word:
     """Concatenate the alternating blocks (01)^(b_i+1), (10)^(b_i+1)."""
     symbols = []
-    for i, count in enumerate(b.entries):
+    for i, count in enumerate(b):
         block = (0, 1) if i % 2 == 0 else (1, 0)
         symbols.extend(block * (count + 1))
     return tuple(symbols)
@@ -149,9 +127,14 @@ def format_word(w: Word) -> str:
     return "".join(map(str, w))
 
 
+def format_vector(b: BlockVector) -> str:
+    """The entries of a block vector as a string, e.g. "[1,0,0]"."""
+    return "[" + ",".join(map(str, b)) + "]"
+
+
 def weight_of(b: BlockVector) -> int:
-    """Weight of the encoded zeta value: 4n + 2 * sum(b_i)."""
-    return 4 * b.n + 2 * sum(b.entries)
+    """Weight of the encoded zeta value: 4n + 2 * sum(b_i), with 2n + 1 entries."""
+    return 4 * (len(b) // 2) + 2 * sum(b)
 
 
 def sign_of(c: Composition) -> int:

@@ -6,6 +6,8 @@ import pytest
 
 from multizeta import cli
 from multizeta.cli import main
+from multizeta.numerics import check_cyclic_insertion, check_symmetric_sum
+from multizeta.verifier import build_instance
 
 
 def run_cli(capsys, *argv):
@@ -29,15 +31,31 @@ def test_verify_text_format(capsys):
     assert out.count("check r=") == 4
 
 
-def test_verify_even_arity_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--a", "0,0")
-    assert code == 2
-    assert "odd number" in err
+# every place a block vector enters the package, as argv before the vector or a function
+VECTOR_ENTRY_POINTS = {
+    "verify": ["verify", "--a"],
+    "check-symmetric": ["check", "--family", "symmetric", "--a"],
+    "check-cyclic": ["check", "--family", "cyclic", "--a"],
+    "build_instance": build_instance,
+    "check_symmetric_sum": check_symmetric_sum,
+    "check_cyclic_insertion": check_cyclic_insertion,
+}
 
 
-def test_verify_negative_entry_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--a", "1,-1,0")
-    assert code == 2
+@pytest.mark.parametrize("vector, message", [
+    ((0, 0), "a block vector has an odd number of entries, got 2"),
+    ((1, -1, 0), "block vector entries must be >= 0, got -1"),
+], ids=["odd-number", "negative-entry"])
+@pytest.mark.parametrize("entry", list(VECTOR_ENTRY_POINTS))
+def test_bad_block_vector_is_rejected_where_it_enters(capsys, entry, vector, message):
+    point = VECTOR_ENTRY_POINTS[entry]
+    if callable(point):
+        with pytest.raises(ValueError) as exc:
+            point(vector)
+        assert str(exc.value) == message
+    else:
+        code, out, err = run_cli(capsys, *point, ",".join(map(str, vector)))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_weight_cap(capsys):
@@ -169,6 +187,25 @@ def test_digits_floor_enforced(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--zeta", "2", "--digits", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, value, argv, flag, floor", [
+    ("MULTIZETA_WEIGHT_CAP", "2", ["verify", "--a", "1,0,0"], "--weight-cap", 4),
+    ("MULTIZETA_DIGITS", "5", ["eval", "--zeta", "2"], "--digits", 20),
+])
+def test_floor_error_names_where_the_value_came_from(capsys, monkeypatch, name, value, argv,
+                                                     flag, floor):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {name} must be at least {floor}, got {value}\n")
+    # a flag below its floor is named as the flag, whatever the variable holds
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {flag} must be at least {floor}, got 3\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ from multizeta.encodings import (
     window_of,
 )
 from multizeta.verifier import build_instance
-from multizeta.words import BlockVector, blockvector_to_word, format_word, weight_of
+from multizeta.words import blockvector_to_word, format_word, weight_of
 
 
 @st.composite
@@ -44,8 +44,7 @@ def _rules_hold(e):
 def test_producers_keep_the_encoding_rules():
     # the encoding type checks nothing, so both of its producers must
     for k in (1, 3, 5):
-        for entries in itertools.product(range(4), repeat=k):
-            b = BlockVector(entries)
+        for b in itertools.product(range(4), repeat=k):
             for length in range(3, weight_of(b) + 2, 2):
                 for e in enumerate_odd_encodings(b, length):
                     f = phi(e)
@@ -55,7 +54,7 @@ def test_producers_keep_the_encoding_rules():
 
 
 def test_frozen_enumeration_100():
-    encs = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)
+    encs = enumerate_odd_encodings((1, 0, 0), 5)
     assert [
         (e.start_block, e.start_offset, e.end_block, e.end_offset) for e in encs
     ] == [(0, 0, 1, 1), (0, 1, 1, 0)]
@@ -63,13 +62,13 @@ def test_frozen_enumeration_100():
 
 
 def test_frozen_enumeration_000():
-    assert enumerate_odd_encodings(BlockVector((0, 0, 0)), 5) == []
-    encs = enumerate_odd_encodings(BlockVector((0, 0, 0)), 3)
+    assert enumerate_odd_encodings((0, 0, 0), 5) == []
+    encs = enumerate_odd_encodings((0, 0, 0), 3)
     assert [window_of(e) for e in encs] == [(0, 3), (1, 4), (2, 5), (3, 6)]
 
 
 def test_enumeration_preconditions():
-    b = BlockVector((1, 0, 0))
+    b = (1, 0, 0)
     with pytest.raises(ValueError):
         enumerate_odd_encodings(b, 4)
     with pytest.raises(ValueError):
@@ -111,7 +110,7 @@ def test_subword_boundaries_differ(e):
 
 @given(odd_encodings())
 def test_quotient_glues_window_ends(e):
-    word = blockvector_to_word(BlockVector(e.vector))
+    word = blockvector_to_word(e.vector)
     start, end = window_of(e)
     quotient = quotient_of(e)
     assert len(quotient) == len(word) - e.length + 2
@@ -132,8 +131,8 @@ def test_phi_worked_example():
 
 def test_pair_up_on_closed_set():
     encodings = []
-    for entries in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
-        encodings.extend(enumerate_odd_encodings(BlockVector(entries), 5))
+    for b in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
+        encodings.extend(enumerate_odd_encodings(b, 5))
     orbits, failures = pair_up(encodings)
     assert failures == []
     assert len(orbits) == len(encodings) // 2
@@ -143,7 +142,7 @@ def test_pair_up_on_closed_set():
 
 
 def test_pair_up_detects_missing_partner():
-    encodings = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)
+    encodings = enumerate_odd_encodings((1, 0, 0), 5)
     # phi sends these into permuted vectors, absent from this list
     orbits, failures = pair_up(encodings)
     assert orbits == []
@@ -154,7 +153,7 @@ def test_pair_up_detects_missing_partner():
 
 
 def test_pair_up_reports_duplicate_encodings():
-    e = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)[0]
+    e = enumerate_odd_encodings((1, 0, 0), 5)[0]
     assert pair_up([e, e]) == ([], ["duplicate encodings in input"])
 
 
@@ -164,7 +163,7 @@ def test_pair_up_ignores_input_order(seed):
         e for w in build_instance((1, 1, 0, 0, 0)).words
         for e in enumerate_odd_encodings(w, 5)
     ]
-    open_ = enumerate_odd_encodings(BlockVector((1, 0, 0)), 5)  # partners missing
+    open_ = enumerate_odd_encodings((1, 0, 0), 5)  # partners missing
     for encodings in (closed, open_):
         shuffled = list(encodings)
         random.Random(seed).shuffle(shuffled)

@@ -25,7 +25,7 @@ import pytest
 
 from multizeta import cli
 from multizeta.numerics import FAMILIES
-from multizeta.words import BlockVector, weight_of
+from multizeta.words import weight_of
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_FILE = GOLDEN / "cli.json"
@@ -91,7 +91,7 @@ def recorded_calls():
             calls.append(["verify", "--a", _csv(entry["a"]), "--weight-cap", "16",
                           "--format", fmt])
     for entry in _sweep_params("symmetric", 20):
-        if weight_of(BlockVector(tuple(entry["a"]))) > 16:
+        if weight_of(tuple(entry["a"])) > 16:
             for fmt in ("json", "text"):
                 calls.append(["verify", "--a", _csv(entry["a"]), "--weight-cap", "20",
                               "--format", fmt])

@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 from multizeta.numerics import (
+    FAMILIES,
     _half_split,
     _prefix_values_at_half,
     _series_rounding_units,
@@ -23,7 +24,8 @@ from multizeta.numerics import (
     reconstruct_rational,
     zeta_even_rational,
 )
-from multizeta.words import Composition, composition_to_word
+from multizeta.verifier import build_instance
+from multizeta.words import Composition, block_vector, composition_to_word
 
 
 def admissible_compositions(max_weight):
@@ -422,3 +424,18 @@ def test_family_parameter_validation():
         check_bbbl_family(1, 2)  # weight 16 over the default cap
     with pytest.raises(ValueError):
         check_cyclic_insertion((1, 0))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_vectors_keep_the_block_vector_rules(family):
+    # a derived vector is not checked again, so every producer must keep the rules
+    spec = FAMILIES[family]
+    for params in spec.sweep(16):
+        parsed, word = spec.parse(*(params[p] for p in spec.params))
+        _, words, _ = spec.summands(**parsed)
+        for w in [word, *words]:
+            assert type(w) is tuple and block_vector(w) == w, (params, w)
+        if "a" in parsed:
+            instance = build_instance(parsed["a"])
+            for w in (instance.base, *instance.words):
+                assert type(w) is tuple and block_vector(w) == w, (params, w)

@@ -19,12 +19,12 @@ from multizeta.verifier import (
     verify_cancellation,
     verify_instance,
 )
-from multizeta.words import BlockVector, blockvector_to_word
+from multizeta.words import blockvector_to_composition, blockvector_to_word, sign_of
 
 
 def test_build_instance_100():
     inst = build_instance((1, 0, 0))
-    assert [w.entries for w in inst.words] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert list(inst.words) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert inst.multiplicity == 2
     assert inst.weight == 6
     assert inst.n == 1
@@ -51,8 +51,10 @@ def test_build_instance_words_are_the_sorted_distinct_permutations(seed):
     rng = random.Random(seed)
     entries = tuple(rng.randrange(4) for _ in range(rng.choice((1, 3, 5, 7))))
     inst = build_instance(entries)
-    assert [w.entries for w in inst.words] == sorted(set(permutations(entries)))
+    assert list(inst.words) == sorted(set(permutations(entries)))
     assert inst.multiplicity * len(inst.words) == factorial(len(entries))
+    # the sign is taken from the base alone, so every word must share it
+    assert {sign_of(blockvector_to_composition(w)) for w in inst.words} == {inst.sign}
 
 
 def test_build_instance_does_not_walk_every_permutation():
@@ -146,7 +148,7 @@ def test_certificate_bytes_are_stable():
 
 
 def _drop_word(inst: InsertionInstance, entries) -> InsertionInstance:
-    words = tuple(w for w in inst.words if w.entries != entries)
+    words = tuple(w for w in inst.words if w != entries)
     return InsertionInstance(
         base=inst.base,
         words=words,
@@ -251,7 +253,7 @@ def test_orbit_route_reports_window_set_mismatch(monkeypatch):
 
     def drop_first_of_010(b, length):
         found = real(b, length)
-        return found[1:] if b.entries == (0, 1, 0) else found
+        return found[1:] if b == (0, 1, 0) else found
 
     record = _orbit_route(monkeypatch, enumerate_with=drop_first_of_010)
     assert (record.encoding_count, record.orbit_count, record.residual_size) == (7, 3, 0)

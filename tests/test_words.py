@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multizeta.words import (
-    BlockVector,
     Composition,
+    block_vector,
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    format_vector,
     format_word,
     sign_of,
     weight_of,
@@ -16,7 +17,7 @@ from multizeta.words import (
 def block_vectors(max_n=3, max_entry=5):
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(*([st.integers(0, max_entry)] * (2 * n + 1)))
-    ).map(BlockVector)
+    ).map(block_vector)
 
 
 def test_composition_word_small_cases():
@@ -56,15 +57,14 @@ def test_composition_rejects_bad_parts():
 
 
 def test_blockvector_composition_interleaving():
-    assert blockvector_to_composition(BlockVector((0, 0, 0))).parts == (1, 3)
-    assert blockvector_to_composition(BlockVector((1, 0, 0))).parts == (2, 1, 3)
-    assert blockvector_to_composition(BlockVector((1, 1, 1))).parts == (2, 1, 2, 3, 2)
-    assert blockvector_to_composition(BlockVector((0, 0, 0, 0, 0))).parts == (1, 3, 1, 3)
+    assert blockvector_to_composition((0, 0, 0)).parts == (1, 3)
+    assert blockvector_to_composition((1, 0, 0)).parts == (2, 1, 3)
+    assert blockvector_to_composition((1, 1, 1)).parts == (2, 1, 2, 3, 2)
+    assert blockvector_to_composition((0, 0, 0, 0, 0)).parts == (1, 3, 1, 3)
 
 
 def test_blockvector_word_matches_composition_word():
-    for entries in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0), (1, 0, 1, 0, 1)]:
-        b = BlockVector(entries)
+    for b in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0), (1, 0, 1, 0, 1)]:
         assert blockvector_to_word(b) == composition_to_word(blockvector_to_composition(b))
 
 
@@ -79,14 +79,15 @@ def test_blockvector_word_equivalence_random(b):
 @given(block_vectors())
 def test_weight_and_depth_formulas(b):
     c = blockvector_to_composition(b)
-    assert weight_of(b) == c.weight == 4 * b.n + 2 * sum(b.entries)
-    assert b.depth == c.depth == 2 * b.n + sum(b.entries)
+    n = len(b) // 2
+    assert weight_of(b) == c.weight == 4 * n + 2 * sum(b)
+    assert c.depth == 2 * n + sum(b)
 
 
 def test_weight_of_examples():
-    assert weight_of(BlockVector((0, 0, 0))) == 4
-    assert weight_of(BlockVector((1, 0, 0))) == 6
-    assert weight_of(BlockVector((1, 1, 1))) == 10
+    assert weight_of((0, 0, 0)) == 4
+    assert weight_of((1, 0, 0)) == 6
+    assert weight_of((1, 1, 1)) == 10
 
 
 def test_sign_of_depth_parity():
@@ -97,10 +98,19 @@ def test_sign_of_depth_parity():
 
 
 def test_blockvector_arity_enforced():
-    with pytest.raises(ValueError):
-        BlockVector((0, 0))
-    with pytest.raises(ValueError):
-        BlockVector(())
-    with pytest.raises(ValueError):
-        BlockVector((1, 0, -1))
+    with pytest.raises(ValueError, match="^a block vector has an odd number of entries, got 2$"):
+        block_vector((0, 0))
+    with pytest.raises(ValueError, match="^a block vector has an odd number of entries, got 0$"):
+        block_vector(())
+    with pytest.raises(ValueError, match="^block vector entries must be >= 0, got -1$"):
+        block_vector((1, 0, -1))
+    with pytest.raises(ValueError, match="^block vector entries must be >= 0, got 1.0$"):
+        block_vector((0, 1.0, 0))
+
+
+def test_block_vector_is_the_entry_tuple():
+    assert block_vector([1, 0, 0]) == (1, 0, 0)
+    assert type(block_vector(iter([2]))) is tuple
+    assert format_vector((1, 0, 0)) == "[1,0,0]"
+    assert format_vector(block_vector([0, 12, 3, 4, 5])) == "[0,12,3,4,5]"
 
