@@ -13,12 +13,16 @@ Two independent evaluation engines are provided.
   oracle, sharing no code with the other engine.
 * `eval_mzv_fast` evaluates the word integral by splitting every
   integration path at 1/2 and convolving prefix values of the word with
-  prefix values of its reversed-complemented dual.  Both prefix runs are a
-  single power-series sweep in fixed point (Python integers scaled by a
+  prefix values of its reversed-complemented dual.  The prefix values come
+  from a power-series sweep in fixed point (Python integers scaled by a
   power of two), and the convolution is one exact integer sum, so sixty
   digits cost a millisecond or two.  Its error bound is derived: the tail
   after degree M, which the geometric factor 2^(-M) makes small, plus at
-  most one unit per floor division, carried through the sweep.
+  most one unit per floor division, carried through the sweep.  A family
+  check evaluates all words of a row, which share one weight and so one M
+  and one bit width, in a single depth-first walk over the sorted words
+  and duals (`_prefix_walk`): every distinct prefix is swept once, and
+  every word gets the same integers, value and bound as on its own.
 
 Rational readback uses continued-fraction convergents with a denominator
 cap and a five-digit guard below the trusted precision; returning None is
@@ -31,6 +35,7 @@ family from another, and a single check body reads it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +51,10 @@ from .verifier import build_instance, verify_instance
 from .words import (
     BlockVector,
     Composition,
+    Word,
     block_vector,
     blockvector_to_composition,
+    blockvector_to_word,
     composition_to_word,
     weight_of,
 )
@@ -235,37 +242,57 @@ def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
     return PrecisionReal(value=value, digits=claimed, error_bound=bound)
 
 
-def _prefix_values_at_half(symbols: Sequence[int], m_max: int, bits: int) -> List[int]:
-    """Values at 1/2 of the iterated integrals of every prefix of `symbols`.
+def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word, List[int]]:
+    """Values at 1/2 of the iterated integrals of every prefix of every sequence.
 
     The current integrand is carried as its power series up to degree
     `m_max`, in fixed point: coefficient c_m is an integer just below
     c_m 2^bits (`eval_mzv_fast` bounds the gap).  Symbol 1 is a running sum
-    followed by `// (m + 1)`, symbol 0 is `// m`; one sweep yields all
-    prefixes.  The value at 1/2 of each truncated series is exact, by
-    shift-and-add, as an integer over 2^(bits + m_max).
+    followed by `// (m + 1)`, symbol 0 is `// m`.  The value at 1/2 of each
+    truncated series is exact, by shift-and-add, as an integer over
+    2^(bits + m_max); a sequence maps to the values of its prefixes of
+    length 0, 1, ..., len.
+
+    The distinct sequences, all of one length, are sorted and walked depth
+    first, so every distinct prefix is extended by one symbol exactly once.
+    A run of sorted sequences sharing the current prefix splits where the
+    next symbol turns from 0 to 1: the 1-side is set aside with the current
+    series, and only those series are kept, one per branch depth on the
+    current path.
     """
+    order = sorted(set(sequences))
     degrees = range(1, m_max + 1)
-    coeffs = [1 << bits] + [0] * m_max
-    values = [1 << (bits + m_max)]
-    for sym in symbols:
-        if sym == 1:
-            coeffs = [0, *map(floordiv, accumulate(coeffs[:m_max]), degrees)]
-        else:
-            coeffs = [0, *map(floordiv, coeffs[1:], degrees)]
-        acc = 0
-        for coefficient in coeffs:
-            acc = (acc << 1) + coefficient
-        values.append(acc)
-    return values
+    found: Dict[Word, List[int]] = {}
+    pending = [(0, len(order), [1 << bits] + [0] * m_max, [1 << (bits + m_max)])]
+    while pending:
+        lo, hi, coeffs, values = pending.pop()
+        word = order[lo]
+        for depth in range(len(values) - 1, len(word)):
+            if word[depth] != order[hi - 1][depth]:
+                mid = bisect_left(order, word[:depth] + (1,), lo, hi)
+                pending.append((mid, hi, coeffs, values.copy()))
+                hi = mid
+            if word[depth] == 1:
+                coeffs = [0, *map(floordiv, accumulate(coeffs[:m_max]), degrees)]
+            else:
+                coeffs = [0, *map(floordiv, coeffs[1:], degrees)]
+            acc = 0
+            for coefficient in coeffs:
+                acc = (acc << 1) + coefficient
+            values.append(acc)
+        found[word] = values
+    return found
 
 
-def _half_split(word: Sequence[int], m_max: int, bits: int) -> int:
-    """The 1/2-split convolution of `word` as an integer over 2^(2 (bits + m_max))."""
-    dual = tuple(1 - s for s in reversed(word))
-    prefix = _prefix_values_at_half(word, m_max, bits)
-    suffix = _prefix_values_at_half(dual, m_max, bits)
-    return sum(p * q for p, q in zip(prefix, reversed(suffix)))
+def _row_split(words: Sequence[Word], m_max: int, bits: int) -> List[int]:
+    """The 1/2-split convolution of every word, each an integer over 2^(2 (bits + m_max)).
+
+    The words, of one length, and their reverse-complement duals share one
+    `_prefix_walk`.
+    """
+    duals = [tuple(1 - s for s in reversed(word)) for word in words]
+    prefix = _prefix_walk(chain(words, duals), m_max, bits)
+    return [sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(words, duals)]
 
 
 def _truncation_degree(n: int, digits: int) -> int:
@@ -277,16 +304,45 @@ def _truncation_degree(n: int, digits: int) -> int:
     return m_max
 
 
+def _split_values(words: Sequence[Word], digits: int) -> List[PrecisionReal]:
+    """`eval_mzv_fast` of every interior word, all of one length, in order.
+
+    The words share the truncation degree M, the bits B and one
+    `_row_split`; each word's value and `error_bound` are formed on their
+    own, as derived in `eval_mzv_fast`.
+    """
+    n = len(words[0])
+    with mp.workdps(digits + 15):
+        m_max = _truncation_degree(n, digits)
+        bits = mp.prec + 2 * n.bit_length()
+        # every part of the bound as an integer over 2^scale
+        shift = 2 * (bits + m_max)
+        scale = shift + mp.prec
+        tail = 2 * (n + 1) << (scale - m_max)
+        rounding = n * (n + 1) << (scale - bits)
+        results = []
+        for total in _row_split(words, m_max, bits):
+            value = mp.ldexp(mpf(total), -shift)
+            bound = mp.ldexp(mpf(tail + rounding + total, rounding="u"), -scale)
+            results.append(PrecisionReal(value=value, digits=digits, error_bound=bound))
+    return results
+
+
 def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
     """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
 
     The word integral over the simplex splits at 1/2 into the convolution
     zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the word, where P_j is
     the value at 1/2 of the iterated integral of the first j symbols and Q_j
-    the same for the reverse-complement dual.  `_prefix_values_at_half`
-    computes both runs in fixed point at B bits, the sum is taken exactly
-    in integers, and the result becomes an mpf once, at the working
-    precision of p bits (digits + 15 decimal digits).
+    the same for the reverse-complement dual.  `_prefix_walk` computes both
+    runs in fixed point at B bits, the sum is taken exactly in integers, and
+    the result becomes an mpf once, at the working precision of p bits
+    (digits + 15 decimal digits).  The family checks pass a whole row of
+    words of one length to the same code (`_split_values`): the walk then
+    sweeps each distinct prefix of the row's words and duals once, and a
+    prefix's integer does not depend on which word reaches it, so every
+    word's value and bound are those it gets alone.  The derivation below
+    is per prefix and unchanged by the sharing.
 
     `error_bound` is derived, as the sum of three parts:
 
@@ -320,20 +376,7 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
     if c.depth == 0:
         return PrecisionReal(value=mpf(1), digits=digits, error_bound=mpf(0))
 
-    word = composition_to_word(c)[1:-1]
-    n = len(word)
-    with mp.workdps(digits + 15):
-        m_max = _truncation_degree(n, digits)
-        bits = mp.prec + 2 * n.bit_length()
-        total = _half_split(word, m_max, bits)
-        # every part of the bound as an integer over 2^scale
-        shift = 2 * (bits + m_max)
-        scale = shift + mp.prec
-        tail = 2 * (n + 1) << (scale - m_max)
-        rounding = n * (n + 1) << (scale - bits)
-        value = mp.ldexp(mpf(total), -shift)
-        bound = mp.ldexp(mpf(tail + rounding + total, rounding="u"), -scale)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+    return _split_values([composition_to_word(c)[1:-1]], digits)[0]
 
 
 RealLike = Union[PrecisionReal, mpf, float, int]
@@ -401,7 +444,9 @@ def _check(
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
     The cap is enforced before any word is expanded, since the number of
-    summed words can be factorial in the vector length.
+    summed words can be factorial in the vector length.  The row's words
+    share one weight, so they are evaluated together in one prefix walk
+    (`_split_values`), each exactly as `eval_mzv_fast` would.
     """
     spec = FAMILIES[family]
     params, word = spec.parse(*args)
@@ -409,8 +454,9 @@ def _check(
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
     multiplicity, words, details = spec.summands(**params)
+    interiors = [blockvector_to_word(w)[1:-1] for w in words]
     with mp.workdps(digits + 20):
-        values = [eval_mzv_fast(blockvector_to_composition(w), digits + 10).value for w in words]
+        values = [r.value for r in _split_values(interiors, digits + 10)]
         ratio = multiplicity * mp.fsum(values) / mp.pi**weight
     target = spec.target(weight, **params)
     reconstructed = reconstruct_rational(ratio, digits, max_denominator)

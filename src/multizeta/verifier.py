@@ -154,20 +154,18 @@ def _distinct_permutations(entries: Tuple[int, ...]) -> Iterator[Tuple[int, ...]
 def build_instance(a: Iterable[int]) -> InsertionInstance:
     """Check a block vector and expand it into its full permutation instance.
 
-    The multiplicity satisfies lambda * |C| = (2n+1)! exactly.  Every
-    permutation has the base's length and entry sum, so its composition has
-    the base's depth, and the instance carries the base's sign.
+    The distinct permutations of the 2n+1 entries number the multinomial
+    (2n+1)! / prod k_i!, k_i the multiplicity of each distinct entry, so
+    lambda = (2n+1)! / |C| = prod k_i! exactly.  Every permutation has the
+    base's length and entry sum, so its composition has the base's depth,
+    and the instance carries the base's sign.
     """
     base = block_vector(a)
     words = tuple(_distinct_permutations(base))
-    order = factorial(len(base))
-    multiplicity, rem = divmod(order, len(words))
-    if rem:
-        raise AssertionError(f"word count {len(words)} does not divide {order}")
     return InsertionInstance(
         base=base,
         words=words,
-        multiplicity=multiplicity,
+        multiplicity=factorial(len(base)) // len(words),
         weight=weight_of(base),
         sign=sign_of(blockvector_to_composition(base)),
     )

@@ -1,15 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import floordiv
 
 import pytest
 from mpmath import mp, mpf
 
 from multizeta.numerics import (
     FAMILIES,
-    _half_split,
-    _prefix_values_at_half,
+    _prefix_walk,
+    _row_split,
     _series_rounding_units,
+    _split_values,
     _series_tail_bound,
     _truncated_series,
     _truncation_degree,
@@ -25,7 +28,12 @@ from multizeta.numerics import (
     zeta_even_rational,
 )
 from multizeta.verifier import build_instance
-from multizeta.words import Composition, block_vector, composition_to_word
+from multizeta.words import (
+    Composition,
+    block_vector,
+    blockvector_to_word,
+    composition_to_word,
+)
 
 
 def admissible_compositions(max_weight):
@@ -150,16 +158,87 @@ def test_fixed_point_rounding_within_stated_bound(parts):
     word = composition_to_word(Composition(parts))[1:-1]
     n = len(word)
     m_max, bits, more = 120, 200, 264
-    coarse = _prefix_values_at_half(word, m_max, bits)
-    fine = _prefix_values_at_half(word, m_max, more)
+    coarse = _prefix_walk([word], m_max, bits)[word]
+    fine = _prefix_walk([word], m_max, more)[word]
     # after j symbols the value at 1/2 is low by less than j units of 2^-bits
     for j, (p, q) in enumerate(zip(coarse, fine)):
         gap = Fraction(q, 2 ** (more + m_max)) - Fraction(p, 2 ** (bits + m_max))
         assert -Fraction(j, 2**more) <= gap <= Fraction(j, 2**bits)
-    low = Fraction(_half_split(word, m_max, bits), 2 ** (2 * (bits + m_max)))
-    high = Fraction(_half_split(word, m_max, more), 2 ** (2 * (bits + m_max + 64)))
+    low = Fraction(_row_split([word], m_max, bits)[0], 2 ** (2 * (bits + m_max)))
+    high = Fraction(_row_split([word], m_max, more)[0], 2 ** (2 * (bits + m_max + 64)))
     assert abs(high - low) <= Fraction(n * (n + 1), 2**bits)
     assert high != low
+
+
+def reference_prefix_values(symbols, m_max, bits):
+    """The per-word prefix sweep that the row walk replaced, kept as the reference."""
+    degrees = range(1, m_max + 1)
+    coeffs = [1 << bits] + [0] * m_max
+    values = [1 << (bits + m_max)]
+    for sym in symbols:
+        if sym == 1:
+            coeffs = [0, *map(floordiv, accumulate(coeffs[:m_max]), degrees)]
+        else:
+            coeffs = [0, *map(floordiv, coeffs[1:], degrees)]
+        acc = 0
+        for coefficient in coeffs:
+            acc = (acc << 1) + coefficient
+        values.append(acc)
+    return values
+
+
+def reference_half_split(word, m_max, bits):
+    """Each word and its dual swept from scratch, then convolved."""
+    dual = tuple(1 - s for s in reversed(word))
+    prefix = reference_prefix_values(word, m_max, bits)
+    suffix = reference_prefix_values(dual, m_max, bits)
+    return sum(p * q for p, q in zip(prefix, reversed(suffix)))
+
+
+def eval_workload_words(seed):
+    """The interior words of the benchmark's `eval` compositions: two per weight 4..16."""
+    rng = random.Random(seed)
+    comps = []
+    for w in range(4, 17):
+        comps.append((w,) if w % 2 == 0 else (1, w - 1))
+        depth = 2 + w % 3
+        while True:
+            cuts = sorted(rng.sample(range(1, w - 1), depth - 1))
+            parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [w]))
+            if parts not in comps:
+                comps.append(parts)
+                break
+    return [composition_to_word(Composition(c))[1:-1] for c in comps]
+
+
+def split_rows():
+    """(id, digits, words) for every row the bit-identity test walks."""
+    rows = []
+    for name, spec in FAMILIES.items():
+        for params in spec.sweep(14):
+            _, vectors, _ = spec.summands(**params)
+            words = [blockvector_to_word(v)[1:-1] for v in vectors]
+            rows.append((f"{name}-{params}", 70, words))
+    assert sum(len(words) for _, _, words in rows) == 378
+    rows += [(f"eval-{i}", 200, [w]) for i, w in enumerate(eval_workload_words(1))]
+    self_dual = composition_to_word(Composition((1, 3)))[1:-1]
+    assert tuple(1 - s for s in reversed(self_dual)) == self_dual
+    rows.append(("self-dual", 70, [self_dual]))
+    rows.append(("repeated", 70, [blockvector_to_word((1, 0, 0))[1:-1]] * 4))
+    return rows
+
+
+def test_row_walk_is_bit_identical_to_the_per_word_sweep():
+    for row_id, digits, words in split_rows():
+        n = len(words[0])
+        with mp.workdps(digits + 15):
+            bits = mp.prec + 2 * n.bit_length()
+        m_max = _truncation_degree(n, digits)
+        expected = [reference_half_split(w, m_max, bits) for w in words]
+        assert _row_split(words, m_max, bits) == expected, row_id
+        # a row gives every word the value and bound it gets alone
+        alone = [_split_values([w], digits)[0] for w in words]
+        assert _split_values(words, digits) == alone, row_id
 
 
 @pytest.mark.parametrize("n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102)])

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,16 @@ def test_build_instance_words_are_the_sorted_distinct_permutations(seed):
     assert inst.multiplicity * len(inst.words) == factorial(len(entries))
     # the sign is taken from the base alone, so every word must share it
     assert {sign_of(blockvector_to_composition(w)) for w in inst.words} == {inst.sign}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_multiplicity_is_the_product_of_entry_multiplicity_factorials(seed):
+    # |C| is the multinomial (2n+1)! / prod k_i!, so lambda is prod k_i!
+    rng = random.Random(1000 + seed)
+    entries = tuple(rng.randrange(rng.choice((1, 2, 4))) for _ in range(rng.choice((1, 3, 5, 7, 9))))
+    inst = build_instance(entries)
+    assert inst.multiplicity * len(inst.words) == factorial(len(entries))
+    assert inst.multiplicity == prod(factorial(entries.count(e)) for e in set(entries))
 
 
 def test_build_instance_does_not_walk_every_permutation():
