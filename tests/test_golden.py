@@ -4,6 +4,8 @@
 its arguments, exit code, stdout and stderr.  `tests/golden/sweep_params.jsonl`
 holds the parameter list every family sweeps at each weight cap from 4 to 24,
 which pins the row order of large sweeps without running them.
+`tests/golden/demos.json` holds the exit code and stdout of every script in
+`demos/`, each run as its own process.
 
 The corpus is the behaviour contract: a refactor must leave it unchanged.
 A change that alters output on purpose regenerates it with
@@ -19,6 +21,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,9 @@ from multizeta.words import weight_of
 GOLDEN = Path(__file__).parent / "golden"
 CLI_FILE = GOLDEN / "cli.json"
 SWEEP_FILE = GOLDEN / "sweep_params.jsonl"
+DEMOS_FILE = GOLDEN / "demos.json"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SWEEP_CAPS = range(4, 25)
 ENV_FLAGS = ("MULTIZETA_DIGITS", "MULTIZETA_WEIGHT_CAP")
 
@@ -117,6 +124,11 @@ def recorded_calls():
     for parts in ((1, 1, 1, 1, 2), (2, 1, 2, 1, 3), (1, 2, 1, 2, 1, 2, 2)):
         for fmt in ("json", "text"):
             calls.append(["eval", "--zeta", _csv(parts), "--format", fmt])
+    # every row up to weight 20 at the default precision, most of them
+    # no-reconstruction under the default denominator cap
+    for family in FAMILIES:
+        calls.append(["check", "--family", family, "--sweep", "--weight-cap", "20",
+                      "--format", "csv"])
     return calls
 
 
@@ -140,6 +152,17 @@ def run_cli(argv):
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def run_demo(path: Path):
+    """Exit code and stdout of one demo script, run in a child process."""
+    env = {key: value for key, value in os.environ.items() if key not in ENV_FLAGS}
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    proc = subprocess.run(
+        [sys.executable, str(path)], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    return {"code": proc.returncode, "stdout": proc.stdout}
+
+
 def _load(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -161,12 +184,24 @@ def clean_env(monkeypatch):
 
 # the corpus is read at collection; run as a script, this module rewrites it
 RECORDS = _load(CLI_FILE) if __name__ != "__main__" else []
+DEMO_RECORDS = _load(DEMOS_FILE) if __name__ != "__main__" else []
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: " ".join(record["argv"]))
 def test_cli_output_matches_corpus(record, clean_env):
     assert run_cli(record["argv"]) == {
         key: record[key] for key in ("code", "stdout", "stderr")
+    }
+
+
+def test_demo_list_matches_corpus():
+    assert [record["demo"] for record in DEMO_RECORDS] == [path.name for path in DEMOS]
+
+
+@pytest.mark.parametrize("record", DEMO_RECORDS, ids=lambda record: record["demo"])
+def test_demo_output_matches_corpus(record):
+    assert run_demo(ROOT / "demos" / record["demo"]) == {
+        key: record[key] for key in ("code", "stdout")
     }
 
 
@@ -183,6 +218,8 @@ def write_corpus() -> None:
     GOLDEN.mkdir(exist_ok=True)
     records = [{"argv": argv, **run_cli(argv)} for argv in recorded_calls()]
     CLI_FILE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    demos = [{"demo": path.name, **run_demo(path)} for path in DEMOS]
+    DEMOS_FILE.write_text(json.dumps(demos, indent=1) + "\n", encoding="utf-8")
     SWEEP_FILE.write_text("\n".join(_sweep_lines()) + "\n", encoding="utf-8")
 
 
