@@ -19,10 +19,12 @@ Two independent evaluation engines are provided.
   digits cost a millisecond or two.  Its error bound is derived: the tail
   after degree M, which the geometric factor 2^(-M) makes small, plus at
   most one unit per floor division, carried through the sweep.  A family
-  check evaluates all words of a row, which share one weight and so one M
-  and one bit width, in a single depth-first walk over the sorted words
-  and duals (`_prefix_walk`): every distinct prefix is swept once, and
-  every word gets the same integers, value and bound as on its own.
+  check sums a row of words, which share one weight and so one M and one
+  bit width, as one bounded sum (`_split_sum`): a single depth-first walk
+  over the sorted words and duals (`_prefix_walk`) sweeps every distinct
+  prefix once, the convolutions are added exactly in integers, and the
+  sum is converted once, its bound k times one word's tail and rounding
+  plus that one conversion.  `eval_mzv_fast` is the one-word case.
 
 Rational readback uses continued-fraction convergents with a denominator
 cap and a five-digit guard below the trusted precision; returning None is
@@ -247,7 +249,7 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
 
     The current integrand is carried as its power series up to degree
     `m_max`, in fixed point: coefficient c_m is an integer just below
-    c_m 2^bits (`eval_mzv_fast` bounds the gap).  Symbol 1 is a running sum
+    c_m 2^bits (`_split_sum` bounds the gap).  Symbol 1 is a running sum
     followed by `// (m + 1)`, symbol 0 is `// m`.  The value at 1/2 of each
     truncated series is exact, by shift-and-add, as an integer over
     2^(bits + m_max); a sequence maps to the values of its prefixes of
@@ -284,17 +286,6 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
     return found
 
 
-def _row_split(words: Sequence[Word], m_max: int, bits: int) -> List[int]:
-    """The 1/2-split convolution of every word, each an integer over 2^(2 (bits + m_max)).
-
-    The words, of one length, and their reverse-complement duals share one
-    `_prefix_walk`.
-    """
-    duals = [tuple(1 - s for s in reversed(word)) for word in words]
-    prefix = _prefix_walk(chain(words, duals), m_max, bits)
-    return [sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(words, duals)]
-
-
 def _truncation_degree(n: int, digits: int) -> int:
     """The least M = 2 (n+1) + 8i with 2 (n+1) 2^(-M) <= 10^-(digits+8)."""
     m_max = 2 * (n + 1)
@@ -304,45 +295,18 @@ def _truncation_degree(n: int, digits: int) -> int:
     return m_max
 
 
-def _split_values(words: Sequence[Word], digits: int) -> List[PrecisionReal]:
-    """`eval_mzv_fast` of every interior word, all of one length, in order.
-
-    The words share the truncation degree M, the bits B and one
-    `_row_split`; each word's value and `error_bound` are formed on their
-    own, as derived in `eval_mzv_fast`.
-    """
-    n = len(words[0])
-    with mp.workdps(digits + 15):
-        m_max = _truncation_degree(n, digits)
-        bits = mp.prec + 2 * n.bit_length()
-        # every part of the bound as an integer over 2^scale
-        shift = 2 * (bits + m_max)
-        scale = shift + mp.prec
-        tail = 2 * (n + 1) << (scale - m_max)
-        rounding = n * (n + 1) << (scale - bits)
-        results = []
-        for total in _row_split(words, m_max, bits):
-            value = mp.ldexp(mpf(total), -shift)
-            bound = mp.ldexp(mpf(tail + rounding + total, rounding="u"), -scale)
-            results.append(PrecisionReal(value=value, digits=digits, error_bound=bound))
-    return results
-
-
-def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
-    """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
+def _split_sum(words: Sequence[Word], digits: int) -> PrecisionReal:
+    """The sum of the zeta values of full words of one length, via the 1/2 split.
 
     The word integral over the simplex splits at 1/2 into the convolution
-    zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the word, where P_j is
-    the value at 1/2 of the iterated integral of the first j symbols and Q_j
-    the same for the reverse-complement dual.  `_prefix_walk` computes both
-    runs in fixed point at B bits, the sum is taken exactly in integers, and
-    the result becomes an mpf once, at the working precision of p bits
-    (digits + 15 decimal digits).  The family checks pass a whole row of
-    words of one length to the same code (`_split_values`): the walk then
-    sweeps each distinct prefix of the row's words and duals once, and a
-    prefix's integer does not depend on which word reaches it, so every
-    word's value and bound are those it gets alone.  The derivation below
-    is per prefix and unchanged by the sharing.
+    zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the interior word (the
+    word without its boundary symbols, n = weight), where P_j is the value
+    at 1/2 of the iterated integral of its first j symbols and Q_j the same
+    for its reverse-complement dual.  One `_prefix_walk` computes both runs
+    of every word in fixed point at B bits, sweeping each distinct prefix
+    of the words and duals once; the convolutions are added exactly in
+    integers, and the sum becomes an mpf once, at the working precision of
+    p bits (digits + 15 decimal digits).
 
     `error_bound` is derived, as the sum of three parts:
 
@@ -350,7 +314,7 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
       [0, 1]: it starts as the constant 1, symbol 0 divides c_m by m and
       symbol 1 makes c_(m+1) the mean of c_0 .. c_m.  The constant term is
       0 after the first symbol, so every P_j and Q_j lies in [0, 1], and
-      dropping the degrees above M costs each at most 2^(-M) and the
+      dropping the degrees above M costs each at most 2^(-M) and one
       convolution at most 2 (n+1) 2^(-M).  `_truncation_degree` picks M
       so that this tail is at most 10^-(digits+8).
     * Rounding.  Degrees up to M are computed exactly but for the floor
@@ -360,23 +324,53 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
       symbols every coefficient is low by less than k units, the constant
       term not at all.  The shift-and-add is exact, so P_j is low by less
       than j 2^(-B) and Q_(n-j) by less than (n-j) 2^(-B); with all factors
-      in [0, 1] the convolution is low by less than n (n+1) 2^(-B).
+      in [0, 1] one convolution is low by less than n (n+1) 2^(-B).
     * Conversion.  One rounding to nearest at p bits, at most 2^(-p) times
       the value.
 
-    B = p + 2 bitlength(n) makes the rounding part below 2^(-p), so the sum,
-    rounded up, stays below 10^-(digits+7) and `guaranteed_digits` is at
-    least `digits`.  Any precision is accepted; the `eval` command refuses
-    requests above `MAX_EVAL_DIGITS`.
+    Both of the first two parts only lower a convolution, and the integer
+    sum adds no error of its own, so k words fall short by less than k
+    times (tail + rounding); the conversion is counted once, for the sum.
+    B = p + 2 bitlength(n) makes the rounding part below 2^(-p) per word.
+    The empty interior word, n = 0, has the one convolution 1 * 1, exact;
+    its rounding term is 0, and the bound keeps the other two.
+    """
+    interiors = [word[1:-1] for word in words]
+    duals = [tuple(1 - s for s in reversed(word)) for word in interiors]
+    n = len(interiors[0])
+    with mp.workdps(digits + 15):
+        m_max = _truncation_degree(n, digits)
+        bits = mp.prec + 2 * n.bit_length()
+        prefix = _prefix_walk(chain(interiors, duals), m_max, bits)
+        total = sum(
+            sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(interiors, duals)
+        )
+        # every part of the bound as an integer over 2^scale
+        shift = 2 * (bits + m_max)
+        scale = shift + mp.prec
+        tail = 2 * (n + 1) << (scale - m_max)
+        rounding = n * (n + 1) << (scale - bits)
+        value = mp.ldexp(mpf(total), -shift)
+        bound = mp.ldexp(mpf(len(words) * (tail + rounding) + total, rounding="u"), -scale)
+    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+
+
+def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
+    """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
+
+    This is the one-word case of `_split_sum`, which derives `error_bound`:
+    the truncation tail, at most n (n+1) units of 2^(-B) of rounding, and
+    one conversion at p bits.  The first two stay below 10^-(digits+8) and
+    2^(-p), so the bound, rounded up, stays below 10^-(digits+7) and
+    `guaranteed_digits` is at least `digits`.  The empty composition comes
+    out as exactly 1, with that same positive bound.  Any precision is
+    accepted; the `eval` command refuses requests above `MAX_EVAL_DIGITS`.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
-    if c.depth == 0:
-        return PrecisionReal(value=mpf(1), digits=digits, error_bound=mpf(0))
-
-    return _split_values([composition_to_word(c)[1:-1]], digits)[0]
+    return _split_sum([composition_to_word(c)], digits)
 
 
 RealLike = Union[PrecisionReal, mpf, float, int]
@@ -445,8 +439,9 @@ def _check(
 
     The cap is enforced before any word is expanded, since the number of
     summed words can be factorial in the vector length.  The row's words
-    share one weight, so they are evaluated together in one prefix walk
-    (`_split_values`), each exactly as `eval_mzv_fast` would.
+    share one weight, so `_split_sum` evaluates their zeta sum as one
+    value with one derived `error_bound`, at digits + 10; the ratio to
+    pi^weight is then formed at digits + 20.
     """
     spec = FAMILIES[family]
     params, word = spec.parse(*args)
@@ -454,10 +449,9 @@ def _check(
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
     multiplicity, words, details = spec.summands(**params)
-    interiors = [blockvector_to_word(w)[1:-1] for w in words]
+    total = _split_sum([blockvector_to_word(w) for w in words], digits + 10)
     with mp.workdps(digits + 20):
-        values = [r.value for r in _split_values(interiors, digits + 10)]
-        ratio = multiplicity * mp.fsum(values) / mp.pi**weight
+        ratio = multiplicity * total.value / mp.pi**weight
     target = spec.target(weight, **params)
     reconstructed = reconstruct_rational(ratio, digits, max_denominator)
     if reconstructed is None:

@@ -154,9 +154,8 @@ def run_cli(argv):
 
 def run_demo(path: Path):
     """Exit code and stdout of one demo script, run in a child process."""
-    env = {key: value for key, value in os.environ.items() if key not in ENV_FLAGS}
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + inherited if inherited else "")
+    src, inherited = str(ROOT / "src"), os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
     proc = subprocess.run(
         [sys.executable, str(path)], capture_output=True, text=True, env=env, cwd=ROOT
     )

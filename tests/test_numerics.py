@@ -1,8 +1,8 @@
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
-from operator import floordiv
+from itertools import accumulate, chain
+from operator import floordiv, mul
 
 import pytest
 from mpmath import mp, mpf
@@ -10,10 +10,9 @@ from mpmath import mp, mpf
 from multizeta.numerics import (
     FAMILIES,
     _prefix_walk,
-    _row_split,
     _series_rounding_units,
-    _split_values,
     _series_tail_bound,
+    _split_sum,
     _truncated_series,
     _truncation_degree,
     bernoulli_numbers,
@@ -31,6 +30,7 @@ from multizeta.verifier import build_instance
 from multizeta.words import (
     Composition,
     block_vector,
+    blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
 )
@@ -153,6 +153,24 @@ def test_fixed_point_engine_matches_mpf_reference(digits):
             assert abs(fast.value - reference) <= mpf(10) ** -(digits + 12), comp
 
 
+def dual_word(word):
+    return tuple(1 - s for s in reversed(word))
+
+
+def walk_convolutions(words, m_max, bits):
+    """The 1/2-split integer of every interior word, from one shared prefix walk."""
+    duals = [dual_word(w) for w in words]
+    prefix = _prefix_walk(chain(words, duals), m_max, bits)
+    return [sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(words, duals)]
+
+
+def split_precision(n, digits):
+    """M, B and p of a row of interior length n at `digits` digits."""
+    with mp.workdps(digits + 15):
+        prec = mp.prec
+    return _truncation_degree(n, digits), prec + 2 * n.bit_length(), prec
+
+
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 1, 3), (2, 2, 1, 2, 3, 2), (1, 1, 1, 5, 2)])
 def test_fixed_point_rounding_within_stated_bound(parts):
     word = composition_to_word(Composition(parts))[1:-1]
@@ -164,8 +182,8 @@ def test_fixed_point_rounding_within_stated_bound(parts):
     for j, (p, q) in enumerate(zip(coarse, fine)):
         gap = Fraction(q, 2 ** (more + m_max)) - Fraction(p, 2 ** (bits + m_max))
         assert -Fraction(j, 2**more) <= gap <= Fraction(j, 2**bits)
-    low = Fraction(_row_split([word], m_max, bits)[0], 2 ** (2 * (bits + m_max)))
-    high = Fraction(_row_split([word], m_max, more)[0], 2 ** (2 * (bits + m_max + 64)))
+    low = Fraction(walk_convolutions([word], m_max, bits)[0], 2 ** (2 * (bits + m_max)))
+    high = Fraction(walk_convolutions([word], m_max, more)[0], 2 ** (2 * (bits + m_max + 64)))
     assert abs(high - low) <= Fraction(n * (n + 1), 2**bits)
     assert high != low
 
@@ -188,15 +206,14 @@ def reference_prefix_values(symbols, m_max, bits):
 
 
 def reference_half_split(word, m_max, bits):
-    """Each word and its dual swept from scratch, then convolved."""
-    dual = tuple(1 - s for s in reversed(word))
+    """Each interior word and its dual swept from scratch, then convolved."""
     prefix = reference_prefix_values(word, m_max, bits)
-    suffix = reference_prefix_values(dual, m_max, bits)
+    suffix = reference_prefix_values(dual_word(word), m_max, bits)
     return sum(p * q for p, q in zip(prefix, reversed(suffix)))
 
 
-def eval_workload_words(seed):
-    """The interior words of the benchmark's `eval` compositions: two per weight 4..16."""
+def eval_workload_compositions(seed):
+    """The benchmark's `eval` compositions: two per weight 4..16."""
     rng = random.Random(seed)
     comps = []
     for w in range(4, 17):
@@ -208,37 +225,96 @@ def eval_workload_words(seed):
             if parts not in comps:
                 comps.append(parts)
                 break
-    return [composition_to_word(Composition(c))[1:-1] for c in comps]
+    return [Composition(c) for c in comps]
 
 
-def split_rows():
-    """(id, digits, words) for every row the bit-identity test walks."""
+def family_rows():
+    """(id, full words) for every row of the four sweeps at the default cap."""
     rows = []
     for name, spec in FAMILIES.items():
         for params in spec.sweep(14):
             _, vectors, _ = spec.summands(**params)
-            words = [blockvector_to_word(v)[1:-1] for v in vectors]
-            rows.append((f"{name}-{params}", 70, words))
-    assert sum(len(words) for _, _, words in rows) == 378
-    rows += [(f"eval-{i}", 200, [w]) for i, w in enumerate(eval_workload_words(1))]
-    self_dual = composition_to_word(Composition((1, 3)))[1:-1]
-    assert tuple(1 - s for s in reversed(self_dual)) == self_dual
-    rows.append(("self-dual", 70, [self_dual]))
-    rows.append(("repeated", 70, [blockvector_to_word((1, 0, 0))[1:-1]] * 4))
+            rows.append((f"{name}-{params}", [blockvector_to_word(v) for v in vectors]))
+    assert sum(len(words) for _, words in rows) == 378
     return rows
+
+
+REPEATED_ROW = ("repeated", [blockvector_to_word((1, 0, 0))] * 4)
+
+
+def split_rows():
+    """(id, digits, full words) for every row the bit-identity test walks."""
+    rows = [(row_id, 70, words) for row_id, words in family_rows()]
+    rows += [
+        (f"eval-{i}", 200, [composition_to_word(c)])
+        for i, c in enumerate(eval_workload_compositions(1))
+    ]
+    self_dual = composition_to_word(Composition((1, 3)))
+    assert dual_word(self_dual[1:-1]) == self_dual[1:-1]
+    rows.append(("self-dual", 70, [self_dual]))
+    rows.append((REPEATED_ROW[0], 70, REPEATED_ROW[1]))
+    return rows
+
+
+def converted(total, m_max, bits, digits):
+    """An integer over 2^(2 (bits + m_max)) rounded once, as `_split_sum` converts."""
+    with mp.workdps(digits + 15):
+        return mp.ldexp(mpf(total), -2 * (bits + m_max))
 
 
 def test_row_walk_is_bit_identical_to_the_per_word_sweep():
     for row_id, digits, words in split_rows():
-        n = len(words[0])
-        with mp.workdps(digits + 15):
-            bits = mp.prec + 2 * n.bit_length()
-        m_max = _truncation_degree(n, digits)
-        expected = [reference_half_split(w, m_max, bits) for w in words]
-        assert _row_split(words, m_max, bits) == expected, row_id
-        # a row gives every word the value and bound it gets alone
-        alone = [_split_values([w], digits)[0] for w in words]
-        assert _split_values(words, digits) == alone, row_id
+        interiors = [w[1:-1] for w in words]
+        m_max, bits, _ = split_precision(len(interiors[0]), digits)
+        expected = [reference_half_split(w, m_max, bits) for w in interiors]
+        assert walk_convolutions(interiors, m_max, bits) == expected, row_id
+        # a row's value is the one conversion of the sum of the reference integers
+        row = _split_sum(words, digits)
+        assert row.value == converted(sum(expected), m_max, bits, digits), row_id
+        # and a word alone is the conversion of its own reference integer
+        for word, total in zip(words, expected):
+            alone = _split_sum([word], digits)
+            assert alone.value == converted(total, m_max, bits, digits), row_id
+
+
+@pytest.mark.parametrize("vector", [(0, 0, 0), (1, 1, 1), (0,) * 5, (0,) * 7, (2, 0, 1, 0, 0)])
+def test_one_word_row_is_eval_mzv_fast(vector):
+    # the bbbl rows at the default cap, and one vector that is not constant
+    for digits in (20, 70):
+        row = _split_sum([blockvector_to_word(vector)], digits)
+        assert row == eval_mzv_fast(blockvector_to_composition(vector), digits)
+
+
+def exact(x):
+    """An mpf as the fraction it stores."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("digits", [30, 70])
+def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
+    for row_id, words in family_rows() + [REPEATED_ROW]:
+        k, n = len(words), len(words[0]) - 2
+        row = _split_sum(words, digits)
+        finer = _split_sum(words, digits + 40)
+        with mp.workdps(digits + 60):
+            assert abs(row.value - finer.value) <= row.error_bound, row_id
+        m_max, bits, prec = split_precision(n, digits)
+        per_word = Fraction(2 * (n + 1), 2**m_max) + Fraction(n * (n + 1), 2**bits)
+        conversion = exact(row.value) / 2**prec
+        bound = exact(row.error_bound)
+        # every word's tail and rounding, the one conversion, and the
+        # rounding up of the bound itself
+        assert k * per_word <= bound, row_id
+        assert bound <= (k * per_word + conversion) * (1 + Fraction(4, 2**prec)), row_id
+
+
+@pytest.mark.parametrize("digits", [1, 20, 60, 200])
+def test_empty_composition_is_exactly_one_with_a_positive_bound(digits):
+    out = eval_mzv_fast(Composition(()), digits)
+    assert out.value == 1
+    assert out.error_bound > 0
+    assert out.guaranteed_digits >= digits
 
 
 @pytest.mark.parametrize("n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102)])

@@ -77,7 +77,9 @@ def test_build_instance_does_not_walk_every_permutation():
         "print(len(inst.words), inst.multiplicity)\n"
     )
     src = str(Path(multizeta.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    # src goes in front of the inherited path, which may carry the dependencies
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
