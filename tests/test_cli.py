@@ -7,7 +7,7 @@ import pytest
 from multizeta import cli
 from multizeta.cli import main
 from multizeta.numerics import check_cyclic_insertion, check_symmetric_sum
-from multizeta.verifier import build_instance
+from multizeta.verifier import InsertionInstance, build_instance
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,86 @@ def test_verify_weight_cap_precedes_instance_build(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--a", ",".join(["0"] * 13))
     assert code == 2
     assert "cap" in err
+
+
+_BROKEN_STDERR = (
+    "r=3: phi image missing from the collection: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)\n"
+    "r=3: phi image missing from the collection: ([0,1,0]; 1,1; 2,0) -> ([0,0,1]; 1,0; 2,1)\n"
+    "r=3: residual term left=00101 right=01101 coefficient=-1\n"
+    "r=3: residual term left=01001 right=01101 coefficient=1\n"
+)
+
+_BROKEN_STDOUT = {
+    "json": """{
+  "version": "cert-v1",
+  "a": [
+    1,
+    0,
+    0
+  ],
+  "n": 1,
+  "weight": 6,
+  "lambda": 2,
+  "word_count": 2,
+  "sign": -1,
+  "checks": [
+    {
+      "r": 3,
+      "windows": 8,
+      "encodings": 6,
+      "orbits": 2,
+      "residual": 2,
+      "encodings_sha256": "c4c422c85bfa398cd167133a17093ea1a036c2ba9a70854f9ac35709dccc7055",
+      "failures": [
+        "phi image missing from the collection: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)",
+        "phi image missing from the collection: ([0,1,0]; 1,1; 2,0) -> ([0,0,1]; 1,0; 2,1)",
+        "residual term left=00101 right=01101 coefficient=-1",
+        "residual term left=01001 right=01101 coefficient=1"
+      ]
+    },
+    {
+      "r": 5,
+      "windows": 4,
+      "encodings": 0,
+      "orbits": 0,
+      "residual": 0,
+      "encodings_sha256": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    }
+  ],
+  "verdict": "failed"
+}
+""",
+    "text": """instance a=[1,0,0] n=1 weight=6 lambda=2 words=2 sign=-1
+check r=3: windows=8 encodings=6 orbits=2 residual=2 FAILED
+  ! phi image missing from the collection: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)
+  ! phi image missing from the collection: ([0,1,0]; 1,1; 2,0) -> ([0,0,1]; 1,0; 2,1)
+  ! residual term left=00101 right=01101 coefficient=-1
+  ! residual term left=01001 right=01101 coefficient=1
+check r=5: windows=4 encodings=0 orbits=0 residual=0 ok
+verdict: failed
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_failed_certificate(capsys, monkeypatch, fmt):
+    # no real instance fails, so the CLI is handed (1,0,0) with (0,0,1) dropped
+    real = cli.build_instance
+
+    def drop_001(a):
+        inst = real(a)
+        words = tuple(w for w in inst.words if w != (0, 0, 1))
+        return InsertionInstance(
+            base=inst.base,
+            words=words,
+            multiplicity=inst.multiplicity,
+            weight=inst.weight,
+            sign=inst.sign,
+        )
+
+    monkeypatch.setattr(cli, "build_instance", drop_001)
+    code, out, err = run_cli(capsys, "verify", "--a", "1,0,0", "--format", fmt)
+    assert (code, out, err) == (1, _BROKEN_STDOUT[fmt], _BROKEN_STDERR)
 
 
 def test_verify_output_file(tmp_path, capsys):
