@@ -83,9 +83,9 @@ print(f"encodings across the family: {len(all_encodings)}, "
 cert = verify_instance(inst)
 print(f"\nverdict for {format_vector(inst.base)}: {cert.verdict}")
 for rec in cert.checks:
-    print(f"  D_{rec.r}: {rec.window_count} windows, "
-          f"{rec.encoding_count} encodings, {rec.orbit_count} orbits, "
-          f"residual {rec.residual_size}")
+    print(f"  D_{rec.r}: {rec.windows} windows, "
+          f"{rec.encodings} encodings, {rec.orbits} orbits, "
+          f"residual {rec.residual}")
 
 # Negative control: drop one word from the symmetrized family and the
 # cancellation genuinely fails, so the residual is nonempty.

@@ -35,7 +35,6 @@ from .verifier import (
     InsertionInstance,
     build_instance,
     expansion_residual,
-    verify_cancellation,
     verify_instance,
 )
 from .numerics import (
@@ -89,7 +88,6 @@ __all__ = [
     "sign_of",
     "subsequence_of",
     "surviving_windows",
-    "verify_cancellation",
     "verify_instance",
     "weight_of",
     "window_of",

@@ -167,9 +167,9 @@ def _certificate_text(cert) -> str:
     for check in cert.checks:
         state = "ok" if check.ok else "FAILED"
         lines.append(
-            f"check r={check.r}: windows={check.window_count} "
-            f"encodings={check.encoding_count} orbits={check.orbit_count} "
-            f"residual={check.residual_size} {state}"
+            f"check r={check.r}: windows={check.windows} "
+            f"encodings={check.encodings} orbits={check.orbits} "
+            f"residual={check.residual} {state}"
         )
         for failure in check.failures:
             lines.append(f"  ! {failure}")

@@ -8,22 +8,25 @@ carried by every word.  Because lambda and the common depth sign factor out
 of every degree-r derivation, the verifier works with unweighted, unsigned
 term lists and records both constants in the certificate.
 
-Each odd degree r is checked along two independent routes:
+`verify_instance` is the one entry: it expands each word of C once and
+checks every odd degree 3 <= r < weight against those expansions, along two
+independent routes:
 
 1. Orbit route: all odd encodings of length r + 2 over C are enumerated and
    paired under the offset-swapping involution.  Each orbit is checked to
    consist of mutually reversed cut subwords (odd interior, so their
    integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel.  Each encoding's window is located once per
-   degree; the orbit check cuts the word there (`coaction.cut`), and the
-   same windows are checked to match, word by word, the windows of the
-   degree-r cut that survive the boundary filter.
+   the paired terms cancel.  Each encoding's window is located once; the
+   orbit check cuts the word there (`coaction.cut`), and the same windows
+   are checked to match, word by word, the windows of the degree-r cut that
+   survive the boundary filter.
 2. Expansion route: the degree-r terms of every word in C are expanded and
    accumulated modulo left-factor reversal; no term may be left over.
 
-A certificate collects one record per odd degree 3 <= r < weight together
-with a verdict.  Serialization is deterministic: fixed key order, no
-timestamps, and a digest of the sorted encoding list per check.
+A certificate collects one record per degree, whose fields are the
+`cert-v1` check keys, together with a verdict.  Serialization is
+deterministic: fixed key order, no timestamps, and a digest of the sorted
+encoding list per check.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
 from .encodings import OddEncoding, enumerate_odd_encodings, pair_up, window_of
@@ -54,7 +57,6 @@ __all__ = [
     "CancellationCertificate",
     "build_instance",
     "expansion_residual",
-    "verify_cancellation",
     "verify_instance",
 ]
 
@@ -73,21 +75,20 @@ class InsertionInstance:
         return len(self.base) // 2
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """Outcome of one degree-r check."""
+class CheckRecord(NamedTuple):
+    """Outcome of one degree-r check; the fields are the `cert-v1` check keys, in order."""
 
     r: int
-    window_count: int
-    encoding_count: int
-    orbit_count: int
-    residual_size: int
+    windows: int
+    encodings: int
+    orbits: int
+    residual: int
     encodings_sha256: str
     failures: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.residual_size == 0 and not self.failures
+        return self.residual == 0 and not self.failures
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,9 @@ class CancellationCertificate:
     def to_json_dict(self) -> dict:
         checks = []
         for c in self.checks:
-            entry = {
-                "r": c.r,
-                "windows": c.window_count,
-                "encodings": c.encoding_count,
-                "orbits": c.orbit_count,
-                "residual": c.residual_size,
-                "encodings_sha256": c.encodings_sha256,
-            }
-            if c.failures:
-                entry["failures"] = list(c.failures)
+            entry = c._asdict()
+            if not c.failures:
+                del entry["failures"]
             checks.append(entry)
         inst = self.instance
         return {
@@ -176,21 +170,13 @@ def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
     return accumulate(t for w in words for t in dr_terms(w, r))
 
 
-def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
-    """Run both proof routes for one odd degree and record the outcome."""
-    if r % 2 == 0 or r < 3:
-        raise ValueError(f"cancellation degree must be odd and >= 3, got {r}")
-    if r >= instance.weight:
-        raise ValueError(f"degree {r} is not below the weight {instance.weight}")
-
+def _check_degree(expanded: List[Tuple[BlockVector, Word]], r: int) -> CheckRecord:
+    """Run both proof routes for one odd degree over the expanded words."""
     failures: List[str] = []
     window_count = 0
     encodings: List[OddEncoding] = []
     windows: Dict[OddEncoding, Tuple[int, int]] = {}
-    # each word expanded once; the list keeps instance order and repeats
-    words = [blockvector_to_word(w) for w in instance.words]
-    expanded = dict(zip(instance.words, words))
-    for w, word in zip(instance.words, words):
+    for w, word in expanded:
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
         encs = enumerate_odd_encodings(w, r + 2)
@@ -205,15 +191,16 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
 
     orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
+    word_of = dict(expanded)
     for e, f in orbits:
-        sub_e, quo_e = cut(expanded[e.vector], *windows[e])
-        sub_f, quo_f = cut(expanded[f.vector], *windows[f])
+        sub_e, quo_e = cut(word_of[e.vector], *windows[e])
+        sub_f, quo_f = cut(word_of[f.vector], *windows[f])
         if sub_e != sub_f[::-1]:
             failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
         if quo_e != quo_f:
             failures.append(f"orbit quotients differ: {e} / {f}")
 
-    residual = expansion_residual(words, r)
+    residual = expansion_residual((word for _, word in expanded), r)
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")
@@ -223,10 +210,10 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
     ).hexdigest()
     return CheckRecord(
         r=r,
-        window_count=window_count,
-        encoding_count=len(encodings),
-        orbit_count=len(orbits),
-        residual_size=len(residual),
+        windows=window_count,
+        encodings=len(encodings),
+        orbits=len(orbits),
+        residual=len(residual),
         encodings_sha256=digest,
         failures=tuple(failures),
     )
@@ -234,7 +221,7 @@ def verify_cancellation(instance: InsertionInstance, r: int) -> CheckRecord:
 
 def verify_instance(instance: InsertionInstance) -> CancellationCertificate:
     """Check every odd degree 3 <= r < weight and assemble the certificate."""
-    checks = tuple(
-        verify_cancellation(instance, r) for r in range(3, instance.weight, 2)
-    )
+    # each word expanded once; the pairs keep instance order and repeats
+    expanded = [(w, blockvector_to_word(w)) for w in instance.words]
+    checks = tuple(_check_degree(expanded, r) for r in range(3, instance.weight, 2))
     return CancellationCertificate(instance=instance, checks=checks)

@@ -16,7 +16,6 @@ from multizeta.verifier import (
     InsertionInstance,
     build_instance,
     expansion_residual,
-    verify_cancellation,
     verify_instance,
 )
 from multizeta.words import blockvector_to_composition, blockvector_to_word, sign_of
@@ -92,31 +91,21 @@ def test_build_instance_rejects_even_arity():
         build_instance((1, 0))
 
 
-def test_degree_preconditions():
-    inst = build_instance((1, 0, 0))
-    with pytest.raises(ValueError):
-        verify_cancellation(inst, 2)
-    with pytest.raises(ValueError):
-        verify_cancellation(inst, 1)
-    with pytest.raises(ValueError):
-        verify_cancellation(inst, 7)  # not below the weight
-
-
 def test_verify_instance_100():
     cert = verify_instance(build_instance((1, 0, 0)))
     assert cert.verdict == "verified"
     assert [c.r for c in cert.checks] == [3, 5]
     first = cert.checks[0]
-    assert (first.window_count, first.encoding_count, first.orbit_count) == (12, 8, 4)
-    assert first.residual_size == 0
+    assert (first.windows, first.encodings, first.orbits) == (12, 8, 4)
+    assert first.residual == 0
     second = cert.checks[1]
-    assert (second.window_count, second.encoding_count, second.orbit_count) == (6, 0, 0)
+    assert (second.windows, second.encodings, second.orbits) == (6, 0, 0)
 
 
 def test_verify_instance_210():
     cert = verify_instance(build_instance((2, 1, 0)))
     assert cert.verdict == "verified"
-    assert [(c.r, c.encoding_count) for c in cert.checks] == [
+    assert [(c.r, c.encodings) for c in cert.checks] == [
         (3, 32),
         (5, 24),
         (7, 8),
@@ -124,13 +113,28 @@ def test_verify_instance_210():
     ]
 
 
+def test_verify_instance_expands_each_word_once(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return blockvector_to_word(w)
+
+    monkeypatch.setattr(verifier, "blockvector_to_word", counting)
+    inst = build_instance((2, 1, 0))
+    cert = verify_instance(inst)
+    assert cert.verdict == "verified"
+    assert len(cert.checks) == 4
+    assert calls == list(inst.words)
+
+
 def test_all_zero_vector_has_no_encodings():
     cert = verify_instance(build_instance((0, 0, 0)))
     assert cert.verdict == "verified"
     (only,) = cert.checks
     assert only.r == 3
-    assert only.encoding_count == 0
-    assert only.residual_size == 0
+    assert only.encodings == 0
+    assert only.residual == 0
 
 
 def test_certificate_json_layout():
@@ -173,9 +177,9 @@ def _drop_word(inst: InsertionInstance, entries) -> InsertionInstance:
 def test_negative_control_residual():
     inst = build_instance((1, 0, 0))
     broken = _drop_word(inst, (0, 0, 1))
-    record = verify_cancellation(broken, 3)
+    record = verify_instance(broken).checks[0]
     assert not record.ok
-    assert record.residual_size > 0
+    assert record.residual > 0
     assert any("residual term" in f for f in record.failures)
 
 
@@ -183,9 +187,9 @@ def test_negative_control_failure_lines_are_pinned():
     # both routes report, in a fixed order: unpaired encodings first, then
     # the residual terms sorted by (left, right)
     broken = _drop_word(build_instance((1, 0, 0)), (0, 0, 1))
-    record = verify_cancellation(broken, 3)
-    assert (record.window_count, record.encoding_count, record.orbit_count) == (8, 6, 2)
-    assert record.residual_size == 2
+    record = verify_instance(broken).checks[0]
+    assert (record.windows, record.encodings, record.orbits) == (8, 6, 2)
+    assert record.residual == 2
     assert record.failures == (
         "phi image missing from the collection: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)",
         "phi image missing from the collection: ([0,1,0]; 1,1; 2,0) -> ([0,0,1]; 1,0; 2,1)",
@@ -193,7 +197,7 @@ def test_negative_control_failure_lines_are_pinned():
         "residual term left=01001 right=01101 coefficient=1",
     )
     # here the words expand to the two residual terms in the opposite order
-    record = verify_cancellation(_drop_word(build_instance((1, 0, 0)), (1, 0, 0)), 3)
+    record = verify_instance(_drop_word(build_instance((1, 0, 0)), (1, 0, 0))).checks[0]
     assert record.failures[2:] == (
         "residual term left=01011 right=01001 coefficient=-1",
         "residual term left=01101 right=01001 coefficient=1",
@@ -204,7 +208,7 @@ def test_negative_control_certificate():
     inst = build_instance((1, 0, 0))
     broken = _drop_word(inst, (0, 0, 1))
     cert = CancellationCertificate(
-        instance=broken, checks=(verify_cancellation(broken, 3),)
+        instance=broken, checks=(verify_instance(broken).checks[0],)
     )
     assert cert.verdict == "failed"
     payload = json.loads(cert.to_json())
@@ -229,7 +233,7 @@ def _orbit_route(monkeypatch, *, enumerate_with=None, phi=None):
         monkeypatch.setattr(verifier, "enumerate_odd_encodings", enumerate_with)
     if phi is not None:
         monkeypatch.setattr(encodings, "phi", phi)
-    return verify_cancellation(build_instance((1, 0, 0)), 3)
+    return verify_instance(build_instance((1, 0, 0))).checks[0]
 
 
 def _sorted_encodings_100():
@@ -241,13 +245,13 @@ def _sorted_encodings_100():
 def test_orbit_route_reports_duplicate_encodings(monkeypatch):
     real = encodings.enumerate_odd_encodings
     record = _orbit_route(monkeypatch, enumerate_with=lambda b, length: real(b, length) * 2)
-    assert (record.encoding_count, record.orbit_count, record.residual_size) == (16, 0, 0)
+    assert (record.encodings, record.orbits, record.residual) == (16, 0, 0)
     assert record.failures == ("duplicate encodings in input",)
 
 
 def test_orbit_route_reports_fixed_points_of_phi(monkeypatch):
     record = _orbit_route(monkeypatch, phi=lambda e: e)
-    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 0, 0)
+    assert (record.encodings, record.orbits, record.residual) == (8, 0, 0)
     assert record.failures == (
         "fixed point of phi: ([0,0,1]; 1,0; 2,1)",
         "fixed point of phi: ([0,0,1]; 1,1; 2,0)",
@@ -268,7 +272,7 @@ def test_orbit_route_reports_window_set_mismatch(monkeypatch):
         return found[1:] if b == (0, 1, 0) else found
 
     record = _orbit_route(monkeypatch, enumerate_with=drop_first_of_010)
-    assert (record.encoding_count, record.orbit_count, record.residual_size) == (7, 3, 0)
+    assert (record.encodings, record.orbits, record.residual) == (7, 3, 0)
     assert record.failures == (
         "window sets disagree on [0,1,0] at r=3: "
         "encoded [(1, 6), (2, 7), (3, 8)] vs surviving [(0, 5), (1, 6), (2, 7), (3, 8)]",
@@ -281,7 +285,7 @@ def test_orbit_route_reports_unreversed_subwords_and_unequal_quotients(monkeypat
     found = _sorted_encodings_100()
     partner = dict(zip(found, reversed(found)))
     record = _orbit_route(monkeypatch, phi=partner.__getitem__)
-    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 4, 0)
+    assert (record.encodings, record.orbits, record.residual) == (8, 4, 0)
     assert record.failures == (
         "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([1,0,0]; 0,1; 1,0)",
         "orbit quotients differ: ([0,0,1]; 1,0; 2,1) / ([1,0,0]; 0,1; 1,0)",
@@ -301,7 +305,7 @@ def test_orbit_route_reports_unreversed_subwords_alone(monkeypatch):
     for a, b in zip(found[::2], found[1::2]):
         partner[a], partner[b] = b, a
     record = _orbit_route(monkeypatch, phi=partner.__getitem__)
-    assert (record.encoding_count, record.orbit_count, record.residual_size) == (8, 4, 0)
+    assert (record.encodings, record.orbits, record.residual) == (8, 4, 0)
     assert record.failures == (
         "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([0,0,1]; 1,1; 2,0)",
         "orbit subwords are not mutual reversals: ([0,1,0]; 0,0; 1,1) / ([0,1,0]; 0,1; 1,0)",
