@@ -251,36 +251,34 @@ _CSV_COLUMNS = [
 ]
 
 
+def _flatten(report: dict) -> dict:
+    """The report's cells by CSV column, as docs/schemas.md renders them."""
+    matches = report["matches_target"]
+    return {
+        **{column: report[column] for column in _CSV_COLUMNS},
+        "params": _params_compact(report["params"]),
+        "reconstructed": _frac_compact(report["reconstructed"]),
+        "target": _frac_compact(report["target"]),
+        "matches_target": "" if matches is None else matches,
+    }
+
+
 def _reports_csv(reports: List[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for rep in reports:
-        writer.writerow([
-            rep["family"],
-            _params_compact(rep["params"]),
-            rep["weight"],
-            rep["pi_power"],
-            rep["digits"],
-            rep["value"],
-            _frac_compact(rep["reconstructed"]),
-            _frac_compact(rep["target"]),
-            "" if rep["matches_target"] is None else rep["matches_target"],
-            rep["proven_rational"],
-            rep["status"],
-        ])
+        cells = _flatten(rep)
+        writer.writerow([cells[c] for c in _CSV_COLUMNS])
     return buf.getvalue()
 
 
 def _reports_text(reports: List[dict]) -> str:
     lines = []
-    for rep in reports:
-        reconstructed = _frac_compact(rep["reconstructed"]) or "none"
-        target = _frac_compact(rep["target"]) or "none"
+    for rep in map(_flatten, reports):
         lines.append(
-            f"{rep['family']} {_params_compact(rep['params'])} "
-            f"weight={rep['weight']} status={rep['status']} "
-            f"reconstructed={reconstructed} target={target}"
+            f"{rep['family']} {rep['params']} weight={rep['weight']} status={rep['status']} "
+            f"reconstructed={rep['reconstructed'] or 'none'} target={rep['target'] or 'none'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -315,10 +313,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         text = _reports_csv(reports)
     elif args.fmt == "text":
         text = _reports_text(reports)
-    elif args.sweep:
-        text = json.dumps(reports, indent=2) + "\n"
     else:
-        text = json.dumps(reports[0], indent=2) + "\n"
+        text = json.dumps(reports if args.sweep else reports[0], indent=2) + "\n"
     _write(text, args.output)
     return 0
 

@@ -126,6 +126,8 @@ def pair_up(
 ) -> Tuple[List[Tuple[OddEncoding, OddEncoding]], List[str]]:
     """Greedy phi-pairing into (e, phi(e)) orbits, smaller encoding first.
 
+    Sources are taken in ascending order and each pairs only with a larger
+    image that no earlier source took, so no encoding lies in two orbits.
     Returns the orbits plus a description of any failures; the cancellation
     argument needs none.
     """
@@ -134,17 +136,18 @@ def pair_up(
         return [], ["duplicate encodings in input"]
     orbits = []
     failures = []
-    seen = set()
+    paired = set()  # images already taken; a sorted scan never revisits a source
     for e in sorted(pool):
-        if e in seen:
+        if e in paired:
             continue
-        seen.add(e)
         f = phi(e)
         if f == e:
             failures.append(f"fixed point of phi: {e}")
         elif f not in pool:
             failures.append(f"phi image missing from the collection: {e} -> {f}")
+        elif f < e or f in paired:
+            failures.append(f"phi is not an involution: {e} -> {f}")
         else:
-            seen.add(f)
-            orbits.append((e, f) if e < f else (f, e))
+            paired.add(f)
+            orbits.append((e, f))
     return orbits, failures

@@ -89,7 +89,11 @@ MAX_EVAL_DIGITS = 200
 
 @dataclass(frozen=True)
 class PrecisionReal:
-    """A floating value together with the digits requested and an absolute bound."""
+    """A floating value together with a digit count and an absolute bound.
+
+    `digits` is the requested precision for the split engine and, for the
+    series oracle, the count its truncation tail allows.
+    """
 
     value: mpf
     digits: int
@@ -100,9 +104,6 @@ class PrecisionReal:
         if self.error_bound == 0:
             return self.digits
         return max(0, int(mp.floor(-mp.log10(self.error_bound))))
-
-    def __str__(self) -> str:
-        return mp.nstr(self.value, self.digits)
 
 
 def bernoulli_numbers(limit: int) -> List[Fraction]:
@@ -373,7 +374,7 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
     return _split_sum([composition_to_word(c)], digits)
 
 
-RealLike = Union[PrecisionReal, mpf, float, int]
+RealLike = Union[mpf, float, int]
 
 
 def reconstruct_rational(
@@ -385,20 +386,18 @@ def reconstruct_rational(
 
     Walks the continued-fraction convergents of x and accepts the first one
     with denominator within the cap that matches x to digits_trusted - 5
-    digits.  None means no small rational explains the value, which is the
-    expected outcome for a non-rational input.
+    digits.  x is an mpf, kept as it is, or anything `mpf()` takes, such as
+    an mpmath constant like `mp.pi`, which is then read at the working
+    precision.  None means no small rational explains the value, which is
+    the expected outcome for a non-rational input.
     """
     if digits_trusted < 20:
         raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")
     if max_denominator < 1:
         raise ValueError(f"need max_denominator >= 1, got {max_denominator}")
     with mp.workdps(digits_trusted + 10):
-        if isinstance(x, PrecisionReal):
-            value = x.value
-        elif isinstance(x, mpf):
-            value = x  # re-wrapping would round to ambient precision
-        else:
-            value = mpf(x)
+        # re-wrapping an mpf would round it to the working precision
+        value = x if isinstance(x, mpf) else mpf(x)
         tolerance = mpf(10) ** (-(digits_trusted - 5))
         p_prev, q_prev = 1, 0
         p_cur, q_cur = int(mp.floor(value)), 1

@@ -191,6 +191,15 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+def test_write_failure_after_the_probe_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the probe can pass and the write still fail; `_write` reports it the same way
+    monkeypatch.setattr(cli, "_check_writable", lambda output: None)
+    code, out, err = run_cli(capsys, "verify", "--a", "1,0,0", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_failed_command_leaves_output_unchanged(tmp_path, capsys):
     existing = tmp_path / "report.json"
     existing.write_text("earlier report\n")

@@ -7,8 +7,10 @@ from operator import floordiv, mul
 import pytest
 from mpmath import mp, mpf
 
+from multizeta import numerics
 from multizeta.numerics import (
     FAMILIES,
+    MAX_EVAL_DIGITS,
     _prefix_walk,
     _series_rounding_units,
     _series_tail_bound,
@@ -419,6 +421,13 @@ def test_empty_composition_evaluates_to_one():
     assert eval_mzv_fast(Composition(()), 40).value == 1
 
 
+def test_empty_composition_series_bound_is_exact():
+    # an exact zero bound claims the full cap instead of taking log10(0)
+    out = eval_mzv_series(Composition(()), 100)
+    assert out.error_bound == 0
+    assert out.guaranteed_digits == MAX_EVAL_DIGITS == 200
+
+
 def test_engine_preconditions():
     with pytest.raises(ValueError):
         eval_mzv_series(Composition((2,)), 9)
@@ -459,6 +468,13 @@ def test_zeta_even_rational():
     assert zeta_even_rational(2) == Fraction(1, 90)
     assert zeta_even_rational(3) == Fraction(1, 945)
     assert zeta_even_rational(4) == Fraction(1, 9450)
+
+
+def test_closed_form_preconditions():
+    with pytest.raises(ValueError):
+        bernoulli_numbers(-1)
+    with pytest.raises(ValueError):
+        zeta_even_rational(0)
 
 
 def test_euler_zeta_even_matches_mpmath():
@@ -568,6 +584,17 @@ def test_cyclic_reports():
     assert rep["details"]["rotations"] == 3
     rep = check_cyclic_insertion((0, 0, 0), digits=40)
     assert rep["reconstructed"] == {"num": 1, "den": 120}
+
+
+def test_off_target_reconstruction_without_proof_is_unconfirmed(monkeypatch):
+    # status rule 4 of docs/schemas.md: no proof and the only prediction missed
+    monkeypatch.setattr(numerics, "reconstruct_rational", lambda x, d, q: Fraction(1, 5041))
+    rep = check_cyclic_insertion((1, 0, 0), digits=40)
+    assert rep["target"] == {"num": 1, "den": 5040}
+    assert rep["reconstructed"] == {"num": 1, "den": 5041}
+    assert rep["matches_target"] is False
+    assert rep["proven_rational"] is False
+    assert rep["status"] == "no-reconstruction"
 
 
 def test_family_parameter_validation():

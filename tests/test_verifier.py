@@ -312,3 +312,16 @@ def test_orbit_route_reports_unreversed_subwords_alone(monkeypatch):
         "orbit subwords are not mutual reversals: ([0,1,0]; 1,0; 2,1) / ([0,1,0]; 1,1; 2,0)",
         "orbit subwords are not mutual reversals: ([1,0,0]; 0,0; 1,1) / ([1,0,0]; 0,1; 1,0)",
     )
+
+
+def test_orbit_route_reports_a_phi_that_is_not_an_involution(monkeypatch):
+    # one image redirected onto an encoding that its real partner also takes
+    real = encodings.phi
+    stray = encodings.OddEncoding((0, 0, 1), 1, 1, 2, 0)
+    taken = encodings.OddEncoding((0, 1, 0), 1, 1, 2, 0)
+    record = _orbit_route(monkeypatch, phi=lambda e: taken if e == stray else real(e))
+    assert (record.encodings, record.orbits, record.residual) == (8, 3, 0)
+    assert record.failures == (
+        "phi is not an involution: ([0,0,1]; 1,1; 2,0) -> ([0,1,0]; 1,1; 2,0)",
+        "phi is not an involution: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)",
+    )
