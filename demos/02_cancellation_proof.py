@@ -27,7 +27,6 @@ from multizeta import (
     quotient_of,
     subsequence_of,
     verify_instance,
-    window_of,
 )
 
 # Build the instance for a = (1, 0, 0): all distinct arrangements of the
@@ -42,21 +41,22 @@ for b in inst.words:
 # Look at one word under D_3.  A degree-r cut reads a window of r + 2
 # symbols (the r removed symbols plus the boundary symbol on each side)
 # and dies when the two boundary symbols agree.  The surviving windows
-# are exactly the windows of the odd encodings of length r + 2.
+# are exactly the windows of the odd encodings of length r + 2, which the
+# enumeration returns with each encoding.
 r = 3
 b = inst.words[0]
 word = blockvector_to_word(b)
 terms = dr_terms(word, r)
-encs = enumerate_odd_encodings(b, r + 2)
+found = enumerate_odd_encodings(b, r + 2)
 print(f"\nD_{r} on {format_word(word)}: {len(terms)} surviving terms, "
-      f"{len(encs)} odd encodings of length {r + 2}")
-for e in encs:
-    print(f"  {e} covers window {window_of(e)}")
+      f"{len(found)} odd encodings of length {r + 2}")
+for e, start, end in found:
+    print(f"  {e} covers window {(start, end)}")
 
 # The involution phi reverses the touched block range and swaps the two
 # offsets.  Its orbit partner has the reversed subsequence and the same
 # quotient word, which is why the paired terms cancel.
-e = encs[0]
+e = found[0][0]
 partner = phi(e)
 print(f"\nphi{e} = {partner}")
 print(f"  subsequences: {format_word(subsequence_of(e))} / "
@@ -68,7 +68,7 @@ print(f"  quotients:    {format_word(quotient_of(e))} == "
 # the family.  That is the whole point of symmetrizing: only the union of
 # encodings over all words closes up into orbits.
 all_encodings = [
-    e for w in inst.words for e in enumerate_odd_encodings(w, r + 2)
+    e for w in inst.words for e, _, _ in enumerate_odd_encodings(w, r + 2)
 ]
 for e in all_encodings:
     if phi(e).vector != e.vector:

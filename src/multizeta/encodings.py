@@ -19,7 +19,13 @@ and b was checked once by `words.block_vector` where it entered the
 package.  The two producers of encodings,
 `enumerate_odd_encodings` and `phi`, keep 0 <= s < t < len(b), t - s odd,
 0 <= l < 2*(b_s + 1), 0 <= m < 2*(b_t + 1) and l - m odd by construction,
-and the tests check those rules on both.
+and the tests check those rules on both.  The enumerator returns each
+encoding with its window [start, end), read off the block offsets it
+scans; `window_of` computes the same window from the encoding alone.
+
+An encoding's notation "(b; s,l; t,m)" is written in one place,
+`notations`, which takes b already formatted so that a caller writing
+many encodings of one vector formats it once; `str(e)` is the same line.
 
 The involution phi reverses the slice (b_s, ..., b_t) in place and swaps
 the two offsets.  It preserves window length, has no fixed points, reverses
@@ -31,7 +37,7 @@ quotient of an encoding are `coaction.cut` of its word at its window.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .coaction import cut
 from .words import BlockVector, Word, blockvector_to_word, format_vector, weight_of
@@ -39,6 +45,7 @@ from .words import BlockVector, Word, blockvector_to_word, format_vector, weight
 __all__ = [
     "OddEncoding",
     "enumerate_odd_encodings",
+    "notations",
     "phi",
     "subsequence_of",
     "quotient_of",
@@ -63,19 +70,26 @@ class OddEncoding(NamedTuple):
         return end - start
 
     def __str__(self) -> str:
-        return (
-            f"({format_vector(self.vector)}; {self.start_block},{self.start_offset};"
-            f" {self.end_block},{self.end_offset})"
-        )
+        return notations([self], format_vector(self.vector))[0]
 
 
-def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
+def notations(encodings: Iterable[OddEncoding], vector_text: str) -> List[str]:
+    """The notation lines of encodings that all share the vector formatted as vector_text."""
+    return [f"({vector_text}; {s},{l}; {t},{m})" for _, s, l, t, m in encodings]
+
+
+def enumerate_odd_encodings(
+    b: BlockVector, length: int
+) -> List[Tuple[OddEncoding, int, int]]:
     """All odd encodings of windows of the given length, in positional order.
 
-    For fixed blocks s < t of different parity the end offset is determined
-    by the start offset, so the scan is linear in the number of (s, t, l)
-    triples.  The length must be odd and satisfy 3 <= length <= weight + 1
-    (a longer window could not leave a nonempty quotient).
+    Each comes with its window [start, end) in the expanded word, read off
+    the block offsets of the scan; it equals `window_of(e)`.  For fixed
+    blocks s < t of different parity the start ranges over the positions
+    of block s whose end start + length falls in block t, so the scan
+    visits each (s, t) pair at most once and each encoding once.  The
+    length must be odd and satisfy 3 <= length <= weight + 1 (a longer
+    window could not leave a nonempty quotient).
     """
     if length % 2 == 0:
         raise ValueError(f"window length must be odd, got {length}")
@@ -89,12 +103,16 @@ def enumerate_odd_encodings(b: BlockVector, length: int) -> List[OddEncoding]:
         offs.append(offs[-1] + 2 * (count + 1))
     k = len(b)
     for s in range(k):
+        first, after = offs[s], offs[s + 1]  # the window starts in block s
         for t in range(s + 1, k, 2):
-            span = offs[t + 1] - offs[s]
-            for l in range(offs[s + 1] - offs[s]):
-                m = span - l - length
-                if 0 <= m < offs[t + 1] - offs[t]:
-                    found.append(OddEncoding(b, s, l, t, m))
+            # ... and ends in block t: offs[t] < start + length <= offs[t + 1]
+            lo = offs[t] - length + 1
+            if lo >= after:
+                break  # lo only grows with t
+            hi = offs[t + 1] - length + 1
+            for start in range(lo if lo > first else first, hi if hi < after else after):
+                end = start + length
+                found.append((OddEncoding(b, s, start - first, t, offs[t + 1] - end), start, end))
     return found
 
 

@@ -16,17 +16,18 @@ independent routes:
    paired under the offset-swapping involution.  Each orbit is checked to
    consist of mutually reversed cut subwords (odd interior, so their
    integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel.  Each encoding's window is located once; the
-   orbit check cuts the word there (`coaction.cut`), and the same windows
-   are checked to match, word by word, the windows of the degree-r cut that
-   survive the boundary filter.
+   the paired terms cancel.  The enumeration returns each encoding's
+   window with it; the orbit check cuts the word there (`coaction.cut`),
+   and the same windows are checked to match, word by word, the windows of
+   the degree-r cut that survive the boundary filter.
 2. Expansion route: the degree-r terms of every word in C are expanded and
    accumulated modulo left-factor reversal; no term may be left over.
 
 A certificate collects one record per degree, whose fields are the
 `cert-v1` check keys, together with a verdict.  Serialization is
 deterministic: fixed key order, no timestamps, and a digest of the sorted
-encoding list per check.
+encoding notations per check.  Each word's vector is formatted once, next
+to its expansion, and every notation line of that word reuses it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import factorial
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
-from .encodings import OddEncoding, enumerate_odd_encodings, pair_up, window_of
+from .encodings import OddEncoding, enumerate_odd_encodings, notations, pair_up
 from .words import (
     BlockVector,
     Word,
@@ -170,44 +171,44 @@ def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
     return accumulate(t for w in words for t in dr_terms(w, r))
 
 
-def _check_degree(expanded: List[Tuple[BlockVector, Word]], r: int) -> CheckRecord:
+def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> CheckRecord:
     """Run both proof routes for one odd degree over the expanded words."""
     failures: List[str] = []
     window_count = 0
     encodings: List[OddEncoding] = []
-    windows: Dict[OddEncoding, Tuple[int, int]] = {}
-    for w, word in expanded:
+    lines: List[str] = []
+    cuts: Dict[OddEncoding, Tuple[Word, int, int]] = {}
+    for w, word, text in expanded:
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
         surviving = set(surviving_windows(word, r))
-        encs = enumerate_odd_encodings(w, r + 2)
-        encodings.extend(encs)
-        windows.update((e, window_of(e)) for e in encs)
-        positions = {windows[e] for e in encs}
+        found = enumerate_odd_encodings(w, r + 2)
+        encs = [e for e, _, _ in found]
+        encodings += encs
+        lines += notations(encs, text)
+        cuts.update({e: (word, start, end) for e, start, end in found})
+        positions = {(start, end) for _, start, end in found}
         if positions != surviving:
             failures.append(
-                f"window sets disagree on {format_vector(w)} at r={r}: "
+                f"window sets disagree on {text} at r={r}: "
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
     orbits, pair_failures = pair_up(encodings)
     failures.extend(pair_failures)
-    word_of = dict(expanded)
     for e, f in orbits:
-        sub_e, quo_e = cut(word_of[e.vector], *windows[e])
-        sub_f, quo_f = cut(word_of[f.vector], *windows[f])
+        sub_e, quo_e = cut(*cuts[e])
+        sub_f, quo_f = cut(*cuts[f])
         if sub_e != sub_f[::-1]:
             failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
         if quo_e != quo_f:
             failures.append(f"orbit quotients differ: {e} / {f}")
 
-    residual = expansion_residual((word for _, word in expanded), r)
+    residual = expansion_residual((word for _, word, _ in expanded), r)
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")
 
-    digest = hashlib.sha256(
-        "\n".join(sorted(str(e) for e in encodings)).encode("ascii")
-    ).hexdigest()
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode("ascii")).hexdigest()
     return CheckRecord(
         r=r,
         windows=window_count,
@@ -221,7 +222,7 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word]], r: int) -> CheckReco
 
 def verify_instance(instance: InsertionInstance) -> CancellationCertificate:
     """Check every odd degree 3 <= r < weight and assemble the certificate."""
-    # each word expanded once; the pairs keep instance order and repeats
-    expanded = [(w, blockvector_to_word(w)) for w in instance.words]
+    # each word expanded and formatted once; the triples keep instance order and repeats
+    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in instance.words]
     checks = tuple(_check_degree(expanded, r) for r in range(3, instance.weight, 2))
     return CancellationCertificate(instance=instance, checks=checks)

@@ -88,9 +88,10 @@ def test_criterion_2_oracle_equivalence():
                 for p in range(len(symbols) - length + 1)
                 if symbols[p] != symbols[p + length - 1]
             }
-            encodings = enumerate_odd_encodings(vector, length)
-            encoded = {window_of(e) for e in encodings}
-            assert len(encoded) == len(encodings)  # windows determine encodings
+            found = enumerate_odd_encodings(vector, length)
+            encoded = {window_of(e) for e, _, _ in found}
+            assert len(encoded) == len(found)  # windows determine encodings
+            assert encoded == {(start, end) for _, start, end in found}
             if encoded != brute:
                 mismatches += 1
             pairs_checked += 1

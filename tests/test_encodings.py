@@ -41,30 +41,47 @@ def _rules_hold(e):
     )
 
 
+def _encodings(b, length):
+    return [e for e, _, _ in enumerate_odd_encodings(b, length)]
+
+
+def _words_up_to_weight(cap):
+    # every block vector of odd length and weight 4n + 2*sum(b) <= cap
+    for k in range(1, cap // 2 + 2, 2):
+        top = (cap - 2 * (k - 1)) // 2
+        for b in itertools.product(range(top + 1), repeat=k):
+            if weight_of(b) <= cap:
+                yield b
+
+
 def test_producers_keep_the_encoding_rules():
-    # the encoding type checks nothing, so both of its producers must
-    for k in (1, 3, 5):
-        for b in itertools.product(range(4), repeat=k):
-            for length in range(3, weight_of(b) + 2, 2):
-                for e in enumerate_odd_encodings(b, length):
-                    f = phi(e)
-                    assert _rules_hold(e), e
-                    assert _rules_hold(f), (e, f)
-                    assert e.length == f.length == length
+    # the encoding type checks nothing, so both of its producers must; the
+    # window the enumerator reads off its scan must be the one window_of gives
+    small = (b for k in (1, 3, 5) for b in itertools.product(range(4), repeat=k))
+    for b in itertools.chain(small, _words_up_to_weight(20)):
+        for length in range(3, weight_of(b) + 2, 2):
+            for e, start, end in enumerate_odd_encodings(b, length):
+                f = phi(e)
+                assert _rules_hold(e), e
+                assert _rules_hold(f), (e, f)
+                assert e.length == f.length == length
+                assert (start, end) == window_of(e), e
 
 
 def test_frozen_enumeration_100():
-    encs = enumerate_odd_encodings((1, 0, 0), 5)
+    found = enumerate_odd_encodings((1, 0, 0), 5)
     assert [
-        (e.start_block, e.start_offset, e.end_block, e.end_offset) for e in encs
+        (e.start_block, e.start_offset, e.end_block, e.end_offset) for e, _, _ in found
     ] == [(0, 0, 1, 1), (0, 1, 1, 0)]
-    assert [window_of(e) for e in encs] == [(0, 5), (1, 6)]
+    assert [window_of(e) for e, _, _ in found] == [(0, 5), (1, 6)]
+    assert [(start, end) for _, start, end in found] == [(0, 5), (1, 6)]
 
 
 def test_frozen_enumeration_000():
     assert enumerate_odd_encodings((0, 0, 0), 5) == []
-    encs = enumerate_odd_encodings((0, 0, 0), 3)
-    assert [window_of(e) for e in encs] == [(0, 3), (1, 4), (2, 5), (3, 6)]
+    found = enumerate_odd_encodings((0, 0, 0), 3)
+    assert [window_of(e) for e, _, _ in found] == [(0, 3), (1, 4), (2, 5), (3, 6)]
+    assert [(start, end) for _, start, end in found] == [(0, 3), (1, 4), (2, 5), (3, 6)]
 
 
 def test_enumeration_preconditions():
@@ -132,7 +149,7 @@ def test_phi_worked_example():
 def test_pair_up_on_closed_set():
     encodings = []
     for b in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
-        encodings.extend(enumerate_odd_encodings(b, 5))
+        encodings.extend(_encodings(b, 5))
     orbits, failures = pair_up(encodings)
     assert failures == []
     assert len(orbits) == len(encodings) // 2
@@ -142,7 +159,7 @@ def test_pair_up_on_closed_set():
 
 
 def test_pair_up_detects_missing_partner():
-    encodings = enumerate_odd_encodings((1, 0, 0), 5)
+    encodings = _encodings((1, 0, 0), 5)
     # phi sends these into permuted vectors, absent from this list
     orbits, failures = pair_up(encodings)
     assert orbits == []
@@ -153,7 +170,7 @@ def test_pair_up_detects_missing_partner():
 
 
 def test_pair_up_reports_duplicate_encodings():
-    e = enumerate_odd_encodings((1, 0, 0), 5)[0]
+    e = _encodings((1, 0, 0), 5)[0]
     assert pair_up([e, e]) == ([], ["duplicate encodings in input"])
 
 
@@ -161,9 +178,9 @@ def test_pair_up_reports_duplicate_encodings():
 def test_pair_up_ignores_input_order(seed):
     closed = [
         e for w in build_instance((1, 1, 0, 0, 0)).words
-        for e in enumerate_odd_encodings(w, 5)
+        for e in _encodings(w, 5)
     ]
-    open_ = enumerate_odd_encodings((1, 0, 0), 5)  # partners missing
+    open_ = _encodings((1, 0, 0), 5)  # partners missing
     for encodings in (closed, open_):
         shuffled = list(encodings)
         random.Random(seed).shuffle(shuffled)

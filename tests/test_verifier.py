@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -18,7 +19,13 @@ from multizeta.verifier import (
     expansion_residual,
     verify_instance,
 )
-from multizeta.words import blockvector_to_composition, blockvector_to_word, sign_of
+from multizeta.numerics import FAMILIES
+from multizeta.words import (
+    blockvector_to_composition,
+    blockvector_to_word,
+    format_vector,
+    sign_of,
+)
 
 
 def test_build_instance_100():
@@ -126,6 +133,61 @@ def test_verify_instance_expands_each_word_once(monkeypatch):
     assert cert.verdict == "verified"
     assert len(cert.checks) == 4
     assert calls == list(inst.words)
+
+
+def test_verify_instance_formats_each_vector_at_most_once(monkeypatch):
+    # the digest lines share one formatted vector per word
+    calls = []
+
+    def counting(b):
+        calls.append(b)
+        return format_vector(b)
+
+    monkeypatch.setattr(encodings, "format_vector", counting)
+    monkeypatch.setattr(verifier, "format_vector", counting)
+    inst = build_instance((2, 1, 0))
+    cert = verify_instance(inst)
+    assert cert.verdict == "verified"
+    assert sum(c.encodings for c in cert.checks) == 64
+    assert set(calls) <= set(inst.words)
+    assert len(calls) == len(set(calls))
+
+
+def _reference_digests(words, weight):
+    # docs/schemas.md: SHA-256 of the sorted str(e) lines joined by "\n",
+    # over the encodings (b; s, l; t, m), t - s odd, whose window has
+    # length r + 2, found here by trying every (s, l, t, m)
+    lines = {r: [] for r in range(3, weight, 2)}
+    for b in words:
+        for s in range(len(b)):
+            for t in range(s + 1, len(b), 2):
+                for l in range(2 * (b[s] + 1)):
+                    for m in range(2 * (b[t] + 1)):
+                        e = encodings.OddEncoding(b, s, l, t, m)
+                        start, end = encodings.window_of(e)
+                        if end - start - 2 in lines:
+                            lines[end - start - 2].append(str(e))
+    return [
+        hashlib.sha256("\n".join(sorted(found)).encode("ascii")).hexdigest()
+        for found in lines.values()
+    ]
+
+
+def _symmetric_vectors_up_to_weight_20():
+    vectors = [tuple(p["a"]) for p in FAMILIES["symmetric"].sweep(20)]
+    assert len(vectors) == 87
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "entries",
+    _symmetric_vectors_up_to_weight_20() + [(10, 0, 0), (10, 1, 0)],
+    ids=format_vector,
+)
+def test_encodings_digest_matches_its_definition(entries):
+    inst = build_instance(entries)
+    checks = verify_instance(inst).checks
+    assert [c.encodings_sha256 for c in checks] == _reference_digests(inst.words, inst.weight)
 
 
 def test_all_zero_vector_has_no_encodings():
@@ -238,7 +300,7 @@ def _orbit_route(monkeypatch, *, enumerate_with=None, phi=None):
 
 def _sorted_encodings_100():
     inst = build_instance((1, 0, 0))
-    found = [e for w in inst.words for e in encodings.enumerate_odd_encodings(w, 5)]
+    found = [e for w in inst.words for e, _, _ in encodings.enumerate_odd_encodings(w, 5)]
     return sorted(found)
 
 
