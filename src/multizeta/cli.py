@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from mpmath import mp
 
@@ -221,11 +221,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_check(job: Tuple) -> dict:
-    family, params, digits, max_denominator, weight_cap = job
+def _run_group(job: Tuple) -> List[dict]:
+    """The reports of one weight group's rows, in order, from one prefix walk."""
+    family, rows, digits, max_denominator, weight_cap = job
     spec = FAMILIES[family]
     check = getattr(numerics, spec.check)
-    return check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
+    with numerics.weight_group(family, rows, digits):
+        return [
+            check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
+            for params in rows
+        ]
 
 
 def _frac_compact(obj: Optional[dict]) -> str:
@@ -297,17 +302,30 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--family {args.family} requires {flags}")
     else:
         param_list = [{p: getattr(args, p) for p in spec.params}]
+    # rows of one weight share their words' prefixes, so each weight group is
+    # one job, the heaviest first to balance the pool; each group keeps its
+    # rows' positions, which put the reports back in sweep order
+    groups: Dict[int, List[int]] = {}
+    for index, params in enumerate(param_list):
+        _, word = spec.parse(*(params[p] for p in spec.params))
+        groups.setdefault(weight_of(word), []).append(index)
+    positions = [groups[weight] for weight in sorted(groups, reverse=True)]
     jobs = [
-        (args.family, params, args.digits, args.max_denominator, args.weight_cap)
-        for params in param_list
+        (args.family, [param_list[i] for i in rows], args.digits, args.max_denominator,
+         args.weight_cap)
+        for rows in positions
     ]
-    # every worker is forked up front, so never start more than there are rows
+    # every worker is forked up front, so never start more than there are groups
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_check, jobs))
+            grouped = list(pool.map(_run_group, jobs))
     else:
-        reports = [_run_check(job) for job in jobs]
+        grouped = [_run_group(job) for job in jobs]
+    reports: List[dict] = [{}] * len(param_list)
+    for rows, group_reports in zip(positions, grouped):
+        for index, report in zip(rows, group_reports):
+            reports[index] = report
 
     if args.fmt == "csv":
         text = _reports_csv(reports)

@@ -20,11 +20,14 @@ Two independent evaluation engines are provided.
   after degree M, which the geometric factor 2^(-M) makes small, plus at
   most one unit per floor division, carried through the sweep.  A family
   check sums a row of words, which share one weight and so one M and one
-  bit width, as one bounded sum (`_split_sum`): a single depth-first walk
-  over the sorted words and duals (`_prefix_walk`) sweeps every distinct
-  prefix once, the convolutions are added exactly in integers, and the
-  sum is converted once, its bound k times one word's tail and rounding
-  plus that one conversion.  `eval_mzv_fast` is the one-word case.
+  bit width, as one bounded sum (`_split_sum`): the convolutions are added
+  exactly in integers and the sum is converted once, its bound k times one
+  word's tail and rounding plus that one conversion.  Every row of one
+  weight shares M and the bit width too, so a sweep evaluates all the rows
+  of a weight from one depth-first walk over their sorted words and duals
+  (`_prefix_walk`), which sweeps every distinct prefix of the group once:
+  the CLI opens a `weight_group` per weight, and the group's first check
+  runs the walk.  `eval_mzv_fast` is the one-word case.
 
 Rational readback uses continued-fraction convergents with a denominator
 cap and a five-digit guard below the trusted precision; returning None is
@@ -39,13 +42,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import floordiv, mul, rshift
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
 
@@ -77,6 +81,7 @@ __all__ = [
     "check_bowman_bradley",
     "check_bbbl_family",
     "check_cyclic_insertion",
+    "weight_group",
     "Family",
     "FAMILIES",
 ]
@@ -296,20 +301,23 @@ def _truncation_degree(n: int, digits: int) -> int:
     return m_max
 
 
-def _split_sum(words: Sequence[Word], digits: int) -> PrecisionReal:
-    """The sum of the zeta values of full words of one length, via the 1/2 split.
+def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[PrecisionReal]:
+    """Each row's sum of the zeta values of its full words, via the 1/2 split.
 
     The word integral over the simplex splits at 1/2 into the convolution
     zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the interior word (the
     word without its boundary symbols, n = weight), where P_j is the value
     at 1/2 of the iterated integral of its first j symbols and Q_j the same
-    for its reverse-complement dual.  One `_prefix_walk` computes both runs
-    of every word in fixed point at B bits, sweeping each distinct prefix
-    of the words and duals once; the convolutions are added exactly in
-    integers, and the sum becomes an mpf once, at the working precision of
-    p bits (digits + 15 decimal digits).
+    for its reverse-complement dual.  Every word of every row must have the
+    one length, so all share M and the bit width B, and one `_prefix_walk`
+    computes both runs of every word in fixed point, sweeping each distinct
+    prefix of all the rows' words and duals once.  A prefix's value depends
+    on nothing but the prefix, M and B, so a row's integers are the same
+    whichever rows share its walk.  Each row's convolutions are added
+    exactly in integers, and its sum becomes an mpf once, at the working
+    precision of p bits (digits + 15 decimal digits).
 
-    `error_bound` is derived, as the sum of three parts:
+    Each row's `error_bound` is derived, as the sum of three parts:
 
     * Truncation.  Every power series in the sweep has coefficients in
       [0, 1]: it starts as the constant 1, symbol 0 divides c_m by m and
@@ -330,30 +338,32 @@ def _split_sum(words: Sequence[Word], digits: int) -> PrecisionReal:
       the value.
 
     Both of the first two parts only lower a convolution, and the integer
-    sum adds no error of its own, so k words fall short by less than k
-    times (tail + rounding); the conversion is counted once, for the sum.
-    B = p + 2 bitlength(n) makes the rounding part below 2^(-p) per word.
-    The empty interior word, n = 0, has the one convolution 1 * 1, exact;
-    its rounding term is 0, and the bound keeps the other two.
+    sum adds no error of its own, so a row of k words falls short by less
+    than k times (tail + rounding); the conversion is counted once, for the
+    row's sum.  B = p + 2 bitlength(n) makes the rounding part below 2^(-p)
+    per word.  The empty interior word, n = 0, has the one convolution
+    1 * 1, exact; its rounding term is 0, and the bound keeps the other two.
     """
-    interiors = [word[1:-1] for word in words]
-    duals = [tuple(1 - s for s in reversed(word)) for word in interiors]
-    n = len(interiors[0])
+    interiors = [[word[1:-1] for word in words] for words in rows]
+    duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
+    n = len(interiors[0][0])
     with mp.workdps(digits + 15):
         m_max = _truncation_degree(n, digits)
         bits = mp.prec + 2 * n.bit_length()
-        prefix = _prefix_walk(chain(interiors, duals), m_max, bits)
-        total = sum(
-            sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(interiors, duals)
-        )
+        prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
         # every part of the bound as an integer over 2^scale
         shift = 2 * (bits + m_max)
         scale = shift + mp.prec
-        tail = 2 * (n + 1) << (scale - m_max)
-        rounding = n * (n + 1) << (scale - bits)
-        value = mp.ldexp(mpf(total), -shift)
-        bound = mp.ldexp(mpf(len(words) * (tail + rounding) + total, rounding="u"), -scale)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+        per_word = (2 * (n + 1) << (scale - m_max)) + (n * (n + 1) << (scale - bits))
+        sums = []
+        for row, row_duals in zip(interiors, duals):
+            total = sum(
+                sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(row, row_duals)
+            )
+            value = mp.ldexp(mpf(total), -shift)
+            bound = mp.ldexp(mpf(len(row) * per_word + total, rounding="u"), -scale)
+            sums.append(PrecisionReal(value=value, digits=digits, error_bound=bound))
+    return sums
 
 
 def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
@@ -371,7 +381,7 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
         raise ValueError(f"need digits >= 1, got {digits}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
-    return _split_sum([composition_to_word(c)], digits)
+    return _split_sum([[composition_to_word(c)]], digits)[0]
 
 
 RealLike = Union[mpf, float, int]
@@ -431,6 +441,52 @@ def _fraction_obj(q: Optional[Fraction]) -> Optional[dict]:
     return {"num": q.numerator, "den": q.denominator}
 
 
+def _evaluate(family: str, rows: Sequence[dict], digits: int) -> List[tuple]:
+    """(multiplicity, details, bounded zeta sum) of each row, from one `_split_sum`."""
+    spec = FAMILIES[family]
+    summed = [spec.summands(**params) for params in rows]
+    totals = _split_sum(
+        [[blockvector_to_word(w) for w in words] for _, words, _ in summed], digits
+    )
+    return [(m, details, total) for (m, _, details), total in zip(summed, totals)]
+
+
+@dataclass
+class _WeightGroup:
+    family: str
+    rows: List[dict]
+    digits: int
+    evaluated: Optional[List[tuple]] = None
+
+
+_open_group: Optional[_WeightGroup] = None
+
+
+@contextmanager
+def weight_group(family: str, rows: Sequence[dict], digits: int) -> Iterator[None]:
+    """Let the checks of `rows` share one prefix walk.
+
+    `rows` are parameter objects of `family`, as its `sweep` lists them, all
+    of one weight.  Inside the block, the first check of any of them at
+    `digits` runs every row's `summands` and evaluates all their words with
+    one `_split_sum`, so the walk runs inside that check; each row's check
+    then takes its own multiplicity, details and bounded sum from there,
+    bit-identical to evaluating the row alone.  The evaluation is dropped
+    when the block ends, so nothing outlives the call that opened it.  A
+    check of any other row, family or precision runs alone.
+    """
+    global _open_group
+    spec = FAMILIES[family]
+    weights = {weight_of(spec.parse(*(p[name] for name in spec.params))[1]) for p in rows}
+    if len(weights) > 1:
+        raise ValueError(f"a weight group needs rows of one weight, got {sorted(weights)}")
+    _open_group = _WeightGroup(family, list(rows), digits)
+    try:
+        yield
+    finally:
+        _open_group = None
+
+
 def _check(
     family: str, args: tuple, digits: int, max_denominator: int, weight_cap: int
 ) -> dict:
@@ -439,7 +495,8 @@ def _check(
     The cap is enforced before any word is expanded, since the number of
     summed words can be factorial in the vector length.  The row's words
     share one weight, so `_split_sum` evaluates their zeta sum as one
-    value with one derived `error_bound`, at digits + 10; the ratio to
+    value with one derived `error_bound`, at digits + 10, together with the
+    other rows of an open `weight_group` that lists this row; the ratio to
     pi^weight is then formed at digits + 20.
     """
     spec = FAMILIES[family]
@@ -447,8 +504,14 @@ def _check(
     weight = weight_of(word)
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    multiplicity, words, details = spec.summands(**params)
-    total = _split_sum([blockvector_to_word(w) for w in words], digits + 10)
+    group = _open_group
+    if group and (group.family, group.digits) == (family, digits) and params in group.rows:
+        if group.evaluated is None:
+            # every row of the group has this row's weight, so none exceeds the cap
+            group.evaluated = _evaluate(family, group.rows, digits + 10)
+        multiplicity, details, total = group.evaluated[group.rows.index(params)]
+    else:
+        multiplicity, details, total = _evaluate(family, [params], digits + 10)[0]
     with mp.workdps(digits + 20):
         ratio = multiplicity * total.value / mp.pi**weight
     target = spec.target(weight, **params)

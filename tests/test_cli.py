@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from multizeta import cli
+from multizeta import cli, numerics
 from multizeta.cli import main
-from multizeta.numerics import check_cyclic_insertion, check_symmetric_sum
+from multizeta.numerics import FAMILIES, check_cyclic_insertion, check_symmetric_sum
 from multizeta.verifier import InsertionInstance, build_instance
 
 
@@ -182,7 +182,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("work started before --output was checked")
 
-    for name in ("_run_check", "build_instance", "eval_mzv_fast"):
+    for name in ("_run_group", "build_instance", "eval_mzv_fast"):
         monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
@@ -394,8 +394,9 @@ class _SerialPool:
 
 
 @pytest.mark.parametrize("jobs, cap, rows, pool_sizes", [
-    ("8", "6", 2, [2]),  # cyclic rows (0,0,0) and (0,0,1)
+    ("8", "6", 2, [2]),  # cyclic rows (0,0,0) and (0,0,1), one weight each
     ("3", "8", 5, [3]),
+    ("8", "8", 5, [3]),  # the five rows fall in three weight groups: 4, 6 and 8
     ("4", "4", 1, []),   # one row runs in-process
 ])
 def test_check_sweep_pool_never_exceeds_rows(capsys, monkeypatch, jobs, cap, rows, pool_sizes):
@@ -408,6 +409,95 @@ def test_check_sweep_pool_never_exceeds_rows(capsys, monkeypatch, jobs, cap, row
     assert code == 0
     assert len(json.loads(out)) == rows
     assert _SerialPool.sizes == pool_sizes
+
+
+# the defaults' sweep rows fall in this many weight groups: six weights each
+# for the symmetric, cyclic and Bowman-Bradley sweeps, four for bbbl
+DEFAULT_WEIGHT_GROUPS = 22
+
+
+def sweep_every_family(capsys):
+    for family in FAMILIES:
+        code, _, _ = run_cli(capsys, "check", "--family", family, "--sweep")
+        assert code == 0
+
+
+def count_walks(monkeypatch):
+    """A list that gets one entry per `_prefix_walk` call from now on."""
+    walks = []
+    walk = numerics._prefix_walk
+
+    def counted(*args):
+        walks.append(args[1:])
+        return walk(*args)
+
+    monkeypatch.setattr(numerics, "_prefix_walk", counted)
+    return walks
+
+
+def test_sweep_walks_prefixes_once_per_weight_group(capsys, monkeypatch):
+    for env, *_ in cli.SETTINGS.values():
+        if env is not None:
+            monkeypatch.delenv(env, raising=False)
+    walks = count_walks(monkeypatch)
+    sweep_every_family(capsys)
+    assert len(walks) == DEFAULT_WEIGHT_GROUPS  # one per row, 75, before grouping
+    # a second identical call walks as much again: nothing is kept across calls
+    walks.clear()
+    sweep_every_family(capsys)
+    assert len(walks) == DEFAULT_WEIGHT_GROUPS
+    assert numerics._open_group is None
+
+
+def test_sweep_walks_prefixes_inside_a_check(capsys, monkeypatch):
+    # wrap each check_* by name, as the benchmark does, so that the walk's
+    # time stays booked to a row's check in a traced run
+    depth = []
+    inside = []
+
+    def wrapped(check):
+        def wrapper(*args, **kwargs):
+            depth.append(check.__name__)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        return wrapper
+
+    for spec in FAMILIES.values():
+        monkeypatch.setattr(numerics, spec.check, wrapped(getattr(numerics, spec.check)))
+    walk = numerics._prefix_walk
+
+    def located(*args):
+        inside.append(bool(depth))
+        return walk(*args)
+
+    monkeypatch.setattr(numerics, "_prefix_walk", located)
+    for family in FAMILIES:
+        code, _, _ = run_cli(
+            capsys, "check", "--family", family, "--sweep", "--weight-cap", "10",
+            "--digits", "30",
+        )
+        assert code == 0
+    assert inside and all(inside)
+
+
+def test_weight_group_serves_only_its_own_rows(monkeypatch):
+    rows = FAMILIES["cyclic"].sweep(8)[2:4]  # (0,0,2) and (0,1,1), both of weight 8
+    alone = [check_cyclic_insertion(row["a"], 30) for row in rows]
+    walks = count_walks(monkeypatch)
+    with numerics.weight_group("cyclic", rows, 30):
+        assert [check_cyclic_insertion(row["a"], 30) for row in rows] == alone
+        assert len(walks) == 1
+        # a row the group does not list, or another precision, walks alone
+        check_cyclic_insertion([0, 0, 1], 30)
+        assert check_cyclic_insertion(rows[0]["a"], 25)["digits"] == 25
+        assert len(walks) == 3
+    assert numerics._open_group is None
+    with pytest.raises(ValueError, match="one weight"):
+        with numerics.weight_group("cyclic", FAMILIES["cyclic"].sweep(6), 30):
+            pass
 
 
 def test_check_deterministic_bytes(capsys):

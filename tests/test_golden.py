@@ -193,6 +193,24 @@ def test_cli_output_matches_corpus(record, clean_env):
     }
 
 
+CAP20_SWEEPS = [
+    record for record in RECORDS
+    if record["argv"][3:] == ["--sweep", "--weight-cap", "20", "--format", "csv"]
+]
+
+
+@pytest.mark.parametrize("record", CAP20_SWEEPS, ids=lambda record: record["argv"][2])
+def test_parallel_sweep_matches_the_serial_record(record, clean_env):
+    # weight groups run in two workers; the rows still come back in sweep order
+    assert run_cli(record["argv"] + ["--jobs", "2"]) == {
+        key: record[key] for key in ("code", "stdout", "stderr")
+    }
+
+
+def test_every_cap20_sweep_has_a_record():
+    assert [record["argv"][2] for record in CAP20_SWEEPS] == list(FAMILIES)
+
+
 def test_demo_list_matches_corpus():
     assert [record["demo"] for record in DEMO_RECORDS] == [path.name for path in DEMOS]
 

@@ -271,19 +271,29 @@ def test_row_walk_is_bit_identical_to_the_per_word_sweep():
         expected = [reference_half_split(w, m_max, bits) for w in interiors]
         assert walk_convolutions(interiors, m_max, bits) == expected, row_id
         # a row's value is the one conversion of the sum of the reference integers
-        row = _split_sum(words, digits)
+        [row] = _split_sum([words], digits)
         assert row.value == converted(sum(expected), m_max, bits, digits), row_id
         # and a word alone is the conversion of its own reference integer
         for word, total in zip(words, expected):
-            alone = _split_sum([word], digits)
+            [alone] = _split_sum([[word]], digits)
             assert alone.value == converted(total, m_max, bits, digits), row_id
+
+
+def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
+    groups = {}
+    for row_id, words in family_rows():
+        groups.setdefault((row_id.split("-{")[0], len(words[0])), []).append(words)
+    assert len(groups) == 22
+    for key, rows in groups.items():
+        # value and error_bound, bit for bit, as if each row were walked alone
+        assert _split_sum(rows, 70) == [_split_sum([words], 70)[0] for words in rows], key
 
 
 @pytest.mark.parametrize("vector", [(0, 0, 0), (1, 1, 1), (0,) * 5, (0,) * 7, (2, 0, 1, 0, 0)])
 def test_one_word_row_is_eval_mzv_fast(vector):
     # the bbbl rows at the default cap, and one vector that is not constant
     for digits in (20, 70):
-        row = _split_sum([blockvector_to_word(vector)], digits)
+        [row] = _split_sum([[blockvector_to_word(vector)]], digits)
         assert row == eval_mzv_fast(blockvector_to_composition(vector), digits)
 
 
@@ -297,8 +307,8 @@ def exact(x):
 def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
     for row_id, words in family_rows() + [REPEATED_ROW]:
         k, n = len(words), len(words[0]) - 2
-        row = _split_sum(words, digits)
-        finer = _split_sum(words, digits + 40)
+        [row] = _split_sum([words], digits)
+        [finer] = _split_sum([words], digits + 40)
         with mp.workdps(digits + 60):
             assert abs(row.value - finer.value) <= row.error_bound, row_id
         m_max, bits, prec = split_precision(n, digits)
