@@ -5,7 +5,8 @@ Three subcommands cover the package's capabilities:
 * ``verify --a 1,0,0`` emits a cancellation certificate (exit 0 when
   verified, 1 when any check fails, 2 on usage errors).
 * ``eval --zeta 1,3 --digits 50`` evaluates one zeta value with the fast
-  engine and reports how many digits the slow series oracle confirms.
+  engine and reports how many digits the slow series oracle confirms; it
+  exits 1, printing no value, when the two engines' intervals are disjoint.
 * ``check --family bbbl --n 1 --m 1`` runs a numeric rationality check and
   writes a report; ``--sweep`` iterates a whole family under the weight
   cap, optionally in parallel with ``--jobs``.
@@ -201,6 +202,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     oracle = eval_mzv_series(comp, ORACLE_TERMS)
     with mp.workdps(args.digits + 10):
         diff = abs(fast.value - oracle.value)
+        if diff > fast.error_bound + oracle.error_bound:
+            ends = [mp.nstr(r.value + s * r.error_bound, args.digits)
+                    for r in (fast, oracle) for s in (-1, 1)]
+            print("error: the engines' intervals are disjoint\nfast: [{}, {}]\n"
+                  "oracle: [{}, {}]".format(*ends), file=sys.stderr)
+            return 1
         agreement = args.digits if diff == 0 else max(0, int(mp.floor(-mp.log10(diff))))
     payload = {
         "composition": list(args.zeta),

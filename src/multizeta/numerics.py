@@ -20,22 +20,21 @@ Two independent evaluation engines are provided.
   after degree M, which the geometric factor 2^(-M) makes small, plus at
   most one unit per floor division, carried through the sweep.  A family
   check sums a row of words, which share one weight and so one M and one
-  bit width, as one bounded sum (`_split_sum`): the convolutions are added
-  exactly in integers and the sum is converted once, its bound k times one
-  word's tail and rounding plus that one conversion.  Every row of one
-  weight shares M and the bit width too, so a sweep evaluates all the rows
-  of a weight from one depth-first walk over their sorted words and duals
-  (`_prefix_walk`), which sweeps every distinct prefix of the group once:
-  the CLI opens a `weight_group` per weight, and the group's first check
-  runs the walk.  `eval_mzv_fast` is the one-word case.
+  bit width, in exact integers (`_split_sum`): the sum lies in an interval
+  over one power of two, k times one word's tail and rounding wide.  Every
+  row of one weight shares M and the bit width too, so a sweep evaluates
+  all the rows of a weight from one depth-first walk over their sorted
+  words and duals (`_prefix_walk`), which sweeps every distinct prefix of
+  the group once: the CLI opens a `weight_group` per weight, and the
+  group's first check runs the walk.  `eval_mzv_fast` is the one-word
+  case, and the only place the integers become an mpf.
 
-Rational readback uses continued-fraction convergents with a denominator
-cap and a five-digit guard below the trusted precision; returning None is
-the normal outcome for a value that is not a small-denominator rational.
-The family checks at the bottom combine the engines with the symbolic
-verifier to confirm that specific zeta combinations are rational multiples
-of pi^weight; the table `FAMILIES` holds everything that distinguishes one
-family from another, and a single check body reads it.
+Rational readback is exact: a check divides the row's interval by
+pi^weight, rounding outward, and takes the least-denominator fraction in
+it if no other that small fits (`_readback`); None is the normal outcome
+for a value that is not a small-denominator rational.  The family checks
+combine the engines with the symbolic verifier; the table `FAMILIES`
+holds everything that distinguishes one family from another.
 """
 
 from __future__ import annotations
@@ -47,11 +46,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, repeat
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import floordiv, mul, rshift
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, mpf_pi, round_ceiling, round_floor, to_rational
 
 from .verifier import build_instance, verify_instance
 from .words import (
@@ -301,7 +301,7 @@ def _truncation_degree(n: int, digits: int) -> int:
     return m_max
 
 
-def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[PrecisionReal]:
+def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, int, int]]:
     """Each row's sum of the zeta values of its full words, via the 1/2 split.
 
     The word integral over the simplex splits at 1/2 into the convolution
@@ -314,10 +314,9 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[PrecisionRea
     prefix of all the rows' words and duals once.  A prefix's value depends
     on nothing but the prefix, M and B, so a row's integers are the same
     whichever rows share its walk.  Each row's convolutions are added
-    exactly in integers, and its sum becomes an mpf once, at the working
-    precision of p bits (digits + 15 decimal digits).
-
-    Each row's `error_bound` is derived, as the sum of three parts:
+    exactly in integers, and the row comes back as (low, high, e) with
+    e = 2 (B + M): its sum S lies in [low, high] / 2^e, whose width is
+    derived from two parts per word:
 
     * Truncation.  Every power series in the sweep has coefficients in
       [0, 1]: it starts as the constant 1, symbol 0 divides c_m by m and
@@ -334,72 +333,86 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[PrecisionRea
       term not at all.  The shift-and-add is exact, so P_j is low by less
       than j 2^(-B) and Q_(n-j) by less than (n-j) 2^(-B); with all factors
       in [0, 1] one convolution is low by less than n (n+1) 2^(-B).
-    * Conversion.  One rounding to nearest at p bits, at most 2^(-p) times
-      the value.
 
-    Both of the first two parts only lower a convolution, and the integer
-    sum adds no error of its own, so a row of k words falls short by less
-    than k times (tail + rounding); the conversion is counted once, for the
-    row's sum.  B = p + 2 bitlength(n) makes the rounding part below 2^(-p)
-    per word.  The empty interior word, n = 0, has the one convolution
-    1 * 1, exact; its rounding term is 0, and the bound keeps the other two.
+    Both parts only lower a convolution, and the integer sum adds no error,
+    so low is the sum and a row of k words falls short by less than k times
+    (tail + rounding).  B = p + 2 bitlength(n), p the bits of digits + 15
+    decimal digits, makes the rounding part below 2^(-p) per word.  The
+    empty interior word, n = 0, has the one exact convolution 1 * 1; its
+    rounding term is 0 and its tail is kept.
     """
     interiors = [[word[1:-1] for word in words] for words in rows]
     duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
     n = len(interiors[0][0])
-    with mp.workdps(digits + 15):
-        m_max = _truncation_degree(n, digits)
-        bits = mp.prec + 2 * n.bit_length()
-        prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
-        # every part of the bound as an integer over 2^scale
-        shift = 2 * (bits + m_max)
-        scale = shift + mp.prec
-        per_word = (2 * (n + 1) << (scale - m_max)) + (n * (n + 1) << (scale - bits))
-        sums = []
-        for row, row_duals in zip(interiors, duals):
-            total = sum(
-                sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(row, row_duals)
-            )
-            value = mp.ldexp(mpf(total), -shift)
-            bound = mp.ldexp(mpf(len(row) * per_word + total, rounding="u"), -scale)
-            sums.append(PrecisionReal(value=value, digits=digits, error_bound=bound))
-    return sums
+    m_max = _truncation_degree(n, digits)
+    bits = dps_to_prec(digits + 15) + 2 * n.bit_length()
+    prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
+    exponent = 2 * (bits + m_max)
+    per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
+    totals = (
+        sum(sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(row, row_duals))
+        for row, row_duals in zip(interiors, duals)
+    )
+    return [(total, total + len(row) * per_word, exponent) for row, total in zip(rows, totals)]
 
 
 def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
     """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
 
-    This is the one-word case of `_split_sum`, which derives `error_bound`:
-    the truncation tail, at most n (n+1) units of 2^(-B) of rounding, and
-    one conversion at p bits.  The first two stay below 10^-(digits+8) and
-    2^(-p), so the bound, rounded up, stays below 10^-(digits+7) and
-    `guaranteed_digits` is at least `digits`.  The empty composition comes
-    out as exactly 1, with that same positive bound.  Any precision is
-    accepted; the `eval` command refuses requests above `MAX_EVAL_DIGITS`.
+    The one-word case of `_split_sum`: `value` is the interval's lower end
+    rounded once to nearest at p bits, and `error_bound`, rounded up, is the
+    width plus that rounding, at most 2^(-p) times the value.  It stays below
+    10^-(digits+7), so `guaranteed_digits` is at least `digits`; the empty
+    composition comes out as exactly 1, with that same positive bound.  Any
+    precision is accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
-    return _split_sum([[composition_to_word(c)]], digits)[0]
+    [(low, high, exponent)] = _split_sum([[composition_to_word(c)]], digits)
+    with mp.workdps(digits + 15):
+        value = mp.ldexp(mpf(low), -exponent)
+        bound = mp.ldexp(mpf(((high - low) << mp.prec) + low, rounding="u"), -exponent - mp.prec)
+    return PrecisionReal(value=value, digits=digits, error_bound=bound)
 
 
-RealLike = Union[mpf, float, int]
+def _readback(low: int, high: int, scale: int, max_denominator: int) -> Optional[Fraction]:
+    """The fraction of least denominator in [low, high] / scale, if it is the only small one.
+
+    Both ends share the interval's continued-fraction terms until their
+    integer parts differ, and the least integer at that depth ends it.  It
+    is accepted only if its denominator is at most `max_denominator` and
+    Q = floor((width 10^10)^(-1/2)): two fractions with denominators up to Q
+    lie at least 1/Q^2 = 10^10 widths apart, so no other one fits.
+    """
+    limit = min(max_denominator, isqrt(scale // ((high - low) * 10**10)))
+    sign = 1 if low > 0 else -1
+    (lo, hi), lo_den, hi_den = sorted((sign * low, sign * high)), scale, scale
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the last two convergents of the shared terms
+    while q1 <= limit:
+        term, rest = divmod(lo, lo_den)
+        if not rest or term < hi // hi_den:
+            term += rest > 0
+            q = term * q1 + q0
+            return Fraction(sign * (term * p1 + p0), q) if q <= limit else None
+        # one more shared term: go on with the reciprocals of what is left
+        p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
+        lo, lo_den, hi, hi_den = hi_den, hi - term * hi_den, lo_den, rest
+    return None
 
 
 def reconstruct_rational(
-    x: RealLike,
+    x: Union[mpf, float, int],
     digits_trusted: int,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> Optional[Fraction]:
     """Read an exact fraction off a high-precision value, or decline.
 
-    Walks the continued-fraction convergents of x and accepts the first one
-    with denominator within the cap that matches x to digits_trusted - 5
-    digits.  x is an mpf, kept as it is, or anything `mpf()` takes, such as
-    an mpmath constant like `mp.pi`, which is then read at the working
-    precision.  None means no small rational explains the value, which is
-    the expected outcome for a non-rational input.
+    `_readback` reads the exact interval x +- 10^-digits_trusted.  x is an
+    mpf, kept as it is, or anything `mpf()` takes, such as `mp.pi`, then read
+    at digits_trusted + 10 digits.  None means no small rational explains
+    the value, which is the expected outcome for a non-rational input.
     """
     if digits_trusted < 20:
         raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")
@@ -407,28 +420,9 @@ def reconstruct_rational(
         raise ValueError(f"need max_denominator >= 1, got {max_denominator}")
     with mp.workdps(digits_trusted + 10):
         # re-wrapping an mpf would round it to the working precision
-        value = x if isinstance(x, mpf) else mpf(x)
-        tolerance = mpf(10) ** (-(digits_trusted - 5))
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = int(mp.floor(value)), 1
-        remainder = value - mp.floor(value)
-        for _ in range(500):
-            if q_cur > max_denominator:
-                return None
-            if abs(value - mpf(p_cur) / q_cur) < tolerance:
-                return Fraction(p_cur, q_cur)
-            if remainder == 0:
-                return None
-            reciprocal = 1 / remainder
-            digit = int(mp.floor(reciprocal))
-            remainder = reciprocal - mp.floor(reciprocal)
-            p_prev, q_prev, p_cur, q_cur = (
-                p_cur,
-                q_cur,
-                digit * p_cur + p_prev,
-                digit * q_cur + q_prev,
-            )
-    return None
+        num, den = to_rational((x if isinstance(x, mpf) else mpf(x))._mpf_)
+    ten = 10**digits_trusted
+    return _readback(num * ten - den, num * ten + den, den * ten, max_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +433,6 @@ def _fraction_obj(q: Optional[Fraction]) -> Optional[dict]:
     if q is None:
         return None
     return {"num": q.numerator, "den": q.denominator}
-
-
-def _evaluate(family: str, rows: Sequence[dict], digits: int) -> List[tuple]:
-    """(multiplicity, details, bounded zeta sum) of each row, from one `_split_sum`."""
-    spec = FAMILIES[family]
-    summed = [spec.summands(**params) for params in rows]
-    totals = _split_sum(
-        [[blockvector_to_word(w) for w in words] for _, words, _ in summed], digits
-    )
-    return [(m, details, total) for (m, _, details), total in zip(summed, totals)]
 
 
 @dataclass
@@ -470,10 +454,10 @@ def weight_group(family: str, rows: Sequence[dict], digits: int) -> Iterator[Non
     of one weight.  Inside the block, the first check of any of them at
     `digits` runs every row's `summands` and evaluates all their words with
     one `_split_sum`, so the walk runs inside that check; each row's check
-    then takes its own multiplicity, details and bounded sum from there,
-    bit-identical to evaluating the row alone.  The evaluation is dropped
-    when the block ends, so nothing outlives the call that opened it.  A
-    check of any other row, family or precision runs alone.
+    then takes its own multiplicity, details and sum interval, bit-identical
+    to evaluating the row alone.  The evaluation is dropped when the block
+    ends, so nothing outlives the call that opened it.  A check of any
+    other row, family or precision runs alone.
     """
     global _open_group
     spec = FAMILIES[family]
@@ -487,17 +471,23 @@ def weight_group(family: str, rows: Sequence[dict], digits: int) -> Iterator[Non
         _open_group = None
 
 
-def _check(
-    family: str, args: tuple, digits: int, max_denominator: int, weight_cap: int
-) -> dict:
+def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) -> int:
+    """value / 2^exponent / pi^weight as an integer over 2^bits, rounded up if `up`, else down."""
+    _, man, exp, _ = mpf_pi(bits, round_floor if up else round_ceiling)
+    shift = bits - exponent - weight * exp
+    numerator, denominator = value << max(shift, 0), man**weight << max(-shift, 0)
+    return -(-numerator // denominator) if up else numerator // denominator
+
+
+def _check(family: str, args: tuple, digits: int, max_denominator: int, weight_cap: int) -> dict:
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
     The cap is enforced before any word is expanded, since the number of
-    summed words can be factorial in the vector length.  The row's words
-    share one weight, so `_split_sum` evaluates their zeta sum as one
-    value with one derived `error_bound`, at digits + 10, together with the
-    other rows of an open `weight_group` that lists this row; the ratio to
-    pi^weight is then formed at digits + 20.
+    summed words can be factorial in the vector length.  `_split_sum`
+    encloses the row's zeta sum S at digits + 10, with the other rows of an
+    open `weight_group` that lists this row; lambda S / pi^weight is then
+    enclosed in [low, high] / 2^bits, `_readback` reads the fraction off
+    it, and `value` shows its midpoint.
     """
     spec = FAMILIES[family]
     params, word = spec.parse(*args)
@@ -505,17 +495,19 @@ def _check(
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
     group = _open_group
-    if group and (group.family, group.digits) == (family, digits) and params in group.rows:
-        if group.evaluated is None:
-            # every row of the group has this row's weight, so none exceeds the cap
-            group.evaluated = _evaluate(family, group.rows, digits + 10)
-        multiplicity, details, total = group.evaluated[group.rows.index(params)]
-    else:
-        multiplicity, details, total = _evaluate(family, [params], digits + 10)[0]
-    with mp.workdps(digits + 20):
-        ratio = multiplicity * total.value / mp.pi**weight
+    if not (group and (group.family, group.digits) == (family, digits) and params in group.rows):
+        group = _WeightGroup(family, [params], digits)
+    if group.evaluated is None:
+        # every row of the group has this row's weight, so none exceeds the cap
+        summed = [spec.summands(**row) for row in group.rows]
+        words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
+        group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
+    (multiplicity, _, details), (low, high, exponent) = group.evaluated[group.rows.index(params)]
+    bits = 4 * (digits + 40)
+    low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
+    high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
     target = spec.target(weight, **params)
-    reconstructed = reconstruct_rational(ratio, digits, max_denominator)
+    reconstructed = _readback(low, high, 1 << bits, max_denominator)
     if reconstructed is None:
         status = "no-reconstruction"
     elif spec.conjectural_target and reconstructed == target:
@@ -523,16 +515,17 @@ def _check(
     elif spec.proven_rational:
         status = "verified-rational"
     else:
-        # a reconstruction that misses the only available prediction is
-        # unconfirmed, so it is not reported as a verified rational
+        # unproven, and missing the only available prediction: unconfirmed
         status = "no-reconstruction"
+    with mp.workdps(digits + 20):
+        value = mp.nstr(mp.ldexp(mpf(low + high), -(bits + 1)), digits)
     return {
         "version": "report-v1",
         "family": family,
         "params": params,
         "weight": weight,
         "digits": digits,
-        "value": mp.nstr(ratio, digits),
+        "value": value,
         "pi_power": weight,
         "reconstructed": _fraction_obj(reconstructed),
         "target": _fraction_obj(target),

@@ -1,8 +1,12 @@
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from mpmath import mpf
 
 from multizeta import cli, numerics
 from multizeta.cli import main
@@ -251,6 +255,31 @@ def test_eval_text(capsys):
     assert "engines agree" in out
 
 
+def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
+    fast = cli.eval_mzv_fast
+
+    def perturbed(c, digits):
+        out = fast(c, digits)
+        return dataclasses.replace(out, value=out.value + mpf(10) ** -3)
+
+    monkeypatch.setattr(cli, "eval_mzv_fast", perturbed)
+    code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
+    assert code == 1
+    assert out == ""
+    first, *intervals = err.splitlines()
+    assert first == "error: the engines' intervals are disjoint"
+    ends = {}
+    for line in intervals:
+        name, interval = line.split(": ")
+        low, high = map(mpf, interval.strip("[]").split(", "))
+        ends[name] = (low, high)
+    assert list(ends) == ["fast", "oracle"]
+    # zeta(1,3) = pi^4 / 360 = 0.2705808084277845..., which the fast engine missed
+    exact = mpf("0.2705808084277845478790")
+    assert ends["oracle"][0] < exact < ends["oracle"][1] < ends["fast"][0]
+    assert abs(ends["fast"][1] - exact - mpf(10) ** -3) < mpf(10) ** -12
+
+
 def test_eval_divergent_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--zeta", "2,1")
     assert code == 2
@@ -352,6 +381,28 @@ def test_check_sweep_csv(capsys):
     assert lines[0].startswith("family,params,weight,pi_power,digits,value")
     assert len(lines) == 1 + 4  # (1,0) (1,1) (1,2) (2,0)
     assert all("verified-rational" in line for line in lines[1:])
+
+
+# the cap-20 sweeps read back 201 fractions other than their target at 20
+# digits and 66 at 30 digits under a 10^30 cap, and the weight-44 bbbl row
+# 0/1, each from a fixed tolerance that ignored the row's derived bound
+@pytest.mark.parametrize("family, settings", [
+    *(pytest.param(family, ("20", "20", "1000000000000"), id=f"{family}-20d")
+      for family in FAMILIES),
+    *(pytest.param(family, ("20", "30", str(10**30)), id=f"{family}-30d-den1e30")
+      for family in FAMILIES),
+    pytest.param("bbbl", ("44", "60", str(10**60)), id="bbbl-cap44-den1e60"),
+])
+def test_sweep_reads_back_no_fraction_but_the_target(capsys, family, settings):
+    cap, digits, denominator = settings
+    code, out, _ = run_cli(
+        capsys, "check", "--family", family, "--sweep", "--weight-cap", cap,
+        "--digits", digits, "--max-denominator", denominator, "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    assert [row["params"] for row in rows if row["reconstructed"] not in ("", row["target"])] == []
 
 
 def test_check_sweep_json_is_array(capsys):

@@ -35,6 +35,7 @@ from multizeta.words import (
     blockvector_to_composition,
     blockvector_to_word,
     composition_to_word,
+    weight_of,
 )
 
 
@@ -270,13 +271,14 @@ def test_row_walk_is_bit_identical_to_the_per_word_sweep():
         m_max, bits, _ = split_precision(len(interiors[0]), digits)
         expected = [reference_half_split(w, m_max, bits) for w in interiors]
         assert walk_convolutions(interiors, m_max, bits) == expected, row_id
-        # a row's value is the one conversion of the sum of the reference integers
-        [row] = _split_sum([words], digits)
-        assert row.value == converted(sum(expected), m_max, bits, digits), row_id
-        # and a word alone is the conversion of its own reference integer
+        # a row's lower end is the sum of the reference integers, over the
+        # power of two they share
+        [(low, _, exponent)] = _split_sum([words], digits)
+        assert (low, exponent) == (sum(expected), 2 * (bits + m_max)), row_id
+        # and a word alone is its own reference integer
         for word, total in zip(words, expected):
-            [alone] = _split_sum([[word]], digits)
-            assert alone.value == converted(total, m_max, bits, digits), row_id
+            [(alone, _, _)] = _split_sum([[word]], digits)
+            assert alone == total, row_id
 
 
 def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
@@ -285,40 +287,52 @@ def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
         groups.setdefault((row_id.split("-{")[0], len(words[0])), []).append(words)
     assert len(groups) == 22
     for key, rows in groups.items():
-        # value and error_bound, bit for bit, as if each row were walked alone
+        # both ends of each interval, bit for bit, as if each row were walked alone
         assert _split_sum(rows, 70) == [_split_sum([words], 70)[0] for words in rows], key
+
+
+def exact(x):
+    """A nonnegative mpf as the fraction it stores."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.mark.parametrize("vector", [(0, 0, 0), (1, 1, 1), (0,) * 5, (0,) * 7, (2, 0, 1, 0, 0)])
 def test_one_word_row_is_eval_mzv_fast(vector):
     # the bbbl rows at the default cap, and one vector that is not constant
     for digits in (20, 70):
-        [row] = _split_sum([[blockvector_to_word(vector)]], digits)
-        assert row == eval_mzv_fast(blockvector_to_composition(vector), digits)
-
-
-def exact(x):
-    """An mpf as the fraction it stores."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
+        word = blockvector_to_word(vector)
+        [(low, high, exponent)] = _split_sum([[word]], digits)
+        out = eval_mzv_fast(blockvector_to_composition(vector), digits)
+        m_max, bits, prec = split_precision(len(word) - 2, digits)
+        # the value is the one conversion of the row's lower end
+        assert out.value == converted(low, m_max, bits, digits), vector
+        # the bound is the row's width, the one conversion, and the rounding
+        # up of the bound itself, so it covers the whole interval
+        width = Fraction(high - low, 2**exponent)
+        conversion = Fraction(low, 2**exponent) / 2**prec
+        bound = exact(out.error_bound)
+        assert width + conversion <= bound, vector
+        assert bound <= (width + conversion) * (1 + Fraction(4, 2**prec)), vector
+        value = exact(out.value)
+        assert value - bound <= Fraction(low, 2**exponent), vector
+        assert Fraction(high, 2**exponent) <= value + bound, vector
 
 
 @pytest.mark.parametrize("digits", [30, 70])
 def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
     for row_id, words in family_rows() + [REPEATED_ROW]:
         k, n = len(words), len(words[0]) - 2
-        [row] = _split_sum([words], digits)
-        [finer] = _split_sum([words], digits + 40)
-        with mp.workdps(digits + 60):
-            assert abs(row.value - finer.value) <= row.error_bound, row_id
-        m_max, bits, prec = split_precision(n, digits)
+        [(low, high, exponent)] = _split_sum([words], digits)
+        [(fine_low, fine_high, fine_exponent)] = _split_sum([words], digits + 40)
+        low, high = Fraction(low, 2**exponent), Fraction(high, 2**exponent)
+        fine_low, fine_high = (Fraction(end, 2**fine_exponent) for end in (fine_low, fine_high))
+        # the finer sum falls short by far less, so it lies in the interval
+        assert low <= fine_low <= high, row_id
+        m_max, bits, _ = split_precision(n, digits)
         per_word = Fraction(2 * (n + 1), 2**m_max) + Fraction(n * (n + 1), 2**bits)
-        conversion = exact(row.value) / 2**prec
-        bound = exact(row.error_bound)
-        # every word's tail and rounding, the one conversion, and the
-        # rounding up of the bound itself
-        assert k * per_word <= bound, row_id
-        assert bound <= (k * per_word + conversion) * (1 + Fraction(4, 2**prec)), row_id
+        # the width is every word's tail and rounding, exactly
+        assert high - low == k * per_word, row_id
 
 
 @pytest.mark.parametrize("digits", [1, 20, 60, 200])
@@ -505,11 +519,13 @@ def test_reconstruct_recovers_planted_rationals():
             assert reconstruct_rational(x, 45) == Fraction(num, den)
 
 
-def test_reconstruct_declines_irrationals():
+@pytest.mark.parametrize("digits", [20, 50])
+def test_reconstruct_declines_irrationals(digits):
     with mp.workdps(70):
-        assert reconstruct_rational(mp.sqrt(2), 50) is None
-        assert reconstruct_rational(mp.pi, 50) is None
-        assert reconstruct_rational(mp.zeta(3), 50) is None
+        assert reconstruct_rational(mp.sqrt(2), digits) is None
+        assert reconstruct_rational(mp.e, digits) is None
+        assert reconstruct_rational(mp.pi, digits) is None
+        assert reconstruct_rational(mp.zeta(3), digits) is None
 
 
 def test_reconstruct_denominator_cap():
@@ -517,6 +533,13 @@ def test_reconstruct_denominator_cap():
         x = mpf(1) / 10**13
         assert reconstruct_rational(x, 50, max_denominator=10**12) is None
         assert reconstruct_rational(x, 50, max_denominator=10**14) == Fraction(1, 10**13)
+
+
+def test_reconstruct_trusts_x_to_exactly_its_digits():
+    with mp.workdps(80):
+        third = mpf(1) / 3
+        assert reconstruct_rational(third + mpf(10) ** -40 / 2, 40) == Fraction(1, 3)
+        assert reconstruct_rational(third + 2 * mpf(10) ** -40, 40) is None
 
 
 def test_reconstruct_preconditions():
@@ -530,6 +553,41 @@ def test_reconstruct_handles_integers():
     with mp.workdps(60):
         assert reconstruct_rational(mpf(7), 40) == Fraction(7)
         assert reconstruct_rational(mpf(0), 40) == Fraction(0)
+
+
+def least_denominator_fraction(low, high, scale, limit):
+    """The fraction of least denominator up to `limit` in [low, high] / scale, by search."""
+    for q in range(1, limit + 1):
+        p = -(-low * q // scale)
+        if p * scale <= high * q:
+            return Fraction(p, q)
+    return None
+
+
+def test_readback_is_the_least_denominator_fraction_below_q():
+    rng = random.Random(5)
+    scale = 10**18
+    for _ in range(300):
+        width = rng.choice([10**3, 10**5, 10**6])
+        # half the intervals hold a planted fraction, most of the others none below Q
+        planted = Fraction(rng.randint(-200, 200), rng.randint(1, 40))
+        centre = planted * scale if rng.random() < 0.5 else rng.randint(-3 * scale, 3 * scale)
+        low = math.floor(centre) - rng.randint(0, width)
+        high = low + width
+        # Q from the width: 316, 31 or 10
+        limit = math.isqrt(scale // (width * 10**10))
+        found = numerics._readback(low, high, scale, 10**12)
+        assert found == least_denominator_fraction(low, high, scale, limit), (low, high)
+    # closed ends: an end that is itself the fraction, at any depth
+    assert numerics._readback(3 * scale, 3 * scale + 1, scale, 10**12) == 3
+    assert numerics._readback(scale // 4, scale // 4 + 1, scale, 10**12) == Fraction(1, 4)
+    assert numerics._readback(scale // 4 - 1, scale // 4, scale, 10**12) == Fraction(1, 4)
+    assert numerics._readback(-scale // 4, -scale // 4 + 1, scale, 10**12) == Fraction(-1, 4)
+    assert numerics._readback(333, 334, 1000, 10**12) is None  # Q = 0
+    # the cap applies below Q too: Q = 1000 here, and 1/3 needs a cap of 3
+    third = (3333333333333333 * 10**4, 3333333333333334 * 10**4, 10**20)
+    assert numerics._readback(*third, 2) is None
+    assert numerics._readback(*third, 3) == Fraction(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +656,80 @@ def test_cyclic_reports():
 
 def test_off_target_reconstruction_without_proof_is_unconfirmed(monkeypatch):
     # status rule 4 of docs/schemas.md: no proof and the only prediction missed
-    monkeypatch.setattr(numerics, "reconstruct_rational", lambda x, d, q: Fraction(1, 5041))
+    monkeypatch.setattr(numerics, "_readback", lambda low, high, scale, cap: Fraction(1, 5041))
     rep = check_cyclic_insertion((1, 0, 0), digits=40)
     assert rep["target"] == {"num": 1, "den": 5040}
     assert rep["reconstructed"] == {"num": 1, "den": 5041}
     assert rep["matches_target"] is False
     assert rep["proven_rational"] is False
     assert rep["status"] == "no-reconstruction"
+
+
+def readback_intervals(monkeypatch):
+    """A list that gets each `_readback` call's [low, high] / scale from now on."""
+    intervals = []
+    readback = numerics._readback
+
+    def recorded(low, high, scale, cap):
+        intervals.append((Fraction(low, scale), Fraction(high, scale)))
+        return readback(low, high, scale, cap)
+
+    monkeypatch.setattr(numerics, "_readback", recorded)
+    return intervals
+
+
+@pytest.mark.parametrize("shift", [-30, 10])
+@pytest.mark.parametrize("weight", [2, 14, 44])
+def test_pi_power_division_rounds_outward(weight, shift):
+    # a quotient near 2^(bits - 30) (4/pi)^weight, where only the rounding
+    # of the division shows, and near 2^(bits + 10) (4/pi)^weight, where pi
+    # rounded the wrong way moves an end by many units
+    bits, exponent = 200, 90
+    value = 4**weight << (exponent + shift)
+    low = numerics._over_pi_power(value, exponent, weight, bits, up=False)
+    high = numerics._over_pi_power(value, exponent, weight, bits, up=True)
+    with mp.workdps(150):
+        quotient = mp.ldexp(mpf(value) / mp.pi**weight, bits - exponent)
+        assert low < quotient < high
+        # pi is known to 2^(1 - bits) relatively, so its weight-th power to
+        # about weight 2^(1 - bits), plus one unit for each division
+        assert high - low <= 2 + 4 * weight * mp.ldexp(quotient, -bits)
+
+
+def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monkeypatch):
+    # weight 44: the target's denominator, about 2.7 10^57, is above Q, and
+    # the value 3.6 10^-58 once read back as 0/1 under the 10^60 cap
+    intervals = readback_intervals(monkeypatch)
+    rep = check_bbbl_family(11, 0, max_denominator=10**60, weight_cap=44)
+    assert rep["weight"] == 44
+    assert rep["reconstructed"] is None
+    assert rep["status"] == "no-reconstruction"
+    # the interval certifies about 42 of the 60 digits shown, and `value` is
+    # its midpoint, which the lower end differs from in the 43rd digit
+    [(low, high)] = intervals
+    middle = (low + high) / 2
+    with mp.workdps(80):
+        assert rep["value"] == mp.nstr(mpf(middle.numerator) / middle.denominator, 60)
+
+
+@pytest.mark.parametrize("digits", [20, 60])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_cap20_target_lies_in_its_rows_certified_interval(monkeypatch, family, digits):
+    spec = FAMILIES[family]
+    check = getattr(numerics, spec.check)
+    groups = {}
+    for params in spec.sweep(20):
+        args = [params[name] for name in spec.params]
+        groups.setdefault(weight_of(spec.parse(*args)[1]), []).append((params, args))
+    intervals = readback_intervals(monkeypatch)
+    reports = []
+    for rows in groups.values():
+        with numerics.weight_group(family, [params for params, _ in rows], digits):
+            reports += [check(*args, digits, weight_cap=20) for _, args in rows]
+    assert len(reports) == len(intervals) == len(spec.sweep(20))
+    for report, (low, high) in zip(reports, intervals):
+        target = Fraction(report["target"]["num"], report["target"]["den"])
+        assert low <= target <= high, report["params"]
 
 
 def test_family_parameter_validation():
