@@ -28,17 +28,17 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from mpmath import mp
 
-from . import numerics
 from .numerics import (
     DEFAULT_DIGITS,
-    DEFAULT_MAX_DENOMINATOR,
     DEFAULT_WEIGHT_CAP,
     FAMILIES,
     MAX_EVAL_DIGITS,
+    check_group,
     eval_mzv_fast,
     eval_mzv_series,
 )
@@ -48,11 +48,11 @@ from .words import Composition, block_vector, format_vector, weight_of
 ORACLE_TERMS = 5000
 
 
-# flag name: (environment variable or None, default, least value, help)
+# flag name: (environment variable or None, default or None, least value, help)
 SETTINGS = {
     "digits": ("MULTIZETA_DIGITS", DEFAULT_DIGITS, 20, "working precision in decimal digits"),
-    "max-denominator": (None, DEFAULT_MAX_DENOMINATOR, 1,
-                        "largest denominator accepted by rational readback"),
+    "max-denominator": (None, None, 1, "largest denominator accepted by rational "
+                        "readback (default, and upper limit, each row's certified Q)"),
     "weight-cap": ("MULTIZETA_WEIGHT_CAP", DEFAULT_WEIGHT_CAP, 4,
                    "refuse instances above this weight"),
     "jobs": (None, 1, 1, "parallel worker processes for --sweep"),
@@ -108,8 +108,9 @@ def _add_shared_flags(
     """`--output`, `--format` and the numeric settings the command reads, left for `main`."""
     for name in settings:
         env, default, _, text = SETTINGS[name]
-        shown = f"${env}, else {default}" if env else default
-        sub.add_argument(f"--{name}", type=int, help=f"{text} (default {shown})")
+        if default is not None:
+            text += f" (default ${env}, else {default})" if env else f" (default {default})"
+        sub.add_argument(f"--{name}", type=int, help=text)
     sub.add_argument("--output", default=None, help="write to this path instead of stdout")
     sub.add_argument(
         "--format",
@@ -228,18 +229,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_group(job: Tuple) -> List[dict]:
-    """The reports of one weight group's rows, in order, from one prefix walk."""
-    family, rows, digits, max_denominator, weight_cap = job
-    spec = FAMILIES[family]
-    check = getattr(numerics, spec.check)
-    with numerics.weight_group(family, rows, digits):
-        return [
-            check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
-            for params in rows
-        ]
-
-
 def _frac_compact(obj: Optional[dict]) -> str:
     if obj is None:
         return ""
@@ -317,18 +306,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         _, word = spec.parse(*(params[p] for p in spec.params))
         groups.setdefault(weight_of(word), []).append(index)
     positions = [groups[weight] for weight in sorted(groups, reverse=True)]
-    jobs = [
-        (args.family, [param_list[i] for i in rows], args.digits, args.max_denominator,
-         args.weight_cap)
-        for rows in positions
-    ]
+    jobs = [[param_list[i] for i in rows] for rows in positions]
+    run = partial(check_group, args.family, digits=args.digits,
+                  max_denominator=args.max_denominator, weight_cap=args.weight_cap)
     # every worker is forked up front, so never start more than there are groups
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(_run_group, jobs))
+            grouped = list(pool.map(run, jobs))
     else:
-        grouped = [_run_group(job) for job in jobs]
+        grouped = list(map(run, jobs))
     reports: List[dict] = [{}] * len(param_list)
     for rows, group_reports in zip(positions, grouped):
         for index, report in zip(rows, group_reports):
@@ -358,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     value = default
                     if env is not None and env in os.environ:
                         value, source = _env_int(env), env
-                if value < floor:
+                if value is not None and value < floor:
                     parser.error(f"{source} must be at least {floor}, got {value}")
                 setattr(args, dest, value)
         _check_writable(args.output)

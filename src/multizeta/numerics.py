@@ -25,30 +25,30 @@ Two independent evaluation engines are provided.
   row of one weight shares M and the bit width too, so a sweep evaluates
   all the rows of a weight from one depth-first walk over their sorted
   words and duals (`_prefix_walk`), which sweeps every distinct prefix of
-  the group once: the CLI opens a `weight_group` per weight, and the
-  group's first check runs the walk.  `eval_mzv_fast` is the one-word
+  the group once: `check_group` runs the checks of one weight's rows, and
+  the group's first check runs the walk.  `eval_mzv_fast` is the one-word
   case, and the only place the integers become an mpf.
 
 Rational readback is exact: a check divides the row's interval by
 pi^weight, rounding outward, and takes the least-denominator fraction in
-it if no other that small fits (`_readback`); None is the normal outcome
-for a value that is not a small-denominator rational.  The family checks
-combine the engines with the symbolic verifier; the table `FAMILIES`
-holds everything that distinguishes one family from another.
+it if no other that small fits, up to the Q that its width derives
+(`_readback`); None is the normal outcome for a value that is not a
+small-denominator rational.  The family checks combine the engines with
+the symbolic verifier; the table `FAMILIES` holds everything that
+distinguishes one family from another.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, repeat
 from math import comb, factorial, isqrt
 from operator import floordiv, mul, rshift
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_pi, round_ceiling, round_floor, to_rational
@@ -81,13 +81,13 @@ __all__ = [
     "check_bowman_bradley",
     "check_bbbl_family",
     "check_cyclic_insertion",
-    "weight_group",
+    "check_group",
     "Family",
     "FAMILIES",
 ]
 
 DEFAULT_DIGITS = 60
-DEFAULT_MAX_DENOMINATOR = 10**12
+DEFAULT_MAX_DENOMINATOR = 10**12  # `reconstruct_rational`'s; a family check caps at Q
 DEFAULT_WEIGHT_CAP = 14
 MAX_EVAL_DIGITS = 200
 
@@ -341,9 +341,12 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     empty interior word, n = 0, has the one exact convolution 1 * 1; its
     rounding term is 0 and its tail is kept.
     """
+    weights = {len(word) - 2 for words in rows for word in words}
+    if len(weights) > 1:
+        raise ValueError(f"a split sum needs words of one weight, got {sorted(weights)}")
     interiors = [[word[1:-1] for word in words] for words in rows]
     duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
-    n = len(interiors[0][0])
+    n = weights.pop()
     m_max = _truncation_degree(n, digits)
     bits = dps_to_prec(digits + 15) + 2 * n.bit_length()
     prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
@@ -377,16 +380,17 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
     return PrecisionReal(value=value, digits=digits, error_bound=bound)
 
 
-def _readback(low: int, high: int, scale: int, max_denominator: int) -> Optional[Fraction]:
+def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[Fraction]:
     """The fraction of least denominator in [low, high] / scale, if it is the only small one.
 
     Both ends share the interval's continued-fraction terms until their
     integer parts differ, and the least integer at that depth ends it.  It
-    is accepted only if its denominator is at most `max_denominator` and
-    Q = floor((width 10^10)^(-1/2)): two fractions with denominators up to Q
-    lie at least 1/Q^2 = 10^10 widths apart, so no other one fits.
+    is accepted only if its denominator is at most `cap`, if one is given,
+    and Q = floor((width 10^10)^(-1/2)): two fractions with denominators up
+    to Q lie at least 1/Q^2 = 10^10 widths apart, so no other one fits.
     """
-    limit = min(max_denominator, isqrt(scale // ((high - low) * 10**10)))
+    limit = isqrt(scale // ((high - low) * 10**10))
+    limit = limit if cap is None else min(limit, cap)
     sign = 1 if low > 0 else -1
     (lo, hi), lo_den, hi_den = sorted((sign * low, sign * high)), scale, scale
     p0, q0, p1, q1 = 0, 1, 1, 0  # the last two convergents of the shared terms
@@ -446,31 +450,6 @@ class _WeightGroup:
 _open_group: Optional[_WeightGroup] = None
 
 
-@contextmanager
-def weight_group(family: str, rows: Sequence[dict], digits: int) -> Iterator[None]:
-    """Let the checks of `rows` share one prefix walk.
-
-    `rows` are parameter objects of `family`, as its `sweep` lists them, all
-    of one weight.  Inside the block, the first check of any of them at
-    `digits` runs every row's `summands` and evaluates all their words with
-    one `_split_sum`, so the walk runs inside that check; each row's check
-    then takes its own multiplicity, details and sum interval, bit-identical
-    to evaluating the row alone.  The evaluation is dropped when the block
-    ends, so nothing outlives the call that opened it.  A check of any
-    other row, family or precision runs alone.
-    """
-    global _open_group
-    spec = FAMILIES[family]
-    weights = {weight_of(spec.parse(*(p[name] for name in spec.params))[1]) for p in rows}
-    if len(weights) > 1:
-        raise ValueError(f"a weight group needs rows of one weight, got {sorted(weights)}")
-    _open_group = _WeightGroup(family, list(rows), digits)
-    try:
-        yield
-    finally:
-        _open_group = None
-
-
 def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) -> int:
     """value / 2^exponent / pi^weight as an integer over 2^bits, rounded up if `up`, else down."""
     _, man, exp, _ = mpf_pi(bits, round_floor if up else round_ceiling)
@@ -479,13 +458,15 @@ def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) 
     return -(-numerator // denominator) if up else numerator // denominator
 
 
-def _check(family: str, args: tuple, digits: int, max_denominator: int, weight_cap: int) -> dict:
+def _check(
+    family: str, args: tuple, digits: int, max_denominator: Optional[int], weight_cap: int
+) -> dict:
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
     The cap is enforced before any word is expanded, since the number of
     summed words can be factorial in the vector length.  `_split_sum`
-    encloses the row's zeta sum S at digits + 10, with the other rows of an
-    open `weight_group` that lists this row; lambda S / pi^weight is then
+    encloses the row's zeta sum S at digits + 10, with the other rows of a
+    `check_group` that lists this row; lambda S / pi^weight is then
     enclosed in [low, high] / 2^bits, `_readback` reads the fraction off
     it, and `value` shows its midpoint.
     """
@@ -498,7 +479,7 @@ def _check(family: str, args: tuple, digits: int, max_denominator: int, weight_c
     if not (group and (group.family, group.digits) == (family, digits) and params in group.rows):
         group = _WeightGroup(family, [params], digits)
     if group.evaluated is None:
-        # every row of the group has this row's weight, so none exceeds the cap
+        # the cap was checked for this row alone: `check_group` rows share its weight
         summed = [spec.summands(**row) for row in group.rows]
         words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
         group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
@@ -539,7 +520,7 @@ def _check(family: str, args: tuple, digits: int, max_denominator: int, weight_c
 def check_symmetric_sum(
     a: Iterable[int],
     digits: int = DEFAULT_DIGITS,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: Optional[int] = None,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
 ) -> dict:
     """Certify and numerically confirm the full symmetrized insertion sum.
@@ -557,7 +538,7 @@ def check_bowman_bradley(
     n: int,
     m: int,
     digits: int = DEFAULT_DIGITS,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: Optional[int] = None,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
 ) -> dict:
     """Sum over all distributions of m twos around the 1,3 spine of length 2n+1.
@@ -572,7 +553,7 @@ def check_bbbl_family(
     n: int,
     m: int,
     digits: int = DEFAULT_DIGITS,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: Optional[int] = None,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
 ) -> dict:
     """The single zeta value with a constant insertion vector (m, m, ..., m).
@@ -587,7 +568,7 @@ def check_bbbl_family(
 def check_cyclic_insertion(
     a: Iterable[int],
     digits: int = DEFAULT_DIGITS,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: Optional[int] = None,
     weight_cap: int = DEFAULT_WEIGHT_CAP,
 ) -> dict:
     """Sum over all cyclic rotations of a, kept with multiplicity.
@@ -596,6 +577,36 @@ def check_cyclic_insertion(
     rationality here, so only an exact match is reported as meaningful.
     """
     return _check("cyclic", (a,), digits, max_denominator, weight_cap)
+
+
+def check_group(
+    family: str,
+    rows: Sequence[dict],
+    digits: int = DEFAULT_DIGITS,
+    max_denominator: Optional[int] = None,
+    weight_cap: int = DEFAULT_WEIGHT_CAP,
+) -> List[dict]:
+    """The reports of `rows`, in order, from one prefix walk.
+
+    `rows` are parameter objects of `family`, as its `sweep` lists them, all
+    of one weight.  Each runs through the family's `check_*`, looked up by
+    name at call time so that a rebinding reaches every row.  The first runs
+    every row's `summands` and one `_split_sum` of all their words, and each
+    takes its own row's share, bit-identical to checking that row alone.
+    Rows of mixed weights raise ValueError once all are expanded.  Nothing
+    outlives the call, however it ends.
+    """
+    global _open_group
+    spec = FAMILIES[family]
+    check = globals()[spec.check]
+    _open_group = _WeightGroup(family, list(rows), digits)
+    try:
+        return [
+            check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
+            for params in rows
+        ]
+    finally:
+        _open_group = None
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +626,8 @@ class Family:
     report's `details`; `target(weight, ...)` is the closed-form
     prediction, and `sweep(weight_cap)` lists the parameters of every
     instance under the cap in row order.  `check` names the family's public
-    entry point in this module; callers look it up at call time, so a
-    rebinding of that attribute reaches every row.
+    entry point in this module; `check_group` looks it up at call time, so
+    a rebinding of that attribute reaches every row.
     """
 
     check: str

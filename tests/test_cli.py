@@ -10,7 +10,12 @@ from mpmath import mpf
 
 from multizeta import cli, numerics
 from multizeta.cli import main
-from multizeta.numerics import FAMILIES, check_cyclic_insertion, check_symmetric_sum
+from multizeta.numerics import (
+    FAMILIES,
+    check_cyclic_insertion,
+    check_group,
+    check_symmetric_sum,
+)
 from multizeta.verifier import InsertionInstance, build_instance
 
 
@@ -186,7 +191,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("work started before --output was checked")
 
-    for name in ("_run_group", "build_instance", "eval_mzv_fast"):
+    for name in ("check_group", "build_instance", "eval_mzv_fast"):
         monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
@@ -385,24 +390,32 @@ def test_check_sweep_csv(capsys):
 
 # the cap-20 sweeps read back 201 fractions other than their target at 20
 # digits and 66 at 30 digits under a 10^30 cap, and the weight-44 bbbl row
-# 0/1, each from a fixed tolerance that ignored the row's derived bound
+# 0/1, each from a fixed tolerance that ignored the row's derived bound;
+# with no --max-denominator, the cap is each row's Q and no row declines,
+# where the old default of 10^12 declined 16 of 75 rows at cap 14
 @pytest.mark.parametrize("family, settings", [
     *(pytest.param(family, ("20", "20", "1000000000000"), id=f"{family}-20d")
       for family in FAMILIES),
     *(pytest.param(family, ("20", "30", str(10**30)), id=f"{family}-30d-den1e30")
       for family in FAMILIES),
     pytest.param("bbbl", ("44", "60", str(10**60)), id="bbbl-cap44-den1e60"),
+    *(pytest.param(family, (cap, "60", None), id=f"{family}-cap{cap}-default-den")
+      for cap in ("14", "20") for family in FAMILIES),
 ])
 def test_sweep_reads_back_no_fraction_but_the_target(capsys, family, settings):
     cap, digits, denominator = settings
+    flag = [] if denominator is None else ["--max-denominator", denominator]
     code, out, _ = run_cli(
         capsys, "check", "--family", family, "--sweep", "--weight-cap", cap,
-        "--digits", digits, "--max-denominator", denominator, "--format", "csv",
+        "--digits", digits, *flag, "--format", "csv",
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows
-    assert [row["params"] for row in rows if row["reconstructed"] not in ("", row["target"])] == []
+    misses = [row["params"] for row in rows if row["reconstructed"] != row["target"]]
+    declined = [row["params"] for row in rows if row["reconstructed"] == ""]
+    # a row may decline under an explicit cap, never read back another fraction
+    assert misses == ([] if denominator is None else declined)
 
 
 def test_check_sweep_json_is_array(capsys):
@@ -538,17 +551,25 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     rows = FAMILIES["cyclic"].sweep(8)[2:4]  # (0,0,2) and (0,1,1), both of weight 8
     alone = [check_cyclic_insertion(row["a"], 30) for row in rows]
     walks = count_walks(monkeypatch)
-    with numerics.weight_group("cyclic", rows, 30):
-        assert [check_cyclic_insertion(row["a"], 30) for row in rows] == alone
-        assert len(walks) == 1
-        # a row the group does not list, or another precision, walks alone
+    assert check_group("cyclic", rows, 30) == alone
+    assert len(walks) == 1
+    assert numerics._open_group is None
+
+    # inside the group, a row it does not list, or another precision, walks alone
+    def with_others(a, digits, *rest):
         check_cyclic_insertion([0, 0, 1], 30)
         assert check_cyclic_insertion(rows[0]["a"], 25)["digits"] == 25
-        assert len(walks) == 3
-    assert numerics._open_group is None
+        return check_cyclic_insertion(a, digits, *rest)
+
+    monkeypatch.setattr(numerics, "check_cyclic_insertion", with_others)
+    walks.clear()
+    assert check_group("cyclic", rows, 30) == alone
+    assert len(walks) == 1 + 2 * len(rows)
+    monkeypatch.undo()
+    # rows of weights 4 and 6: the split sum refuses words of two weights
     with pytest.raises(ValueError, match="one weight"):
-        with numerics.weight_group("cyclic", FAMILIES["cyclic"].sweep(6), 30):
-            pass
+        check_group("cyclic", FAMILIES["cyclic"].sweep(6), 30)
+    assert numerics._open_group is None
 
 
 def test_check_deterministic_bytes(capsys):

@@ -90,7 +90,7 @@ def recorded_calls():
         ["--family", "bbbl", "--n", "2", "--m", "1"],
     ]
     calls.extend(["check"] + args for args in usage_errors)
-    # weight 14: the proved closed form needs a denominator above the default cap
+    # weight 14: the proved closed form's denominator 15! is above 10^12, and within Q
     calls.append(["check", "--family", "bowman-bradley", "--n", "3", "--m", "1"])
 
     for entry in _sweep_params("symmetric", 16):

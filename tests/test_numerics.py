@@ -21,6 +21,7 @@ from multizeta.numerics import (
     check_bbbl_family,
     check_bowman_bradley,
     check_cyclic_insertion,
+    check_group,
     check_symmetric_sum,
     euler_zeta_even,
     eval_mzv_fast,
@@ -279,6 +280,14 @@ def test_row_walk_is_bit_identical_to_the_per_word_sweep():
         for word, total in zip(words, expected):
             [(alone, _, _)] = _split_sum([[word]], digits)
             assert alone == total, row_id
+
+
+def test_split_sum_refuses_words_of_two_weights():
+    # M and B come from the first word, so a heavier word would get too few
+    # degrees and bits, and an interval its bound does not derive
+    rows = [[composition_to_word(Composition((2, 4)))], [composition_to_word(Composition((8,)))]]
+    with pytest.raises(ValueError, match=r"one weight, got \[6, 8\]"):
+        _split_sum(rows, 30)
 
 
 def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
@@ -716,16 +725,14 @@ def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monk
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_every_cap20_target_lies_in_its_rows_certified_interval(monkeypatch, family, digits):
     spec = FAMILIES[family]
-    check = getattr(numerics, spec.check)
     groups = {}
     for params in spec.sweep(20):
-        args = [params[name] for name in spec.params]
-        groups.setdefault(weight_of(spec.parse(*args)[1]), []).append((params, args))
+        _, word = spec.parse(*(params[p] for p in spec.params))
+        groups.setdefault(weight_of(word), []).append(params)
     intervals = readback_intervals(monkeypatch)
     reports = []
     for rows in groups.values():
-        with numerics.weight_group(family, [params for params, _ in rows], digits):
-            reports += [check(*args, digits, weight_cap=20) for _, args in rows]
+        reports += check_group(family, rows, digits, weight_cap=20)
     assert len(reports) == len(intervals) == len(spec.sweep(20))
     for report, (low, high) in zip(reports, intervals):
         target = Fraction(report["target"]["num"], report["target"]["den"])
