@@ -29,13 +29,13 @@ Two independent evaluation engines are provided.
   the group's first check runs the walk.  `eval_mzv_fast` is the one-word
   case, and the only place the integers become an mpf.
 
-Rational readback is exact: a check divides the row's interval by
-pi^weight, rounding outward, and takes the least-denominator fraction in
-it if no other that small fits, up to the Q that its width derives
-(`_readback`); None is the normal outcome for a value that is not a
-small-denominator rational.  The family checks combine the engines with
-the symbolic verifier; the table `FAMILIES` holds everything that
-distinguishes one family from another.
+Rational readback is exact and has one rule (`_readback`): the fraction
+of least denominator in a certified interval, up to the Q that its width
+derives or a lower cap.  A check reads the row's interval over pi^weight,
+rounded outward, and `reconstruct_rational` reads x +- 10^-digits; None
+is the normal outcome for a value that is not a small-denominator
+rational.  The family checks combine the engines with the symbolic
+verifier; the table `FAMILIES` holds all that tells one family from another.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .words import (
 __all__ = [
     "PrecisionReal",
     "DEFAULT_DIGITS",
-    "DEFAULT_MAX_DENOMINATOR",
     "DEFAULT_WEIGHT_CAP",
     "MAX_EVAL_DIGITS",
     "bernoulli_numbers",
@@ -87,7 +86,6 @@ __all__ = [
 ]
 
 DEFAULT_DIGITS = 60
-DEFAULT_MAX_DENOMINATOR = 10**12  # `reconstruct_rational`'s; a family check caps at Q
 DEFAULT_WEIGHT_CAP = 14
 MAX_EVAL_DIGITS = 200
 
@@ -383,12 +381,14 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
 def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[Fraction]:
     """The fraction of least denominator in [low, high] / scale, if it is the only small one.
 
-    Both ends share the interval's continued-fraction terms until their
-    integer parts differ, and the least integer at that depth ends it.  It
-    is accepted only if its denominator is at most `cap`, if one is given,
-    and Q = floor((width 10^10)^(-1/2)): two fractions with denominators up
-    to Q lie at least 1/Q^2 = 10^10 widths apart, so no other one fits.
+    The one readback rule.  Both ends share the interval's continued-fraction
+    terms until their integer parts differ; the least integer at that depth
+    ends it.  It is accepted only up to Q = floor((width 10^10)^(-1/2)): two
+    fractions with denominators up to Q lie at least 1/Q^2 = 10^10 widths
+    apart, so no other fits.  A `cap` only lowers Q; one below 1 raises.
     """
+    if cap is not None and cap < 1:
+        raise ValueError(f"need max_denominator >= 1, got {cap}")
     limit = isqrt(scale // ((high - low) * 10**10))
     limit = limit if cap is None else min(limit, cap)
     sign = 1 if low > 0 else -1
@@ -409,19 +409,17 @@ def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[F
 def reconstruct_rational(
     x: Union[mpf, float, int],
     digits_trusted: int,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
+    max_denominator: Optional[int] = None,
 ) -> Optional[Fraction]:
     """Read an exact fraction off a high-precision value, or decline.
 
-    `_readback` reads the exact interval x +- 10^-digits_trusted.  x is an
-    mpf, kept as it is, or anything `mpf()` takes, such as `mp.pi`, then read
-    at digits_trusted + 10 digits.  None means no small rational explains
-    the value, which is the expected outcome for a non-rational input.
+    `_readback` reads the exact interval x +- 10^-digits_trusted; None as
+    `max_denominator` means its Q.  x is an mpf, kept as it is, or anything
+    `mpf()` takes, such as `mp.pi`, then read at digits_trusted + 10 digits.
+    None means no small rational explains x, as expected of an irrational.
     """
     if digits_trusted < 20:
         raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")
-    if max_denominator < 1:
-        raise ValueError(f"need max_denominator >= 1, got {max_denominator}")
     with mp.workdps(digits_trusted + 10):
         # re-wrapping an mpf would round it to the working precision
         num, den = to_rational((x if isinstance(x, mpf) else mpf(x))._mpf_)
@@ -470,6 +468,8 @@ def _check(
     enclosed in [low, high] / 2^bits, `_readback` reads the fraction off
     it, and `value` shows its midpoint.
     """
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
     spec = FAMILIES[family]
     params, word = spec.parse(*args)
     weight = weight_of(word)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain
 from operator import floordiv, mul
 
@@ -544,6 +545,14 @@ def test_reconstruct_denominator_cap():
         assert reconstruct_rational(x, 50, max_denominator=10**14) == Fraction(1, 10**13)
 
 
+def test_reconstruct_caps_at_q_by_default():
+    # Q at 60 digits is about 10^25, above the denominator 15! = 1307674368000
+    with mp.workdps(80):
+        x = mpf(1) / math.factorial(15)
+        assert reconstruct_rational(x, 60) == Fraction(1, math.factorial(15))
+        assert reconstruct_rational(x, 60, max_denominator=None) == Fraction(1, math.factorial(15))
+
+
 def test_reconstruct_trusts_x_to_exactly_its_digits():
     with mp.workdps(80):
         third = mpf(1) / 3
@@ -554,8 +563,15 @@ def test_reconstruct_trusts_x_to_exactly_its_digits():
 def test_reconstruct_preconditions():
     with pytest.raises(ValueError):
         reconstruct_rational(mpf(1) / 3, 19)
-    with pytest.raises(ValueError):
-        reconstruct_rational(mpf(1) / 3, 30, max_denominator=0)
+    # every readback refuses a cap below 1 with one message
+    for readback in (
+        partial(reconstruct_rational, mpf(1) / 3),
+        partial(check_bbbl_family, 1, 0),
+        partial(check_group, "bbbl", [{"n": 1, "m": 0}]),
+    ):
+        with pytest.raises(ValueError, match="need max_denominator >= 1, got 0"):
+            readback(30, max_denominator=0)
+    assert numerics._open_group is None
 
 
 def test_reconstruct_handles_integers():
@@ -746,6 +762,8 @@ def test_family_parameter_validation():
         check_bbbl_family(1, -1)
     with pytest.raises(ValueError):
         check_bbbl_family(1, 2)  # weight 16 over the default cap
+    with pytest.raises(ValueError, match="need digits >= 1, got 0"):
+        check_bbbl_family(1, 0, 0)
     with pytest.raises(ValueError):
         check_cyclic_insertion((1, 0))
 
