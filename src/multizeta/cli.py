@@ -303,8 +303,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     # rows' positions, which put the reports back in sweep order
     groups: Dict[int, List[int]] = {}
     for index, params in enumerate(param_list):
-        _, word = spec.parse(*(params[p] for p in spec.params))
-        groups.setdefault(weight_of(word), []).append(index)
+        _, weight = spec.parse(*(params[p] for p in spec.params))
+        groups.setdefault(weight, []).append(index)
     positions = [groups[weight] for weight in sorted(groups, reverse=True)]
     jobs = [[param_list[i] for i in rows] for rows in positions]
     run = partial(check_group, args.family, digits=args.digits,

@@ -306,8 +306,8 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the interior word (the
     word without its boundary symbols, n = weight), where P_j is the value
     at 1/2 of the iterated integral of its first j symbols and Q_j the same
-    for its reverse-complement dual.  Every word of every row must have the
-    one length, so all share M and the bit width B, and one `_prefix_walk`
+    for its reverse-complement dual.  Its callers pass words of one weight,
+    so all share M and the bit width B, and one `_prefix_walk`
     computes both runs of every word in fixed point, sweeping each distinct
     prefix of all the rows' words and duals once.  A prefix's value depends
     on nothing but the prefix, M and B, so a row's integers are the same
@@ -339,12 +339,9 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     empty interior word, n = 0, has the one exact convolution 1 * 1; its
     rounding term is 0 and its tail is kept.
     """
-    weights = {len(word) - 2 for words in rows for word in words}
-    if len(weights) > 1:
-        raise ValueError(f"a split sum needs words of one weight, got {sorted(weights)}")
     interiors = [[word[1:-1] for word in words] for words in rows]
     duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
-    n = weights.pop()
+    n = len(interiors[0][0])
     m_max = _truncation_degree(n, digits)
     bits = dps_to_prec(digits + 15) + 2 * n.bit_length()
     prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
@@ -471,15 +468,13 @@ def _check(
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     spec = FAMILIES[family]
-    params, word = spec.parse(*args)
-    weight = weight_of(word)
+    params, weight = spec.parse(*args)
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
     group = _open_group
     if not (group and (group.family, group.digits) == (family, digits) and params in group.rows):
         group = _WeightGroup(family, [params], digits)
     if group.evaluated is None:
-        # the cap was checked for this row alone: `check_group` rows share its weight
         summed = [spec.summands(**row) for row in group.rows]
         words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
         group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
@@ -588,22 +583,27 @@ def check_group(
 ) -> List[dict]:
     """The reports of `rows`, in order, from one prefix walk.
 
-    `rows` are parameter objects of `family`, as its `sweep` lists them, all
-    of one weight.  Each runs through the family's `check_*`, looked up by
+    `rows` are parameter objects of `family`, as its `sweep` lists them or
+    with `a` as a tuple.  All are parsed first: rows of two weights raise
+    ValueError before any is expanded, so the first row's cap check covers
+    all.  Each parsed row runs through the family's `check_*`, looked up by
     name at call time so that a rebinding reaches every row.  The first runs
     every row's `summands` and one `_split_sum` of all their words, and each
     takes its own row's share, bit-identical to checking that row alone.
-    Rows of mixed weights raise ValueError once all are expanded.  Nothing
-    outlives the call, however it ends.
+    Nothing outlives the call, however it ends.
     """
     global _open_group
     spec = FAMILIES[family]
     check = globals()[spec.check]
-    _open_group = _WeightGroup(family, list(rows), digits)
+    parsed = [spec.parse(*(row[p] for p in spec.params)) for row in rows]
+    weights = sorted({weight for _, weight in parsed})
+    if len(weights) > 1:
+        raise ValueError(f"a weight group needs rows of one weight, got {weights}")
+    _open_group = _WeightGroup(family, [params for params, _ in parsed], digits)
     try:
         return [
             check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
-            for params in rows
+            for params in _open_group.rows
         ]
     finally:
         _open_group = None
@@ -618,21 +618,21 @@ class Family:
     """Everything that tells one symmetrized family from another.
 
     `params` names the parameters in report order.  `parse` validates raw
-    arguments and returns the report's `params` object together with one
-    summed word, built without expanding the others: its weight is the
-    family's, so the cap is checked before `summands` expands anything.
-    The other callables take the parsed parameters as keywords.  `summands`
-    returns the multiplicity every word carries, the summed words and the
-    report's `details`; `target(weight, ...)` is the closed-form
-    prediction, and `sweep(weight_cap)` lists the parameters of every
-    instance under the cap in row order.  `check` names the family's public
-    entry point in this module; `check_group` looks it up at call time, so
-    a rebinding of that attribute reaches every row.
+    arguments and returns the report's `params` object and the weight that
+    every summed word has, found without expanding any, so the cap is
+    checked before `summands` expands anything.  The other callables take
+    the parsed parameters as keywords.  `summands` returns the multiplicity
+    every word carries, the summed words and the report's `details`;
+    `target(weight, ...)` is the closed-form prediction, and
+    `sweep(weight_cap)` lists the parameters of every instance under the
+    cap in row order.  `check` names the family's public entry point in
+    this module; `check_group` looks it up at call time, so a rebinding of
+    that attribute reaches every row.
     """
 
     check: str
     params: Tuple[str, ...]
-    parse: Callable[..., Tuple[dict, BlockVector]]
+    parse: Callable[..., Tuple[dict, int]]
     summands: Callable[..., Tuple[int, Sequence[BlockVector], dict]]
     target: Callable[..., Fraction]
     proven_rational: bool
@@ -689,15 +689,15 @@ def _spine_sweep(word, weight_cap: int) -> List[dict]:
     return sorted(items, key=lambda p: (weight_of(word(**p)), p["n"]))
 
 
-def _parse_vector(a: Iterable[int]) -> Tuple[dict, BlockVector]:
-    word = block_vector(a)
-    return {"a": list(word)}, word
+def _parse_vector(a: Iterable[int]) -> Tuple[dict, int]:
+    vector = block_vector(a)
+    return {"a": list(vector)}, weight_of(vector)
 
 
-def _parse_spine(word, n: int, m: int) -> Tuple[dict, BlockVector]:
+def _parse_spine(word, n: int, m: int) -> Tuple[dict, int]:
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    return {"n": n, "m": m}, word(n, m)
+    return {"n": n, "m": m}, weight_of(word(n, m))
 
 
 def _spread_word(n: int, m: int) -> BlockVector:

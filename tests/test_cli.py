@@ -554,6 +554,10 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     assert check_group("cyclic", rows, 30) == alone
     assert len(walks) == 1
     assert numerics._open_group is None
+    # the same rows as the CLI spells `--a`: the group is keyed by parsed rows
+    walks.clear()
+    assert check_group("cyclic", [{"a": tuple(row["a"])} for row in rows], 30) == alone
+    assert len(walks) == 1
 
     # inside the group, a row it does not list, or another precision, walks alone
     def with_others(a, digits, *rest):
@@ -566,8 +570,13 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     assert check_group("cyclic", rows, 30) == alone
     assert len(walks) == 1 + 2 * len(rows)
     monkeypatch.undo()
-    # rows of weights 4 and 6: the split sum refuses words of two weights
-    with pytest.raises(ValueError, match="one weight"):
+
+    # rows of weights 4 and 6 are refused before any row is expanded
+    def expanded(vector):
+        raise AssertionError(f"expanded {vector}")
+
+    monkeypatch.setattr(numerics, "blockvector_to_word", expanded)
+    with pytest.raises(ValueError, match=r"a weight group needs rows of one weight, got \[4, 6\]"):
         check_group("cyclic", FAMILIES["cyclic"].sweep(6), 30)
     assert numerics._open_group is None
 

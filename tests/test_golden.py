@@ -124,8 +124,8 @@ def recorded_calls():
     for parts in ((1, 1, 1, 1, 2), (2, 1, 2, 1, 3), (1, 2, 1, 2, 1, 2, 2)):
         for fmt in ("json", "text"):
             calls.append(["eval", "--zeta", _csv(parts), "--format", fmt])
-    # every row up to weight 20 at the default precision, most of them
-    # no-reconstruction under the default denominator cap
+    # every row up to weight 20 at the default precision; each reads back its
+    # target under the default denominator cap, the row's certified Q
     for family in FAMILIES:
         calls.append(["check", "--family", family, "--sweep", "--weight-cap", "20",
                       "--format", "csv"])

@@ -283,12 +283,29 @@ def test_row_walk_is_bit_identical_to_the_per_word_sweep():
             assert alone == total, row_id
 
 
-def test_split_sum_refuses_words_of_two_weights():
-    # M and B come from the first word, so a heavier word would get too few
-    # degrees and bits, and an interval its bound does not derive
-    rows = [[composition_to_word(Composition((2, 4)))], [composition_to_word(Composition((8,)))]]
-    with pytest.raises(ValueError, match=r"one weight, got \[6, 8\]"):
-        _split_sum(rows, 30)
+# a light and a heavy row of each family, and their weights
+TWO_WEIGHT_ROWS = {
+    "symmetric": ({"a": (1, 0, 0)}, {"a": (0, 1, 2, 3, 4, 5, 6)}, "6, 54"),
+    "cyclic": ({"a": (1, 0, 0)}, {"a": (0, 1, 2)}, "6, 10"),
+    "bowman-bradley": ({"n": 1, "m": 1}, {"n": 1, "m": 2}, "6, 8"),
+    "bbbl": ({"n": 1, "m": 0}, {"n": 1, "m": 1}, "4, 10"),
+}
+
+
+@pytest.mark.parametrize("family", list(TWO_WEIGHT_ROWS))
+def test_check_group_refuses_two_weights_before_expanding_any(monkeypatch, family):
+    # `_split_sum` takes M and B from the first word, so a heavier word would
+    # get too few degrees and bits, and an interval its bound does not derive;
+    # the weight-54 row alone would expand 5,040 words first
+    def expanded(*args):
+        raise AssertionError(f"expanded {args}")
+
+    monkeypatch.setattr(numerics, "blockvector_to_word", expanded)
+    monkeypatch.setattr(numerics, "build_instance", expanded)
+    light, heavy, weights = TWO_WEIGHT_ROWS[family]
+    with pytest.raises(ValueError, match=rf"needs rows of one weight, got \[{weights}\]"):
+        check_group(family, [light, heavy], 30, weight_cap=14)
+    assert numerics._open_group is None
 
 
 def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
@@ -743,8 +760,8 @@ def test_every_cap20_target_lies_in_its_rows_certified_interval(monkeypatch, fam
     spec = FAMILIES[family]
     groups = {}
     for params in spec.sweep(20):
-        _, word = spec.parse(*(params[p] for p in spec.params))
-        groups.setdefault(weight_of(word), []).append(params)
+        _, weight = spec.parse(*(params[p] for p in spec.params))
+        groups.setdefault(weight, []).append(params)
     intervals = readback_intervals(monkeypatch)
     reports = []
     for rows in groups.values():
@@ -773,10 +790,12 @@ def test_family_vectors_keep_the_block_vector_rules(family):
     # a derived vector is not checked again, so every producer must keep the rules
     spec = FAMILIES[family]
     for params in spec.sweep(16):
-        parsed, word = spec.parse(*(params[p] for p in spec.params))
+        parsed, weight = spec.parse(*(params[p] for p in spec.params))
         _, words, _ = spec.summands(**parsed)
-        for w in [word, *words]:
+        for w in words:
             assert type(w) is tuple and block_vector(w) == w, (params, w)
+            # the weight `check_group` groups by, and `_split_sum` relies on
+            assert weight_of(w) == weight, (params, w)
         if "a" in parsed:
             instance = build_instance(parsed["a"])
             for w in (instance.base, *instance.words):
