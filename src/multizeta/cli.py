@@ -29,7 +29,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, groupby
+from typing import List, Optional, Tuple
 
 from mpmath import mp
 
@@ -91,15 +92,16 @@ def _check_writable(output: Optional[str]) -> None:
 
 
 def _write(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
+    """Write to `output`, else stdout; a failed open, write or flush is a usage error."""
     try:
-        handle = open(output, "w", encoding="utf-8")
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write {output}: {exc.strerror}") from None
-    with handle:
-        handle.write(text)
+        raise ValueError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def _add_shared_flags(
@@ -298,15 +300,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--family {args.family} requires {flags}")
     else:
         param_list = [{p: getattr(args, p) for p in spec.params}]
-    # rows of one weight share their words' prefixes, so each weight group is
-    # one job, the heaviest first to balance the pool; each group keeps its
-    # rows' positions, which put the reports back in sweep order
-    groups: Dict[int, List[int]] = {}
-    for index, params in enumerate(param_list):
-        _, weight = spec.parse(*(params[p] for p in spec.params))
-        groups.setdefault(weight, []).append(index)
-    positions = [groups[weight] for weight in sorted(groups, reverse=True)]
-    jobs = [[param_list[i] for i in rows] for rows in positions]
+    # rows of one weight share their words' prefixes, so each weight is one
+    # job, the heaviest first to balance the pool: one stable sort of the row
+    # indices by descending weight cuts the jobs, rows in sweep order, and
+    # the same permutation puts the reports back
+    weights = [spec.parse(**params)[1] for params in param_list]
+    order = sorted(range(len(param_list)), key=lambda i: -weights[i])
+    jobs = [[param_list[i] for i in rows] for _, rows in groupby(order, weights.__getitem__)]
     run = partial(check_group, args.family, digits=args.digits,
                   max_denominator=args.max_denominator, weight_cap=args.weight_cap)
     # every worker is forked up front, so never start more than there are groups
@@ -317,9 +317,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         grouped = list(map(run, jobs))
     reports: List[dict] = [{}] * len(param_list)
-    for rows, group_reports in zip(positions, grouped):
-        for index, report in zip(rows, group_reports):
-            reports[index] = report
+    for index, report in zip(order, chain.from_iterable(grouped)):
+        reports[index] = report
 
     if args.fmt == "csv":
         text = _reports_csv(reports)

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import comb, factorial, isqrt
 from operator import floordiv, mul, rshift
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -595,16 +595,14 @@ def check_group(
     global _open_group
     spec = FAMILIES[family]
     check = globals()[spec.check]
-    parsed = [spec.parse(*(row[p] for p in spec.params)) for row in rows]
+    parsed = [spec.parse(**row) for row in rows]
     weights = sorted({weight for _, weight in parsed})
     if len(weights) > 1:
         raise ValueError(f"a weight group needs rows of one weight, got {weights}")
     _open_group = _WeightGroup(family, [params for params, _ in parsed], digits)
     try:
-        return [
-            check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
-            for params in _open_group.rows
-        ]
+        return [check(*params.values(), digits, max_denominator, weight_cap)
+                for params in _open_group.rows]
     finally:
         _open_group = None
 
@@ -641,12 +639,14 @@ class Family:
 
 
 def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of `parts` entries >= 0 summing to `total`, in lexicographic order.
+
+    Stars and bars: the entries count the stars between parts - 1 bars, whose
+    places `combinations` yields in that same order, which the sweep corpus
+    and the Bowman-Bradley summands rely on."""
+    places = total + parts - 1
+    for bars in combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
 
 
 def _greatest_arrangements(total: int, slots: int) -> List[Tuple[int, ...]]:
@@ -667,26 +667,25 @@ def _least_rotations(total: int, slots: int):
 def _vector_sweep(vectors, weight_cap: int) -> List[dict]:
     """`{"a": v}` for each v that `vectors(total, 2n + 1)` yields, shortest
     vectors first, then by entry sum; a vector's weight is 4n + 2 total."""
-    items: List[dict] = []
-    n = 1
-    while 4 * n <= weight_cap:
-        for total in range((weight_cap - 4 * n) // 2 + 1):
-            items.extend({"a": list(v)} for v in vectors(total, 2 * n + 1))
-        n += 1
-    return items
+    return [
+        {"a": list(v)}
+        for n in range(1, weight_cap // 4 + 1)
+        for total in range((weight_cap - 4 * n) // 2 + 1)
+        for v in vectors(total, 2 * n + 1)
+    ]
 
 
 def _spine_sweep(word, weight_cap: int) -> List[dict]:
-    """Every (n, m) whose weight is within the cap, lightest first, then by n."""
-    items: List[dict] = []
-    n = 1
-    while weight_of(word(n, 0)) <= weight_cap:
-        m = 0
-        while weight_of(word(n, m)) <= weight_cap:
-            items.append({"n": n, "m": m})
-            m += 1
-        n += 1
-    return sorted(items, key=lambda p: (weight_of(word(**p)), p["n"]))
+    """Every (n, m) whose weight is within the cap, lightest first, then by n,
+    the order the sweep corpus pins.  The spine alone weighs 4n and each of
+    the m twos adds at least 2, which bounds the candidates."""
+    rows = sorted(
+        (weight, n, m)
+        for n in range(1, weight_cap // 4 + 1)
+        for m in range(weight_cap // 2 + 1)
+        if (weight := weight_of(word(n, m))) <= weight_cap
+    )
+    return [{"n": n, "m": m} for _, n, m in rows]
 
 
 def _parse_vector(a: Iterable[int]) -> Tuple[dict, int]:

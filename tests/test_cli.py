@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -207,6 +209,49 @@ def test_write_failure_after_the_probe_is_usage_error(tmp_path, capsys, monkeypa
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "1,0,0"],
+    ["eval", "--zeta", "2"],
+    ["check", "--family", "bbbl", "--n", "1", "--m", "0"],
+])
+def test_full_device_is_usage_error(capsys, argv):
+    # /dev/full opens, then refuses the write: exit 2, not the 1 of a failed
+    # certificate or of disagreeing engines
+    code, out, err = run_cli(capsys, *argv, "--output", "/dev/full")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+@needs_dev_full
+def test_full_stdout_is_usage_error():
+    # the interpreter flushes stdout once more at exit, which must not raise again
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multizeta.cli", "verify", "--a", "1,0,0"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_write_failure_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    code = main(["verify", "--a", "1,0,0"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_failed_command_leaves_output_unchanged(tmp_path, capsys):
@@ -440,9 +485,11 @@ def test_check_sweep_jobs_match_serial(capsys):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the jobs it is
+    handed, and maps in-process."""
 
     sizes = []
+    jobs = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -454,6 +501,8 @@ class _SerialPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.jobs.extend(items)
         return map(fn, items)
 
 
@@ -465,6 +514,7 @@ class _SerialPool:
 ])
 def test_check_sweep_pool_never_exceeds_rows(capsys, monkeypatch, jobs, cap, rows, pool_sizes):
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
     code, out, _ = run_cli(
         capsys, "check", "--family", "cyclic", "--sweep", "--weight-cap", cap,
@@ -473,6 +523,25 @@ def test_check_sweep_pool_never_exceeds_rows(capsys, monkeypatch, jobs, cap, row
     assert code == 0
     assert len(json.loads(out)) == rows
     assert _SerialPool.sizes == pool_sizes
+
+
+def test_check_sweep_hands_out_the_heaviest_job_first(capsys, monkeypatch):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    code, out, _ = run_cli(
+        capsys, "check", "--family", "cyclic", "--sweep", "--weight-cap", "8",
+        "--digits", "30", "--jobs", "3",
+    )
+    assert code == 0
+    # one job per weight, 8, 6 and 4, each with its rows in sweep order
+    assert _SerialPool.jobs == [
+        [{"a": [0, 0, 2]}, {"a": [0, 1, 1]}, {"a": [0, 0, 0, 0, 0]}],
+        [{"a": [0, 0, 1]}],
+        [{"a": [0, 0, 0]}],
+    ]
+    # and the reports come back in sweep order
+    assert [rep["params"] for rep in json.loads(out)] == FAMILIES["cyclic"].sweep(8)
 
 
 # the defaults' sweep rows fall in this many weight groups: six weights each

@@ -800,3 +800,42 @@ def test_family_vectors_keep_the_block_vector_rules(family):
             instance = build_instance(parsed["a"])
             for w in (instance.base, *instance.words):
                 assert type(w) is tuple and block_vector(w) == w, (params, w)
+
+
+def _compositions(total, parts):
+    """Every weak composition, recursively; the sweep's enumerator is checked against it."""
+    if parts == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions(total - first, parts - 1)]
+
+
+def _reference_sweep(family, cap):
+    """`FAMILIES[family].sweep(cap)` by brute force, in the order the sweep promises."""
+    if family in ("symmetric", "cyclic"):
+        rows = []
+        for n in range(1, cap // 4 + 1):
+            for total in range((cap - 4 * n) // 2 + 1):
+                comps = _compositions(total, 2 * n + 1)
+                if family == "symmetric":  # non-increasing vectors, greatest first
+                    vectors = sorted({tuple(sorted(c, reverse=True)) for c in comps}, reverse=True)
+                else:  # the least rotation of each class, in ascending order
+                    vectors = sorted({min(c[i:] + c[:i] for i in range(len(c))) for c in comps})
+                rows.extend({"a": list(v)} for v in vectors)
+        return rows
+    per_two = {"bowman-bradley": lambda n: 2, "bbbl": lambda n: 2 * (2 * n + 1)}[family]
+    spines = [(4 * n + per_two(n) * m, n, m) for n in range(1, cap + 1) for m in range(cap + 1)]
+    return [{"n": n, "m": m} for weight, n, m in sorted(spines) if weight <= cap]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_sweep_above_the_golden_caps_matches_brute_force(family):
+    # tests/golden/sweep_params.jsonl pins the order up to cap 24; order counts here too
+    for cap in range(25, 31):
+        assert FAMILIES[family].sweep(cap) == _reference_sweep(family, cap), cap
+
+
+def test_weak_compositions_are_lexicographic():
+    for parts in range(1, 6):
+        for total in range(6):
+            assert list(numerics._weak_compositions(total, parts)) == _compositions(total, parts)
