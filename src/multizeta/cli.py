@@ -101,6 +101,8 @@ def _write(text: str, output: Optional[str]) -> None:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
     except OSError as exc:
+        if output is None and sys.stdout is sys.__stdout__:  # drop its buffered bytes,
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # or the flush at exit fails again
         raise ValueError(f"cannot write {output or 'stdout'}: {exc.strerror or exc}") from None
 
 
@@ -268,11 +270,9 @@ def _flatten(report: dict) -> dict:
 
 def _reports_csv(reports: List[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for rep in reports:
-        cells = _flatten(rep)
-        writer.writerow([cells[c] for c in _CSV_COLUMNS])
+    writer = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(map(_flatten, reports))
     return buf.getvalue()
 
 

@@ -584,12 +584,13 @@ def check_group(
     """The reports of `rows`, in order, from one prefix walk.
 
     `rows` are parameter objects of `family`, as its `sweep` lists them or
-    with `a` as a tuple.  All are parsed first: rows of two weights raise
-    ValueError before any is expanded, so the first row's cap check covers
-    all.  Each parsed row runs through the family's `check_*`, looked up by
-    name at call time so that a rebinding reaches every row.  The first runs
-    every row's `summands` and one `_split_sum` of all their words, and each
-    takes its own row's share, bit-identical to checking that row alone.
+    with `a` as a tuple.  All are parsed first, so a wrong key (TypeError)
+    or two weights (ValueError) raise before any row is expanded, and the
+    first row's cap check covers all.  Each parsed row runs through the
+    family's `check_*`, looked up by name at call time so that a rebinding
+    reaches every row.  The first runs every row's `summands` and one
+    `_split_sum` of all their words, and each takes its own row's share,
+    bit-identical to checking that row alone.
     Nothing outlives the call, however it ends.
     """
     global _open_group
@@ -601,7 +602,7 @@ def check_group(
         raise ValueError(f"a weight group needs rows of one weight, got {weights}")
     _open_group = _WeightGroup(family, [params for params, _ in parsed], digits)
     try:
-        return [check(*params.values(), digits, max_denominator, weight_cap)
+        return [check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
                 for params in _open_group.rows]
     finally:
         _open_group = None

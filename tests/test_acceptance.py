@@ -36,23 +36,14 @@ from multizeta.verifier import (
 )
 from multizeta.words import Composition, weight_of
 
-from conftest import record_criterion
-
-
-def _weak_compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+from conftest import record_criterion, weak_compositions
 
 
 def _instance_suite():
     vectors = []
     for n, entry_cap in ((1, 4), (2, 2)):
         for total in range(entry_cap + 1):
-            vectors.extend(_weak_compositions(total, 2 * n + 1))
+            vectors.extend(weak_compositions(total, 2 * n + 1))
     return vectors
 
 

@@ -230,12 +230,17 @@ def test_full_device_is_usage_error(capsys, argv):
 
 
 @needs_dev_full
-def test_full_stdout_is_usage_error():
-    # the interpreter flushes stdout once more at exit, which must not raise again
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_full_stdout_is_usage_error(unbuffered):
+    # buffered, the report stays in stdout's buffer after the failed flush, and
+    # the interpreter flushes it once more at exit, which must not fail again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "multizeta.cli", "verify", "--a", "1,0,0"],
-            stdout=full, stderr=subprocess.PIPE, text=True,
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")

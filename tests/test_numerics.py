@@ -40,6 +40,8 @@ from multizeta.words import (
     weight_of,
 )
 
+from conftest import weak_compositions
+
 
 def admissible_compositions(max_weight):
     """All admissible compositions of weight 2..max_weight."""
@@ -306,6 +308,22 @@ def test_check_group_refuses_two_weights_before_expanding_any(monkeypatch, famil
     with pytest.raises(ValueError, match=rf"needs rows of one weight, got \[{weights}\]"):
         check_group(family, [light, heavy], 30, weight_cap=14)
     assert numerics._open_group is None
+
+
+@pytest.mark.parametrize("family", list(TWO_WEIGHT_ROWS))
+def test_check_group_refuses_a_row_with_a_wrong_key_before_expanding_any(monkeypatch, family):
+    def expanded(*args):
+        raise AssertionError(f"expanded {args}")
+
+    monkeypatch.setattr(numerics, "blockvector_to_word", expanded)
+    monkeypatch.setattr(numerics, "build_instance", expanded)
+    light, _, _ = TWO_WEIGHT_ROWS[family]
+    key = next(iter(light))
+    missing = {k: v for k, v in light.items() if k != key}
+    for bad in ({**light, "digits": 30}, missing):
+        with pytest.raises(TypeError):
+            check_group(family, [light, bad], 30)
+        assert numerics._open_group is None
 
 
 def test_weight_group_walk_gives_each_row_its_own_sum_and_bound():
@@ -802,21 +820,13 @@ def test_family_vectors_keep_the_block_vector_rules(family):
                 assert type(w) is tuple and block_vector(w) == w, (params, w)
 
 
-def _compositions(total, parts):
-    """Every weak composition, recursively; the sweep's enumerator is checked against it."""
-    if parts == 1:
-        return [(total,)]
-    return [(first,) + rest for first in range(total + 1)
-            for rest in _compositions(total - first, parts - 1)]
-
-
 def _reference_sweep(family, cap):
     """`FAMILIES[family].sweep(cap)` by brute force, in the order the sweep promises."""
     if family in ("symmetric", "cyclic"):
         rows = []
         for n in range(1, cap // 4 + 1):
             for total in range((cap - 4 * n) // 2 + 1):
-                comps = _compositions(total, 2 * n + 1)
+                comps = weak_compositions(total, 2 * n + 1)
                 if family == "symmetric":  # non-increasing vectors, greatest first
                     vectors = sorted({tuple(sorted(c, reverse=True)) for c in comps}, reverse=True)
                 else:  # the least rotation of each class, in ascending order
@@ -838,4 +848,4 @@ def test_sweep_above_the_golden_caps_matches_brute_force(family):
 def test_weak_compositions_are_lexicographic():
     for parts in range(1, 6):
         for total in range(6):
-            assert list(numerics._weak_compositions(total, parts)) == _compositions(total, parts)
+            assert list(numerics._weak_compositions(total, parts)) == weak_compositions(total, parts)
