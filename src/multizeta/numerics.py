@@ -30,12 +30,12 @@ Two independent evaluation engines are provided.
   case, and the only place the integers become an mpf.
 
 Rational readback is exact and has one rule (`_readback`): the fraction
-of least denominator in a certified interval, up to the Q that its width
-derives or a lower cap.  A check reads the row's interval over pi^weight,
-rounded outward, and `reconstruct_rational` reads x +- 10^-digits; None
-is the normal outcome for a value that is not a small-denominator
-rational.  The family checks combine the engines with the symbolic
-verifier; the table `FAMILIES` holds all that tells one family from another.
+nearest a certified interval's midpoint with denominator up to the Q its
+width derives, or a lower cap, if it lies in the interval.  A check reads
+the row's interval over pi^weight, rounded outward; `reconstruct_rational`
+reads x +- 10^-digits.  None is the normal outcome for a value that is not
+a small-denominator rational.  The family checks combine the engines with
+the symbolic verifier; `FAMILIES` holds all that tells one family from another.
 """
 
 from __future__ import annotations
@@ -132,7 +132,14 @@ def zeta_even_rational(k: int) -> Fraction:
 
 
 def euler_zeta_even(k: int, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
-    """zeta(2k) evaluated from its closed form: an exact rational times pi^(2k)."""
+    """zeta(2k) evaluated from its closed form: an exact rational times pi^(2k).
+
+    The bound is derived.  At p = round((digits + 11) log2 10) bits, pi, its
+    2k-th power, the numerator, the product and the quotient are each rounded
+    once, to 2^(1-p) relatively, and the power takes pi's error 2k-fold.  As
+    zeta(2k) < 2, the error is under 1.03 (2k + 4) 2^(2-p) < 6 (2k + 4)
+    10^(-digits-11), which is at most 10^-digits for k < 8 10^9, digits >= 1.
+    """
     ratio = zeta_even_rational(k)
     with mp.workdps(digits + 10):
         value = mp.pi ** (2 * k) * mpf(ratio.numerator) / ratio.denominator
@@ -376,31 +383,21 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal
 
 
 def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[Fraction]:
-    """The fraction of least denominator in [low, high] / scale, if it is the only small one.
+    """The only fraction with denominator up to Q in [low, high] / scale, if any.
 
-    The one readback rule.  Both ends share the interval's continued-fraction
-    terms until their integer parts differ; the least integer at that depth
-    ends it.  It is accepted only up to Q = floor((width 10^10)^(-1/2)): two
-    fractions with denominators up to Q lie at least 1/Q^2 = 10^10 widths
-    apart, so no other fits.  A `cap` only lowers Q; one below 1 raises.
+    The one readback rule.  Q = floor((width 10^10)^(-1/2)), lowered by a
+    `cap`; a cap below 1 raises.  Fractions with denominators up to Q lie
+    at least 1/Q^2 = 10^10 widths apart, so at most one is in the interval,
+    within half a width of the midpoint and 10^10 widths from the others:
+    it is the nearest, which `limit_denominator` returns, and the least
+    denominator there.  If none is, the nearest is outside and is refused.
     """
     if cap is not None and cap < 1:
         raise ValueError(f"need max_denominator >= 1, got {cap}")
     limit = isqrt(scale // ((high - low) * 10**10))
     limit = limit if cap is None else min(limit, cap)
-    sign = 1 if low > 0 else -1
-    (lo, hi), lo_den, hi_den = sorted((sign * low, sign * high)), scale, scale
-    p0, q0, p1, q1 = 0, 1, 1, 0  # the last two convergents of the shared terms
-    while q1 <= limit:
-        term, rest = divmod(lo, lo_den)
-        if not rest or term < hi // hi_den:
-            term += rest > 0
-            q = term * q1 + q0
-            return Fraction(sign * (term * p1 + p0), q) if q <= limit else None
-        # one more shared term: go on with the reciprocals of what is left
-        p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
-        lo, lo_den, hi, hi_den = hi_den, hi - term * hi_den, lo_den, rest
-    return None
+    nearest = Fraction(low + high, 2 * scale).limit_denominator(max(limit, 1))
+    return nearest if nearest.denominator <= limit and low <= nearest * scale <= high else None
 
 
 def reconstruct_rational(
@@ -410,10 +407,11 @@ def reconstruct_rational(
 ) -> Optional[Fraction]:
     """Read an exact fraction off a high-precision value, or decline.
 
-    `_readback` reads the exact interval x +- 10^-digits_trusted; None as
-    `max_denominator` means its Q.  x is an mpf, kept as it is, or anything
-    `mpf()` takes, such as `mp.pi`, then read at digits_trusted + 10 digits.
-    None means no small rational explains x, as expected of an irrational.
+    `_readback` reads the interval x +- 10^-digits_trusted: the fraction
+    nearest x with denominator up to its Q, or a lower `max_denominator`,
+    if it lies in it.  x is an mpf, kept as it is, or anything `mpf()`
+    takes, such as `mp.pi`, then read at digits_trusted + 10 digits.  None
+    means no small rational explains x, as expected of an irrational.
     """
     if digits_trusted < 20:
         raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")

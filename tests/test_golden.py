@@ -207,6 +207,11 @@ def test_parallel_sweep_matches_the_serial_record(record, clean_env):
     }
 
 
+def test_corpus_records_every_call():
+    # a call added without re-recording, or dropped, shows here
+    assert [record["argv"] for record in RECORDS] == recorded_calls()
+
+
 def test_every_cap20_sweep_has_a_record():
     assert [record["argv"][2] for record in CAP20_SWEEPS] == list(FAMILIES)
 

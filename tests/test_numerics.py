@@ -7,9 +7,12 @@ from operator import floordiv, mul
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from multizeta import numerics
 from multizeta.numerics import (
+    DEFAULT_DIGITS,
+    DEFAULT_WEIGHT_CAP,
     FAMILIES,
     MAX_EVAL_DIGITS,
     _prefix_walk,
@@ -553,6 +556,16 @@ def test_euler_zeta_even_matches_mpmath():
             assert abs(out.value - mp.zeta(2 * k)) < mpf(10) ** -48
 
 
+@pytest.mark.parametrize("digits", [20, 60, 200])
+def test_euler_zeta_even_error_bound_holds(digits):
+    # the derived error is under 6 (2k + 4) 10^(-digits-11), 5 10^-9 of the bound at k = 40
+    for k in range(1, 41):
+        out = euler_zeta_even(k, digits)
+        finer = euler_zeta_even(k, digits + 40)
+        with mp.workdps(digits + 60):
+            assert abs(out.value - finer.value) <= out.error_bound, k
+
+
 def test_reconstruct_recovers_planted_rationals():
     rng = random.Random(7)
     with mp.workdps(70):
@@ -648,6 +661,86 @@ def test_readback_is_the_least_denominator_fraction_below_q():
     third = (3333333333333333 * 10**4, 3333333333333334 * 10**4, 10**20)
     assert numerics._readback(*third, 2) is None
     assert numerics._readback(*third, 3) == Fraction(1, 3)
+
+
+def continued_fraction_readback(low, high, scale, cap):
+    """`numerics._readback` by a walk over the continued fractions of both ends.
+
+    Both ends share the interval's continued-fraction terms until their
+    integer parts differ; the least integer at that depth ends the walk, and
+    its convergent is the interval's fraction of least denominator.  It is
+    accepted only up to Q = floor((width 10^10)^(-1/2)), lowered by `cap`.
+    """
+    limit = math.isqrt(scale // ((high - low) * 10**10))
+    limit = limit if cap is None else min(limit, cap)
+    sign = 1 if low > 0 else -1
+    (lo, hi), lo_den, hi_den = sorted((sign * low, sign * high)), scale, scale
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the last two convergents of the shared terms
+    while q1 <= limit:
+        term, rest = divmod(lo, lo_den)
+        if not rest or term < hi // hi_den:
+            term += rest > 0
+            q = term * q1 + q0
+            return Fraction(sign * (term * p1 + p0), q) if q <= limit else None
+        # one more shared term: go on with the reciprocals of what is left
+        p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
+        lo, lo_den, hi, hi_den = hi_den, hi - term * hi_den, lo_den, rest
+    return None
+
+
+def readback_cases(rng, scale, width):
+    """(low, high, scale, cap) for one width over `scale`: planted, at closed ends, around 0."""
+    limit = math.isqrt(scale // (width * 10**10))
+    cases = []
+    # planted fractions with denominators Q - 1, Q and Q + 1, inside the interval
+    for q in range(max(limit - 1, 1), limit + 2):
+        p = rng.randint(-3 * q, 3 * q)
+        low = p * scale // q - rng.randint(0, width - 1)
+        cases += [(low, low + width, scale, cap) for cap in (None, 1, max(q - 1, 1), q)]
+    # a fraction over a power of two that divides the scale, at either closed end
+    q = 1 << rng.randint(0, max(limit, 1).bit_length() - 1)
+    end = rng.randint(-3 * q, 3 * q) * (scale // q)
+    for cap in (None, 1, max(q - 1, 1), q):
+        cases += [(end, end + width, scale, cap), (end - width, end, scale, cap)]
+    # around 0, and anywhere
+    low = -rng.randint(0, width)
+    anywhere = rng.randint(-3 * scale, 3 * scale)
+    return cases + [(low, low + width, scale, None), (anywhere, anywhere + width, scale, None)]
+
+
+def test_readback_is_the_continued_fraction_walk_at_the_package_scales():
+    rng = random.Random(21)
+    cases = []
+    # a check's interval over 2^(4 (digits + 40)), from one unit to 10^-4 of the scale wide
+    for digits in (20, 60, 200):
+        scale = 1 << 4 * (digits + 40)
+        for _ in range(60):
+            width = rng.randint(1, 10 ** rng.randint(0, len(str(scale)) - 5))
+            cases += readback_cases(rng, scale, width)
+        # wider than 10^-10 around an integer: Q = 0, and no fraction reads back
+        for _ in range(20):
+            width = rng.randint(scale // 10**10 + 1, scale // 10**3)
+            low = rng.randint(-5, 5) * scale - rng.randint(0, width)
+            cases += [(low, low + width, scale, cap) for cap in (None, 1)]
+    # reconstruct_rational's x +- 10^-digits over den 10^digits, x near p/q with q about Q
+    for digits in (20, 60, 200):
+        limit = math.isqrt(10 ** (digits - 10) // 2)
+        for _ in range(20):
+            q = rng.randint(limit - 1, limit + 1)
+            p = rng.randint(-3 * q, 3 * q)
+            with mp.workdps(digits + 10):
+                num, den = to_rational((mpf(p) / q + rng.choice([0, mp.pi]))._mpf_)
+            ten = 10**digits
+            cases += [(num * ten - den, num * ten + den, den * ten, cap)
+                      for cap in (None, 1, q - 1, q)]
+    found = 0
+    for low, high, scale, cap in cases:
+        expected = continued_fraction_readback(low, high, scale, cap)
+        assert numerics._readback(low, high, scale, cap) == expected, (low, high, scale, cap)
+        found += expected is not None
+    # most planted fractions read back, and many intervals hold none below Q
+    assert 0.3 * len(cases) < found < 0.7 * len(cases)
+    assert numerics._readback(29999, 30001, 10**4, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -772,22 +865,41 @@ def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monk
         assert rep["value"] == mp.nstr(mpf(middle.numerator) / middle.denominator, 60)
 
 
+def sweep_reports(family, weight_cap, digits):
+    """The reports of a family's sweep, run one weight group at a time."""
+    spec = FAMILIES[family]
+    groups = {}
+    for params in spec.sweep(weight_cap):
+        _, weight = spec.parse(*(params[p] for p in spec.params))
+        groups.setdefault(weight, []).append(params)
+    reports = []
+    for rows in groups.values():
+        reports += check_group(family, rows, digits, weight_cap=weight_cap)
+    assert len(reports) == len(spec.sweep(weight_cap))
+    return reports
+
+
 @pytest.mark.parametrize("digits", [20, 60])
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_every_cap20_target_lies_in_its_rows_certified_interval(monkeypatch, family, digits):
-    spec = FAMILIES[family]
-    groups = {}
-    for params in spec.sweep(20):
-        _, weight = spec.parse(*(params[p] for p in spec.params))
-        groups.setdefault(weight, []).append(params)
     intervals = readback_intervals(monkeypatch)
-    reports = []
-    for rows in groups.values():
-        reports += check_group(family, rows, digits, weight_cap=20)
-    assert len(reports) == len(intervals) == len(spec.sweep(20))
+    reports = sweep_reports(family, 20, digits)
+    assert len(reports) == len(intervals)
     for report, (low, high) in zip(reports, intervals):
         target = Fraction(report["target"]["num"], report["target"]["den"])
         assert low <= target <= high, report["params"]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_default_value_is_certified(monkeypatch, family):
+    # `value` prints `digits` significant digits of the interval's midpoint:
+    # at the defaults the interval certifies all of them, 73.8 at the fewest
+    intervals = readback_intervals(monkeypatch)
+    reports = sweep_reports(family, DEFAULT_WEIGHT_CAP, DEFAULT_DIGITS)
+    assert len(reports) == len(intervals)
+    for report, (low, high) in zip(reports, intervals):
+        # log10(|midpoint| / width) >= digits
+        assert abs(low + high) / 2 >= (high - low) * 10**DEFAULT_DIGITS, report["params"]
 
 
 def test_family_parameter_validation():
