@@ -73,16 +73,24 @@ def reversal_canonical(w: Word) -> Tuple[Word, int]:
 
 
 def accumulate(terms: Iterable[Term]) -> Dict[Term, int]:
-    """Sum terms modulo left-factor reversal; zero coefficients are dropped."""
+    """Sum terms modulo left-factor reversal; zero coefficients are dropped.
+
+    A left factor recurs across the words of a collection, so each distinct
+    one is canonicalized once per call; the memo lives only as long as the
+    call.  A key is popped and put back only while its sum is nonzero, so
+    a cancelling pair costs two lookups, and the keys' order in the result
+    carries no meaning.
+    """
     acc: Dict[Term, int] = {}
+    canonical_of: Dict[Word, Tuple[Word, int]] = {}
     for left, right in terms:
-        canonical, sign = reversal_canonical(left)
-        if sign == 0:
-            continue
-        key = (canonical, right)
-        value = acc.get(key, 0) + sign
-        if value:
-            acc[key] = value
-        else:
-            del acc[key]
+        known = canonical_of.get(left)
+        if known is None:
+            known = canonical_of[left] = reversal_canonical(left)
+        canonical, sign = known
+        if sign:
+            key = (canonical, right)
+            value = acc.pop(key, 0) + sign
+            if value:
+                acc[key] = value
     return acc

@@ -33,10 +33,22 @@ the cut-out subword, and leaves the quotient word unchanged; those four
 facts drive the pairwise cancellation proof in the verifier.  An orbit is
 a plain (e, phi(e)) pair, smaller encoding first; the subword and the
 quotient of an encoding are `coaction.cut` of its word at its window.
+
+`phi` and `pair_up` are the reference; the verifier finds each partner by
+its window instead.  Blocks s..t span [p, q) of the word, p = offs[s] and
+q = offs[t+1] for the block offsets offs, so e's window is [p + l, q - m).
+Reversing (b_s, ..., b_t) permutes the blocks inside [p, q) and moves none
+outside it, so [p, q) is also the span of blocks s..t in phi(e)'s word, and
+phi(e)'s window is [p + m, q - l) = [p + q - end, p + q - start): the
+reflection of e's window in [p, q), which is e's window shifted by m - l.
+`reflected_windows` gives that (vector, start, end) for each encoding of
+one vector's enumeration, building one reversed vector per block pair
+(s, t).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .coaction import cut
@@ -50,6 +62,7 @@ __all__ = [
     "subsequence_of",
     "quotient_of",
     "window_of",
+    "reflected_windows",
     "pair_up",
 ]
 
@@ -86,8 +99,9 @@ def enumerate_odd_encodings(
     Each comes with its window [start, end) in the expanded word, read off
     the block offsets of the scan; it equals `window_of(e)`.  For fixed
     blocks s < t of different parity the start ranges over the positions
-    of block s whose end start + length falls in block t, so the scan
-    visits each (s, t) pair at most once and each encoding once.  The
+    of block s whose end start + length falls in block t; t begins at the
+    block where the first window from block s ends, so the scan visits
+    no (s, t) pair that holds no window, and each encoding once.  The
     length must be odd and satisfy 3 <= length <= weight + 1 (a longer
     window could not leave a nonempty quotient).
     """
@@ -102,17 +116,22 @@ def enumerate_odd_encodings(
     for count in b:
         offs.append(offs[-1] + 2 * (count + 1))
     k = len(b)
+    make = tuple.__new__  # OddEncoding's own __new__ adds a Python call per encoding
     for s in range(k):
         first, after = offs[s], offs[s + 1]  # the window starts in block s
-        for t in range(s + 1, k, 2):
-            # ... and ends in block t: offs[t] < start + length <= offs[t + 1]
+        # ... and ends in block t: offs[t] < start + length <= offs[t + 1], so
+        # t starts at the block where a window starting at `first` ends
+        t = bisect_left(offs, first + length) - 1
+        t += 1 - (t - s) % 2  # of the other parity than s, past s
+        while t < k:
             lo = offs[t] - length + 1
             if lo >= after:
                 break  # lo only grows with t
             hi = offs[t + 1] - length + 1
             for start in range(lo if lo > first else first, hi if hi < after else after):
                 end = start + length
-                found.append((OddEncoding(b, s, start - first, t, offs[t + 1] - end), start, end))
+                found.append((make(OddEncoding, (b, s, start - first, t, offs[t + 1] - end)), start, end))
+            t += 2
     return found
 
 
@@ -120,6 +139,25 @@ def phi(e: OddEncoding) -> OddEncoding:
     """Reverse the block slice [s..t] and swap the two offsets."""
     b, s, l, t, m = e
     return OddEncoding(b[:s] + b[s : t + 1][::-1] + b[t + 1 :], s, m, t, l)
+
+
+def reflected_windows(
+    b: BlockVector, found: Iterable[Tuple[OddEncoding, int, int]]
+) -> List[Tuple[BlockVector, int, int]]:
+    """The (vector, start, end) window of phi(e) for each (e, start, end) of b.
+
+    phi(e)'s window is e's shifted by m - l, and its vector reverses the
+    slice (b_s, ..., b_t); a run of encodings sharing (s, t), as the
+    enumeration gives them, shares one reversed vector.
+    """
+    windows = []
+    span = vector = None
+    for (_, s, l, t, m), start, end in found:
+        if span != (s, t):
+            span = s, t
+            vector = b[:s] + b[s : t + 1][::-1] + b[t + 1 :]
+        windows.append((vector, start + m - l, end + m - l))
+    return windows
 
 
 def window_of(e: OddEncoding) -> Tuple[int, int]:

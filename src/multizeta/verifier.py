@@ -13,13 +13,20 @@ checks every odd degree 3 <= r < weight against those expansions, along two
 independent routes:
 
 1. Orbit route: all odd encodings of length r + 2 over C are enumerated and
-   paired under the offset-swapping involution.  Each orbit is checked to
-   consist of mutually reversed cut subwords (odd interior, so their
-   integrals are opposite) sitting over equal quotient words, which makes
-   the paired terms cancel.  The enumeration returns each encoding's
-   window with it; the orbit check cuts the word there (`coaction.cut`),
-   and the same windows are checked to match, word by word, the windows of
-   the degree-r cut that survive the boundary filter.
+   paired under the offset-swapping involution phi.  The enumeration
+   returns each encoding's window with it, and phi acts on windows as a
+   reflection (`encodings.reflected_windows`), so each encoding's partner
+   is one dict lookup on its reflected (vector, start, end); phi(e) is
+   built only to name a missing partner, and the encodings are never
+   sorted.  The partner must exist, differ from the encoding and map back
+   to it.  Each orbit is checked to consist of mutually reversed cut
+   subwords (odd interior, so their integrals are opposite) sitting over
+   equal quotient words, cut from the two actual words at their windows
+   (`coaction.cut`), which makes the paired terms cancel.  The same
+   windows are checked to match, word by word, the windows of the
+   degree-r cut that survive the boundary filter.  Failure lines name
+   encodings; each kind is reported in ascending encoding order, as
+   `encodings.pair_up` would give them.
 2. Expansion route: the degree-r terms of every word in C are expanded and
    accumulated modulo left-factor reversal; no term may be left over.
 
@@ -36,10 +43,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from math import factorial
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
-from .encodings import OddEncoding, enumerate_odd_encodings, notations, pair_up
+from .encodings import (
+    OddEncoding,
+    enumerate_odd_encodings,
+    notations,
+    phi,
+    reflected_windows,
+)
 from .words import (
     BlockVector,
     Word,
@@ -166,6 +180,9 @@ def build_instance(a: Iterable[int]) -> InsertionInstance:
     )
 
 
+Place = Tuple[BlockVector, int, int]  # a vector and a window [start, end) of its word
+
+
 def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
     """Accumulated degree-r terms of a word collection; empty means they sum to zero."""
     return accumulate(t for w in words for t in dr_terms(w, r))
@@ -174,34 +191,53 @@ def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
 def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> CheckRecord:
     """Run both proof routes for one odd degree over the expanded words."""
     failures: List[str] = []
-    window_count = 0
-    encodings: List[OddEncoding] = []
+    window_count = encoding_count = 0
     lines: List[str] = []
-    cuts: Dict[OddEncoding, Tuple[Word, int, int]] = {}
+    # each encoding's place (vector, start, end) -> (encoding, its word, its partner's place)
+    found_at: Dict[Place, Tuple[OddEncoding, Word, Place]] = {}
     for w, word, text in expanded:
         window_count += len(word) - 2 - r + 1  # interior length - r + 1
-        surviving = set(surviving_windows(word, r))
+        surviving = surviving_windows(word, r)
         found = enumerate_odd_encodings(w, r + 2)
-        encs = [e for e, _, _ in found]
-        encodings += encs
-        lines += notations(encs, text)
-        cuts.update({e: (word, start, end) for e, start, end in found})
-        positions = {(start, end) for _, start, end in found}
-        if positions != surviving:
+        encoding_count += len(found)
+        lines += notations(map(itemgetter(0), found), text)
+        for (e, start, end), partner in zip(found, reflected_windows(w, found)):
+            found_at[w, start, end] = e, word, partner
+        positions = [(start, end) for _, start, end in found]
+        # equal lists are equal sets; only unequal lists are compared as sets
+        if positions != surviving and set(positions) != set(surviving):
             failures.append(
                 f"window sets disagree on {text} at r={r}: "
-                f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
+                f"encoded {sorted(set(positions))} vs surviving {sorted(surviving)}"
             )
 
-    orbits, pair_failures = pair_up(encodings)
-    failures.extend(pair_failures)
-    for e, f in orbits:
-        sub_e, quo_e = cut(*cuts[e])
-        sub_f, quo_f = cut(*cuts[f])
-        if sub_e != sub_f[::-1]:
-            failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
-        if quo_e != quo_f:
-            failures.append(f"orbit quotients differ: {e} / {f}")
+    orbits = 0
+    if len(found_at) != encoding_count:
+        failures.append("duplicate encodings in input")
+    else:
+        # (encoding, line) pairs; each list is put in ascending encoding order
+        unpaired: List[Tuple[OddEncoding, str]] = []
+        unmatched: List[Tuple[OddEncoding, str]] = []
+        for here, (e, word, there) in found_at.items():
+            hit = found_at.get(there)
+            if hit is None:  # the missing place is phi(e)'s window
+                unpaired.append((e, f"phi image missing from the collection: {e} -> {phi(e)}"))
+                continue
+            f, word_f, back = hit
+            if there == here:
+                unpaired.append((e, f"fixed point of phi: {e}"))
+            elif back != here:
+                unpaired.append((e, f"phi is not an involution: {e} -> {f}"))
+            elif here < there:  # each orbit once, from its smaller encoding
+                orbits += 1
+                sub_e, quo_e = cut(word, here[1], here[2])
+                sub_f, quo_f = cut(word_f, there[1], there[2])
+                if sub_e != sub_f[::-1]:
+                    unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
+                if quo_e != quo_f:
+                    unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
+        for tagged in (unpaired, unmatched):
+            failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
 
     residual = expansion_residual((word for _, word, _ in expanded), r)
     for (left, right), coeff in sorted(residual.items()):
@@ -212,8 +248,8 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
     return CheckRecord(
         r=r,
         windows=window_count,
-        encodings=len(encodings),
-        orbits=len(orbits),
+        encodings=encoding_count,
+        orbits=orbits,
         residual=len(residual),
         encodings_sha256=digest,
         failures=tuple(failures),

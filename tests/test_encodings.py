@@ -10,6 +10,7 @@ from multizeta.encodings import (
     pair_up,
     phi,
     quotient_of,
+    reflected_windows,
     subsequence_of,
     window_of,
 )
@@ -66,6 +67,29 @@ def test_producers_keep_the_encoding_rules():
                 assert _rules_hold(f), (e, f)
                 assert e.length == f.length == length
                 assert (start, end) == window_of(e), e
+
+
+def test_reflection_is_phi_on_every_encoding_up_to_weight_20():
+    # every arrangement of the entries, not only the sorted vectors, and
+    # every window length; the 36,864 of length 5 and more are those the
+    # verifier pairs over the 87 symmetric instances up to weight 20
+    counts = {3: 0, 5: 0}
+    for b in _words_up_to_weight(20):
+        for length in range(3, weight_of(b) + 2, 2):
+            found = enumerate_odd_encodings(b, length)
+            for (e, _, _), window in zip(found, reflected_windows(b, found)):
+                f = phi(e)
+                assert window == (f.vector, *window_of(f)), e
+            counts[min(length, 5)] += len(found)
+    assert counts == {3: 9216, 5: 36864}
+
+
+def test_reflection_builds_one_vector_per_block_pair():
+    found = enumerate_odd_encodings((1, 2, 0, 1, 0), 5)
+    vectors = [v for v, _, _ in reflected_windows((1, 2, 0, 1, 0), found)]
+    spans = [(e.start_block, e.end_block) for e, _, _ in found]
+    for i in range(1, len(found)):
+        assert (vectors[i] is vectors[i - 1]) == (spans[i] == spans[i - 1])
 
 
 def test_frozen_enumeration_100():

@@ -12,6 +12,7 @@ import pytest
 
 import multizeta
 from multizeta import encodings, verifier
+from multizeta.coaction import cut, dr_terms, reversal_canonical, surviving_windows
 from multizeta.verifier import (
     CancellationCertificate,
     InsertionInstance,
@@ -24,6 +25,7 @@ from multizeta.words import (
     blockvector_to_composition,
     blockvector_to_word,
     format_vector,
+    format_word,
     sign_of,
 )
 
@@ -287,15 +289,21 @@ def test_residual_of_closed_set_is_empty():
 
 # Negative controls for the orbit route.  A real phi is a fixed-point-free
 # involution with the reversal and quotient properties, so each failure line
-# below is reached by swapping in a broken enumeration or pairing.
+# below is reached by swapping in a broken enumeration or pairing.  The
+# verifier finds each encoding's partner by the window that
+# `reflected_windows` gives it, so a broken pairing, written as a map on
+# encodings, is swapped in as the windows of its images.
 
 
-def _orbit_route(monkeypatch, *, enumerate_with=None, phi=None):
+def _orbit_route(monkeypatch, *, enumerate_with=None, partner=None, entries=(1, 0, 0)):
     if enumerate_with is not None:
         monkeypatch.setattr(verifier, "enumerate_odd_encodings", enumerate_with)
-    if phi is not None:
-        monkeypatch.setattr(encodings, "phi", phi)
-    return verify_instance(build_instance((1, 0, 0))).checks[0]
+    if partner is not None:
+        def windows_of_images(b, found):
+            return [(f.vector, *encodings.window_of(f)) for f in (partner(e) for e, _, _ in found)]
+
+        monkeypatch.setattr(verifier, "reflected_windows", windows_of_images)
+    return verify_instance(build_instance(entries)).checks[0]
 
 
 def _sorted_encodings_100():
@@ -312,7 +320,7 @@ def test_orbit_route_reports_duplicate_encodings(monkeypatch):
 
 
 def test_orbit_route_reports_fixed_points_of_phi(monkeypatch):
-    record = _orbit_route(monkeypatch, phi=lambda e: e)
+    record = _orbit_route(monkeypatch, partner=lambda e: e)
     assert (record.encodings, record.orbits, record.residual) == (8, 0, 0)
     assert record.failures == (
         "fixed point of phi: ([0,0,1]; 1,0; 2,1)",
@@ -346,7 +354,7 @@ def test_orbit_route_reports_unreversed_subwords_and_unequal_quotients(monkeypat
     # pair the i-th encoding in sorted order with the (7 - i)-th
     found = _sorted_encodings_100()
     partner = dict(zip(found, reversed(found)))
-    record = _orbit_route(monkeypatch, phi=partner.__getitem__)
+    record = _orbit_route(monkeypatch, partner=partner.__getitem__)
     assert (record.encodings, record.orbits, record.residual) == (8, 4, 0)
     assert record.failures == (
         "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([1,0,0]; 0,1; 1,0)",
@@ -366,7 +374,7 @@ def test_orbit_route_reports_unreversed_subwords_alone(monkeypatch):
     partner = {}
     for a, b in zip(found[::2], found[1::2]):
         partner[a], partner[b] = b, a
-    record = _orbit_route(monkeypatch, phi=partner.__getitem__)
+    record = _orbit_route(monkeypatch, partner=partner.__getitem__)
     assert (record.encodings, record.orbits, record.residual) == (8, 4, 0)
     assert record.failures == (
         "orbit subwords are not mutual reversals: ([0,0,1]; 1,0; 2,1) / ([0,0,1]; 1,1; 2,0)",
@@ -381,9 +389,148 @@ def test_orbit_route_reports_a_phi_that_is_not_an_involution(monkeypatch):
     real = encodings.phi
     stray = encodings.OddEncoding((0, 0, 1), 1, 1, 2, 0)
     taken = encodings.OddEncoding((0, 1, 0), 1, 1, 2, 0)
-    record = _orbit_route(monkeypatch, phi=lambda e: taken if e == stray else real(e))
+    record = _orbit_route(monkeypatch, partner=lambda e: taken if e == stray else real(e))
     assert (record.encodings, record.orbits, record.residual) == (8, 3, 0)
     assert record.failures == (
         "phi is not an involution: ([0,0,1]; 1,1; 2,0) -> ([0,1,0]; 1,1; 2,0)",
         "phi is not an involution: ([0,1,0]; 1,0; 2,1) -> ([0,0,1]; 1,1; 2,0)",
+    )
+
+
+def test_orbit_route_reports_unequal_quotients_alone(monkeypatch):
+    # these two windows of different words cut out mutually reversed subwords
+    # over different quotients; trading partners with them keeps phi an
+    # involution and the images' subwords reversed
+    e = encodings.OddEncoding((0, 1, 1), 0, 0, 1, 1)
+    f = encodings.OddEncoding((1, 1, 0), 0, 1, 1, 2)
+    phi = encodings.phi
+    traded = {e: f, f: e, phi(e): phi(f), phi(f): phi(e)}
+    record = _orbit_route(
+        monkeypatch, partner=lambda g: traded.get(g) or phi(g), entries=(1, 1, 0)
+    )
+    assert (record.encodings, record.orbits, record.residual) == (16, 8, 0)
+    assert record.failures == (
+        "orbit quotients differ: ([0,1,1]; 0,0; 1,1) / ([1,1,0]; 0,1; 1,2)",
+        "orbit quotients differ: ([1,0,1]; 0,1; 1,0) / ([1,1,0]; 0,2; 1,1)",
+    )
+
+
+# The orbit route as it was before partners were found by their windows:
+# every phi(e) built as an encoding, the pool sorted by `pair_up`, and every
+# left factor canonicalized again at each occurrence.  It is kept as the
+# reference for the records of `verifier._check_degree`.
+
+
+def reference_accumulate(terms):
+    acc = {}
+    for left, right in terms:
+        canonical, sign = reversal_canonical(left)
+        if sign == 0:
+            continue
+        key = (canonical, right)
+        value = acc.get(key, 0) + sign
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
+    return acc
+
+
+def reference_check_degree(expanded, r):
+    failures = []
+    window_count = 0
+    found_encodings = []
+    lines = []
+    cuts = {}
+    for w, word, text in expanded:
+        window_count += len(word) - 2 - r + 1
+        surviving = set(surviving_windows(word, r))
+        found = encodings.enumerate_odd_encodings(w, r + 2)
+        encs = [e for e, _, _ in found]
+        found_encodings += encs
+        lines += encodings.notations(encs, text)
+        cuts.update({e: (word, start, end) for e, start, end in found})
+        positions = {(start, end) for _, start, end in found}
+        if positions != surviving:
+            failures.append(
+                f"window sets disagree on {text} at r={r}: "
+                f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
+            )
+
+    orbits, pair_failures = encodings.pair_up(found_encodings)
+    failures.extend(pair_failures)
+    for e, f in orbits:
+        sub_e, quo_e = cut(*cuts[e])
+        sub_f, quo_f = cut(*cuts[f])
+        if sub_e != sub_f[::-1]:
+            failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
+        if quo_e != quo_f:
+            failures.append(f"orbit quotients differ: {e} / {f}")
+
+    residual = reference_accumulate(t for _, word, _ in expanded for t in dr_terms(word, r))
+    for (left, right), coeff in sorted(residual.items()):
+        left, right = format_word(left), format_word(right)
+        failures.append(f"residual term left={left} right={right} coefficient={coeff}")
+
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode("ascii")).hexdigest()
+    return verifier.CheckRecord(
+        r=r,
+        windows=window_count,
+        encodings=len(found_encodings),
+        orbits=len(orbits),
+        residual=len(residual),
+        encodings_sha256=digest,
+        failures=tuple(failures),
+    )
+
+
+def _assert_records_match_the_reference(inst):
+    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in inst.words]
+    for r in range(3, inst.weight, 2):
+        record = verifier._check_degree(expanded, r)
+        assert record == reference_check_degree(expanded, r), (inst.words, r)
+
+
+@pytest.mark.parametrize("entries", _symmetric_vectors_up_to_weight_20(), ids=format_vector)
+def test_check_degree_matches_the_reference(entries):
+    _assert_records_match_the_reference(build_instance(entries))
+
+
+@pytest.mark.parametrize(
+    "dropped",
+    [
+        (0, 0, 1),  # the failing instance of test_negative_control_residual
+        (1, 0, 0),  # demo 02's broken instance: its last word dropped
+    ],
+    ids=format_vector,
+)
+def test_check_degree_matches_the_reference_on_broken_instances(dropped):
+    broken = _drop_word(build_instance((1, 0, 0)), dropped)
+    assert verify_instance(broken).verdict == "failed"
+    _assert_records_match_the_reference(broken)
+
+
+_EACH_WORD_DROPPED = [
+    (entries, w) for entries in [(1, 1, 0), (2, 1, 0), (1, 1, 0, 0, 0)]
+    for w in build_instance(entries).words
+]
+
+
+@pytest.mark.parametrize(
+    "entries,dropped",
+    _EACH_WORD_DROPPED,
+    ids=[f"{format_vector(a)}-without-{format_vector(w)}" for a, w in _EACH_WORD_DROPPED],
+)
+def test_check_degree_matches_the_reference_whatever_the_word_order(entries, dropped):
+    # the failure lines follow the encodings' order, not the instance's
+    broken = _drop_word(build_instance(entries), dropped)
+    _assert_records_match_the_reference(broken)
+    _assert_records_match_the_reference(
+        InsertionInstance(
+            base=broken.base,
+            words=broken.words[::-1],
+            multiplicity=broken.multiplicity,
+            weight=broken.weight,
+            sign=broken.sign,
+        )
     )
