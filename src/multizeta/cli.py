@@ -44,7 +44,7 @@ from .numerics import (
     eval_mzv_series,
 )
 from .verifier import build_instance, verify_instance
-from .words import Composition, block_vector, format_vector, weight_of
+from .words import Composition, format_vector
 
 ORACLE_TERMS = 5000
 
@@ -185,7 +185,7 @@ def _certificate_text(cert) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # before build_instance, whose word count can reach (2n+1)!
-    weight = weight_of(block_vector(args.a))
+    _, weight = FAMILIES["symmetric"].parse(args.a)
     if weight > args.weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {args.weight_cap}")
     cert = verify_instance(build_instance(args.a))

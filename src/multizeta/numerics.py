@@ -25,9 +25,9 @@ Two independent evaluation engines are provided.
   row of one weight shares M and the bit width too, so a sweep evaluates
   all the rows of a weight from one depth-first walk over their sorted
   words and duals (`_prefix_walk`), which sweeps every distinct prefix of
-  the group once: `check_group` runs the checks of one weight's rows, and
-  the group's first check runs the walk.  `eval_mzv_fast` is the one-word
-  case, and the only place the integers become an mpf.
+  the group once: `check_group` runs one weight's rows in order, the first
+  check runs the walk, and each takes its row's share by position.
+  `eval_mzv_fast` is the one-word case, the only place integers become mpf.
 
 Rational readback is exact and has one rule (`_readback`): the fraction
 nearest a certified interval's midpoint with denominator up to the Q its
@@ -435,8 +435,9 @@ def _fraction_obj(q: Optional[Fraction]) -> Optional[dict]:
 @dataclass
 class _WeightGroup:
     family: str
-    rows: List[dict]
+    parsed: List[Tuple[dict, int]]
     digits: int
+    at: int = 0
     evaluated: Optional[List[tuple]] = None
 
 
@@ -458,25 +459,27 @@ def _check(
 
     The cap is enforced before any word is expanded, since the number of
     summed words can be factorial in the vector length.  `_split_sum`
-    encloses the row's zeta sum S at digits + 10, with the other rows of a
-    `check_group` that lists this row; lambda S / pi^weight is then
-    enclosed in [low, high] / 2^bits, `_readback` reads the fraction off
-    it, and `value` shows its midpoint.
+    encloses the row's zeta sum S at digits + 10, with the other rows of
+    a `check_group` if this is its running row's call (same digits, same
+    argument objects), which takes that row's parse and share by position;
+    lambda S / pi^weight is then enclosed in [low, high] / 2^bits,
+    `_readback` reads the fraction off it, and `value` shows its midpoint.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     spec = FAMILIES[family]
-    params, weight = spec.parse(*args)
+    group = _open_group
+    if not (group and (group.family, group.digits) == (family, digits)
+            and all(a is group.parsed[group.at][0][p] for a, p in zip(args, spec.params))):
+        group = _WeightGroup(family, [spec.parse(*args)], digits)
+    params, weight = group.parsed[group.at]
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
-    group = _open_group
-    if not (group and (group.family, group.digits) == (family, digits) and params in group.rows):
-        group = _WeightGroup(family, [params], digits)
     if group.evaluated is None:
-        summed = [spec.summands(**row) for row in group.rows]
+        summed = [spec.summands(**row) for row, _ in group.parsed]
         words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
         group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
-    (multiplicity, _, details), (low, high, exponent) = group.evaluated[group.rows.index(params)]
+    (multiplicity, _, details), (low, high, exponent) = group.evaluated[group.at]
     bits = 4 * (digits + 40)
     low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
     high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
@@ -587,8 +590,8 @@ def check_group(
     first row's cap check covers all.  Each parsed row runs through the
     family's `check_*`, looked up by name at call time so that a rebinding
     reaches every row.  The first runs every row's `summands` and one
-    `_split_sum` of all their words, and each takes its own row's share,
-    bit-identical to checking that row alone.
+    `_split_sum` of all their words, and each takes its row's parse and
+    share by position, bit-identical to checking that row alone.
     Nothing outlives the call, however it ends.
     """
     global _open_group
@@ -598,10 +601,10 @@ def check_group(
     weights = sorted({weight for _, weight in parsed})
     if len(weights) > 1:
         raise ValueError(f"a weight group needs rows of one weight, got {weights}")
-    _open_group = _WeightGroup(family, [params for params, _ in parsed], digits)
+    _open_group = group = _WeightGroup(family, parsed, digits)
     try:
         return [check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
-                for params in _open_group.rows]
+                for group.at, (params, _) in enumerate(parsed)]
     finally:
         _open_group = None
 
@@ -624,7 +627,7 @@ class Family:
     `sweep(weight_cap)` lists the parameters of every instance under the
     cap in row order.  `check` names the family's public entry point in
     this module; `check_group` looks it up at call time, so a rebinding of
-    that attribute reaches every row.
+    that attribute reaches every row, each taking its share by position.
     """
 
     check: str

@@ -592,6 +592,25 @@ def test_sweep_walks_prefixes_once_per_weight_group(capsys, monkeypatch):
     assert numerics._open_group is None
 
 
+def test_sweep_parses_each_row_twice(capsys, monkeypatch):
+    # once in `cmd_check` for the row's weight, once in `check_group`; each
+    # check takes its row's parse by position instead of parsing it again
+    for env, *_ in cli.SETTINGS.values():
+        if env is not None:
+            monkeypatch.delenv(env, raising=False)
+    parses = []
+    for family, spec in FAMILIES.items():
+        def counted(*args, parse=spec.parse, **kwargs):
+            parses.append(args or kwargs)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, parse=counted))
+    sweep_every_family(capsys)
+    rows = sum(len(spec.sweep(numerics.DEFAULT_WEIGHT_CAP)) for spec in FAMILIES.values())
+    assert rows == 75
+    assert len(parses) == 2 * rows == 150
+
+
 def test_sweep_walks_prefixes_inside_a_check(capsys, monkeypatch):
     # wrap each check_* by name, as the benchmark does, so that the walk's
     # time stays booked to a row's check in a traced run
@@ -637,6 +656,12 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     walks.clear()
     assert check_group("cyclic", [{"a": tuple(row["a"])} for row in rows], 30) == alone
     assert len(walks) == 1
+    # a group that lists one row twice, and one in reverse sweep order
+    for listed, expected in ((rows[:1] * 2, alone[:1] * 2), (rows[::-1], alone[::-1])):
+        walks.clear()
+        assert check_group("cyclic", listed, 30) == expected
+        assert len(walks) == 1
+        assert numerics._open_group is None
 
     # inside the group, a row it does not list, or another precision, walks alone
     def with_others(a, digits, *rest):
@@ -648,6 +673,24 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     walks.clear()
     assert check_group("cyclic", rows, 30) == alone
     assert len(walks) == 1 + 2 * len(rows)
+
+    # the running row's check, called twice, takes its share twice; the same
+    # row spelled as another object is parsed and walked alone
+    def twice(a, *rest):
+        first = check_cyclic_insertion(a, *rest)
+        assert check_cyclic_insertion(a, *rest) == first
+        return first
+
+    def respelled(a, *rest):
+        assert check_cyclic_insertion(list(a), *rest) == check_cyclic_insertion(a, *rest)
+        return check_cyclic_insertion(a, *rest)
+
+    for rebound, walked in ((twice, 1), (respelled, 1 + len(rows))):
+        monkeypatch.setattr(numerics, "check_cyclic_insertion", rebound)
+        walks.clear()
+        assert check_group("cyclic", rows, 30) == alone
+        assert len(walks) == walked
+        assert numerics._open_group is None
     monkeypatch.undo()
 
     # rows of weights 4 and 6 are refused before any row is expanded
