@@ -20,12 +20,13 @@ package.  The two producers of encodings,
 `enumerate_odd_encodings` and `phi`, keep 0 <= s < t < len(b), t - s odd,
 0 <= l < 2*(b_s + 1), 0 <= m < 2*(b_t + 1) and l - m odd by construction,
 and the tests check those rules on both.  The enumerator returns each
-encoding with its window [start, end), read off the block offsets it
-scans; `window_of` computes the same window from the encoding alone.
+encoding with its window [start, end), read off the run of the scan that
+holds it; `window_of` computes the same window from the encoding alone,
+and `encoding_at` the encoding from its window.
 
-An encoding's notation "(b; s,l; t,m)" is written in one place,
-`notations`, which takes b already formatted so that a caller writing
-many encodings of one vector formats it once; `str(e)` is the same line.
+An encoding's notation "(b; s,l; t,m)" is `str(e)`.  The verifier writes
+the same lines straight from the runs below, formatting each vector once
+and building no encoding.
 
 The involution phi reverses the slice (b_s, ..., b_t) in place and swaps
 the two offsets.  It preserves window length, has no fixed points, reverses
@@ -35,34 +36,37 @@ a plain (e, phi(e)) pair, smaller encoding first; the subword and the
 quotient of an encoding are `coaction.cut` of its word at its window.
 
 `phi` and `pair_up` are the reference; the verifier finds each partner by
-its window instead.  Blocks s..t span [p, q) of the word, p = offs[s] and
-q = offs[t+1] for the block offsets offs, so e's window is [p + l, q - m).
-Reversing (b_s, ..., b_t) permutes the blocks inside [p, q) and moves none
-outside it, so [p, q) is also the span of blocks s..t in phi(e)'s word, and
+its window instead, from one scan.  `window_runs` gives the windows of one
+length run by run, one run per block pair (s, t): blocks s..t span [p, q)
+of the word, p = offs[s] and q = offs[t+1] for the block offsets offs,
+and e = (b; s, l; t, m) has the window [p + l, q - m).  Reversing
+(b_s, ..., b_t) permutes the blocks inside [p, q) and moves none outside
+it, so [p, q) is also the span of blocks s..t in phi(e)'s word, and
 phi(e)'s window is [p + m, q - l) = [p + q - end, p + q - start): the
-reflection of e's window in [p, q), which is e's window shifted by m - l.
-`reflected_windows` gives that (vector, start, end) for each encoding of
-one vector's enumeration, building one reversed vector per block pair
-(s, t).
+reflection of e's window in [p, q).  So phi maps a whole run onto windows
+of one vector, sending the start x to p + q - length - x; `reflected_runs`
+gives each run with that vector and that mirror p + q - length.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, List, NamedTuple, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .coaction import cut
 from .words import BlockVector, Word, blockvector_to_word, format_vector, weight_of
 
 __all__ = [
     "OddEncoding",
+    "window_runs",
     "enumerate_odd_encodings",
-    "notations",
     "phi",
     "subsequence_of",
     "quotient_of",
     "window_of",
-    "reflected_windows",
+    "encoding_at",
+    "reflected_runs",
     "pair_up",
 ]
 
@@ -83,27 +87,22 @@ class OddEncoding(NamedTuple):
         return end - start
 
     def __str__(self) -> str:
-        return notations([self], format_vector(self.vector))[0]
+        b, s, l, t, m = self
+        return f"({format_vector(b)}; {s},{l}; {t},{m})"
 
 
-def notations(encodings: Iterable[OddEncoding], vector_text: str) -> List[str]:
-    """The notation lines of encodings that all share the vector formatted as vector_text."""
-    return [f"({vector_text}; {s},{l}; {t},{m})" for _, s, l, t, m in encodings]
+def window_runs(b: BlockVector, length: int) -> Iterator[Tuple[int, int, int, int, range]]:
+    """The windows of an odd length, run by run, in positional order.
 
-
-def enumerate_odd_encodings(
-    b: BlockVector, length: int
-) -> List[Tuple[OddEncoding, int, int]]:
-    """All odd encodings of windows of the given length, in positional order.
-
-    Each comes with its window [start, end) in the expanded word, read off
-    the block offsets of the scan; it equals `window_of(e)`.  For fixed
-    blocks s < t of different parity the start ranges over the positions
-    of block s whose end start + length falls in block t; t begins at the
-    block where the first window from block s ends, so the scan visits
-    no (s, t) pair that holds no window, and each encoding once.  The
-    length must be odd and satisfy 3 <= length <= weight + 1 (a longer
-    window could not leave a nonempty quotient).
+    Each run is (s, t, p, q, starts) for a block pair s < t that holds a
+    window: blocks s..t span [p, q) of the expanded word, and starts is the
+    range of x, ascending, whose window [x, x + length) starts in block s
+    and ends in block t.  For fixed s the window ends move into later
+    blocks as the start grows, so t begins at the block where the first
+    window from block s ends, and the scan visits no (s, t) pair that holds
+    no window; each encoding lies in one run.  The length must be odd and
+    satisfy 3 <= length <= weight + 1 (a longer window could not leave a
+    nonempty quotient).
     """
     if length % 2 == 0:
         raise ValueError(f"window length must be odd, got {length}")
@@ -111,12 +110,8 @@ def enumerate_odd_encodings(
         raise ValueError(
             f"window length must lie in [3, {weight_of(b) + 1}], got {length}"
         )
-    found = []
-    offs = [0]  # start index of each block inside the expanded word
-    for count in b:
-        offs.append(offs[-1] + 2 * (count + 1))
+    offs = [0, *accumulate(2 * (count + 1) for count in b)]  # where each block starts
     k = len(b)
-    make = tuple.__new__  # OddEncoding's own __new__ adds a Python call per encoding
     for s in range(k):
         first, after = offs[s], offs[s + 1]  # the window starts in block s
         # ... and ends in block t: offs[t] < start + length <= offs[t + 1], so
@@ -127,11 +122,25 @@ def enumerate_odd_encodings(
             lo = offs[t] - length + 1
             if lo >= after:
                 break  # lo only grows with t
-            hi = offs[t + 1] - length + 1
-            for start in range(lo if lo > first else first, hi if hi < after else after):
-                end = start + length
-                found.append((make(OddEncoding, (b, s, start - first, t, offs[t + 1] - end)), start, end))
+            q = offs[t + 1]
+            hi = q - length + 1
+            yield s, t, first, q, range(lo if lo > first else first, hi if hi < after else after)
             t += 2
+
+
+def enumerate_odd_encodings(
+    b: BlockVector, length: int
+) -> List[Tuple[OddEncoding, int, int]]:
+    """All odd encodings of windows of the given length, in positional order.
+
+    Each comes with its window [start, end) in the expanded word, read off
+    the run of `window_runs` that holds it; it equals `window_of(e)`.
+    """
+    found = []
+    for s, t, p, q, starts in window_runs(b, length):
+        for start in starts:
+            end = start + length
+            found.append((OddEncoding(b, s, start - p, t, q - end), start, end))
     return found
 
 
@@ -141,23 +150,17 @@ def phi(e: OddEncoding) -> OddEncoding:
     return OddEncoding(b[:s] + b[s : t + 1][::-1] + b[t + 1 :], s, m, t, l)
 
 
-def reflected_windows(
-    b: BlockVector, found: Iterable[Tuple[OddEncoding, int, int]]
-) -> List[Tuple[BlockVector, int, int]]:
-    """The (vector, start, end) window of phi(e) for each (e, start, end) of b.
+def reflected_runs(
+    b: BlockVector, length: int
+) -> Iterator[Tuple[int, int, int, int, range, BlockVector, int]]:
+    """`window_runs` with the image of each run under phi.
 
-    phi(e)'s window is e's shifted by m - l, and its vector reverses the
-    slice (b_s, ..., b_t); a run of encodings sharing (s, t), as the
-    enumeration gives them, shares one reversed vector.
+    Each run (s, t, p, q, starts) comes with phi's vector, which reverses
+    (b_s, ..., b_t), and the mirror p + q - length: phi sends the window
+    starting at x to the window of that vector starting at mirror - x.
     """
-    windows = []
-    span = vector = None
-    for (_, s, l, t, m), start, end in found:
-        if span != (s, t):
-            span = s, t
-            vector = b[:s] + b[s : t + 1][::-1] + b[t + 1 :]
-        windows.append((vector, start + m - l, end + m - l))
-    return windows
+    for s, t, p, q, starts in window_runs(b, length):
+        yield s, t, p, q, starts, b[:s] + b[s : t + 1][::-1] + b[t + 1 :], p + q - length
 
 
 def window_of(e: OddEncoding) -> Tuple[int, int]:
@@ -165,6 +168,14 @@ def window_of(e: OddEncoding) -> Tuple[int, int]:
     b, s, l, t, m = e
     # the blocks before block i hold 2*i + 2*sum(b[:i]) symbols
     return 2 * (s + sum(b[:s])) + l, 2 * (t + 1 + sum(b[: t + 1])) - m
+
+
+def encoding_at(b: BlockVector, start: int, end: int) -> OddEncoding:
+    """The encoding of the odd window [start, end) of b's word; `window_of` inverted."""
+    offs = [0, *accumulate(2 * (count + 1) for count in b)]
+    s = bisect_right(offs, start) - 1  # the block holding the first symbol ...
+    t = bisect_left(offs, end) - 1  # ... and the one holding the last
+    return OddEncoding(b, s, start - offs[s], t, offs[t + 1] - end)
 
 
 def subsequence_of(e: OddEncoding) -> Word:

@@ -696,7 +696,7 @@ def _parse_vector(a: Iterable[int]) -> Tuple[dict, int]:
 
 
 def _parse_spine(word, n: int, m: int) -> Tuple[dict, int]:
-    if n < 1 or m < 0:
+    if isinstance(n, bool) or isinstance(m, bool) or n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     return {"n": n, "m": m}, weight_of(word(n, m))
 

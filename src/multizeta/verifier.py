@@ -13,22 +13,26 @@ checks every odd degree 3 <= r < weight against those expansions, along two
 independent routes:
 
 1. Orbit route: all odd encodings of length r + 2 over C are enumerated and
-   paired under the offset-swapping involution phi.  The enumeration
-   returns each encoding's window with it, and phi acts on windows as a
-   reflection (`encodings.reflected_windows`), so each encoding's partner
-   is one dict lookup on its reflected (vector, start, end); phi(e) is
-   built only to name a missing partner, and the encodings are never
-   sorted.  The partner must exist, differ from the encoding and map back
-   to it.  Each orbit is checked to consist of mutually reversed cut
-   subwords (odd interior, so their integrals are opposite) sitting over
-   equal quotient words, cut from the two actual words at their windows
-   (`coaction.cut`), which makes the paired terms cancel.  The same
-   windows are checked to match, word by word, the windows of the
-   degree-r cut that survive the boundary filter.  Failure lines name
-   encodings; each kind is reported in ascending encoding order, as
-   `encodings.pair_up` would give them.
-2. Expansion route: the degree-r terms of every word in C are expanded and
-   accumulated modulo left-factor reversal; no term may be left over.
+   paired under the offset-swapping involution phi.  The windows come run
+   by run, one run per block pair (s, t) of a word, and phi reflects a
+   whole run onto one vector (`encodings.reflected_runs`).  Each window
+   is keyed by one integer, its place: the number of its word, by first
+   occurrence, times a stride, plus its start.  The partners' places of a
+   run follow from its vector and mirror, looked up once per run, and the
+   notation lines are written straight from the run; an encoding is built
+   only to write a failure line, and the encodings are never sorted.  The
+   partner must exist, differ from the encoding and map back to it.  Each
+   orbit is checked to consist of mutually reversed cut subwords (odd
+   interior, so their integrals are opposite) sitting over equal quotient
+   words, cut from the two actual words at their windows (`coaction.cut`),
+   which makes the paired terms cancel.  The same windows are checked to
+   match, word by word, the windows of the degree-r cut that survive the
+   boundary filter.  Failure lines name encodings; each kind is reported
+   in ascending encoding order, as `encodings.pair_up` would give them.
+2. Expansion route: the degree-r terms of every word in C, the cuts of
+   the surviving windows that the orbit route compared, are accumulated
+   modulo left-factor reversal; no term may be left over.
+   `expansion_residual` gives the same residual from the words alone.
 
 A certificate collects one record per degree, whose fields are the
 `cert-v1` check keys, together with a verdict.  Serialization is
@@ -47,13 +51,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
-from .encodings import (
-    OddEncoding,
-    enumerate_odd_encodings,
-    notations,
-    phi,
-    reflected_windows,
-)
+from .encodings import OddEncoding, encoding_at, phi, reflected_runs
 from .words import (
     BlockVector,
     Word,
@@ -180,9 +178,6 @@ def build_instance(a: Iterable[int]) -> InsertionInstance:
     )
 
 
-Place = Tuple[BlockVector, int, int]  # a vector and a window [start, end) of its word
-
-
 def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
     """Accumulated degree-r terms of a word collection; empty means they sum to zero."""
     return accumulate(t for w in words for t in dr_terms(w, r))
@@ -190,56 +185,85 @@ def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
 
 def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> CheckRecord:
     """Run both proof routes for one odd degree over the expanded words."""
+    length = r + 2
     failures: List[str] = []
     window_count = encoding_count = 0
     lines: List[str] = []
-    # each encoding's place (vector, start, end) -> (encoding, its word, its partner's place)
-    found_at: Dict[Place, Tuple[OddEncoding, Word, Place]] = {}
+    # each distinct vector is numbered by its first occurrence, and the window
+    # starting at x in the word of the vector numbered i has the place i * stride + x
+    word_of = {w: word for w, word, _ in expanded}
+    vectors, words = list(word_of), list(word_of.values())
+    number = {w: i for i, w in enumerate(vectors)}
+    stride = max(map(len, words), default=0)
+
+    def encoding(place: int) -> OddEncoding:
+        i, start = divmod(place, stride)
+        return encoding_at(vectors[i], start, start + length)
+
+    # each encoding's place -> its partner's place, negative when phi's vector is no word
+    partner: Dict[int, int] = {}
+    survivors: List[Tuple[Word, List[Tuple[int, int]]]] = []
     for w, word, text in expanded:
-        window_count += len(word) - 2 - r + 1  # interior length - r + 1
+        window_count += len(word) - length + 1
         surviving = surviving_windows(word, r)
-        found = enumerate_odd_encodings(w, r + 2)
-        encoding_count += len(found)
-        lines += notations(map(itemgetter(0), found), text)
-        for (e, start, end), partner in zip(found, reflected_windows(w, found)):
-            found_at[w, start, end] = e, word, partner
-        positions = [(start, end) for _, start, end in found]
+        survivors.append((word, surviving))
+        here = number[w] * stride
+        encoded: List[int] = []
+        for s, t, p, q, starts, vector, mirror in reflected_runs(w, length):
+            j = number.get(vector)
+            there = -1 if j is None else j * stride + mirror
+            head, middle, tail = f"({text}; {s},", f"; {t},", q - length
+            for x in starts:
+                lines.append(f"{head}{x - p}{middle}{tail - x})")
+                partner[here + x] = there - x
+            encoded += starts
+        encoding_count += len(encoded)
+        surviving_starts = [start for start, _ in surviving]
         # equal lists are equal sets; only unequal lists are compared as sets
-        if positions != surviving and set(positions) != set(surviving):
+        if encoded != surviving_starts and set(encoded) != set(surviving_starts):
             failures.append(
                 f"window sets disagree on {text} at r={r}: "
-                f"encoded {sorted(set(positions))} vs surviving {sorted(surviving)}"
+                f"encoded {sorted({(x, x + length) for x in encoded})} vs surviving {sorted(surviving)}"
             )
 
     orbits = 0
-    if len(found_at) != encoding_count:
+    if len(partner) != encoding_count:
         failures.append("duplicate encodings in input")
     else:
         # (encoding, line) pairs; each list is put in ascending encoding order
         unpaired: List[Tuple[OddEncoding, str]] = []
         unmatched: List[Tuple[OddEncoding, str]] = []
-        for here, (e, word, there) in found_at.items():
-            hit = found_at.get(there)
-            if hit is None:  # the missing place is phi(e)'s window
-                unpaired.append((e, f"phi image missing from the collection: {e} -> {phi(e)}"))
+        for here, there in partner.items():
+            back = partner.get(there)
+            if back == here and there != here:
+                if here < there:  # each orbit once, from its smaller place
+                    orbits += 1
+                    i, x = divmod(here, stride)
+                    j, y = divmod(there, stride)
+                    sub_e, quo_e = cut(words[i], x, x + length)
+                    sub_f, quo_f = cut(words[j], y, y + length)
+                    if sub_e != sub_f[::-1] or quo_e != quo_f:
+                        e, f = sorted((encoding(here), encoding(there)))
+                        if sub_e != sub_f[::-1]:
+                            unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
+                        if quo_e != quo_f:
+                            unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
                 continue
-            f, word_f, back = hit
-            if there == here:
-                unpaired.append((e, f"fixed point of phi: {e}"))
-            elif back != here:
-                unpaired.append((e, f"phi is not an involution: {e} -> {f}"))
-            elif here < there:  # each orbit once, from its smaller encoding
-                orbits += 1
-                sub_e, quo_e = cut(word, here[1], here[2])
-                sub_f, quo_f = cut(word_f, there[1], there[2])
-                if sub_e != sub_f[::-1]:
-                    unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
-                if quo_e != quo_f:
-                    unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
+            e = encoding(here)
+            if back is None:  # the missing place is phi(e)'s window
+                line = f"phi image missing from the collection: {e} -> {phi(e)}"
+            elif there == here:
+                line = f"fixed point of phi: {e}"
+            else:
+                line = f"phi is not an involution: {e} -> {encoding(there)}"
+            unpaired.append((e, line))
         for tagged in (unpaired, unmatched):
             failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
 
-    residual = expansion_residual((word for _, word, _ in expanded), r)
+    # the expansion route cuts the windows that the window-set check compared
+    residual = accumulate(
+        cut(word, start, end) for word, surviving in survivors for start, end in surviving
+    )
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")

@@ -51,7 +51,7 @@ class Composition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
 
     @property
@@ -97,7 +97,7 @@ def block_vector(a: Iterable[int]) -> BlockVector:
     if len(b) % 2 == 0:
         raise ValueError(f"a block vector has an odd number of entries, got {len(b)}")
     for count in b:
-        if not isinstance(count, int) or count < 0:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(f"block vector entries must be >= 0, got {count!r}")
     return b
 

@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from multizeta.encodings import (
     OddEncoding,
+    encoding_at,
     enumerate_odd_encodings,
     pair_up,
     phi,
     quotient_of,
-    reflected_windows,
+    reflected_runs,
     subsequence_of,
     window_of,
 )
@@ -57,7 +58,8 @@ def _words_up_to_weight(cap):
 
 def test_producers_keep_the_encoding_rules():
     # the encoding type checks nothing, so both of its producers must; the
-    # window the enumerator reads off its scan must be the one window_of gives
+    # window the enumerator reads off its scan must be the one window_of gives,
+    # and encoding_at must give the encoding back from that window
     small = (b for k in (1, 3, 5) for b in itertools.product(range(4), repeat=k))
     for b in itertools.chain(small, _words_up_to_weight(20)):
         for length in range(3, weight_of(b) + 2, 2):
@@ -67,6 +69,7 @@ def test_producers_keep_the_encoding_rules():
                 assert _rules_hold(f), (e, f)
                 assert e.length == f.length == length
                 assert (start, end) == window_of(e), e
+                assert encoding_at(b, start, end) == e
 
 
 def test_reflection_is_phi_on_every_encoding_up_to_weight_20():
@@ -76,20 +79,29 @@ def test_reflection_is_phi_on_every_encoding_up_to_weight_20():
     counts = {3: 0, 5: 0}
     for b in _words_up_to_weight(20):
         for length in range(3, weight_of(b) + 2, 2):
-            found = enumerate_odd_encodings(b, length)
-            for (e, _, _), window in zip(found, reflected_windows(b, found)):
-                f = phi(e)
-                assert window == (f.vector, *window_of(f)), e
-            counts[min(length, 5)] += len(found)
+            found = iter(enumerate_odd_encodings(b, length))
+            for _, _, _, _, starts, vector, mirror in reflected_runs(b, length):
+                for x in starts:
+                    e, start, _ = next(found)
+                    f = phi(e)
+                    assert start == x, e
+                    assert (vector, mirror - x, mirror - x + length) == (f.vector, *window_of(f)), e
+                    counts[min(length, 5)] += 1
+            assert next(found, None) is None, (b, length)
     assert counts == {3: 9216, 5: 36864}
 
 
 def test_reflection_builds_one_vector_per_block_pair():
-    found = enumerate_odd_encodings((1, 2, 0, 1, 0), 5)
-    vectors = [v for v, _, _ in reflected_windows((1, 2, 0, 1, 0), found)]
-    spans = [(e.start_block, e.end_block) for e, _, _ in found]
-    for i in range(1, len(found)):
-        assert (vectors[i] is vectors[i - 1]) == (spans[i] == spans[i - 1])
+    # the runs are the encodings grouped by (s, t), each pair once, and each
+    # run's encodings share the one vector phi gives them
+    b, length = (1, 2, 0, 1, 0), 5
+    runs = list(reflected_runs(b, length))
+    assert [(s, t) for s, t, *_ in runs] == sorted({(e.start_block, e.end_block) for e in _encodings(b, length)})
+    for s, t, p, q, starts, vector, mirror in runs:
+        assert len(starts) > 0
+        assert (p, q) == window_of(OddEncoding(b, s, 0, t, 0))  # the whole span of s..t
+        assert mirror == p + q - length
+        assert {phi(encoding_at(b, x, x + length)).vector for x in starts} == {vector}
 
 
 def test_frozen_enumeration_100():

@@ -915,6 +915,20 @@ def test_family_parameter_validation():
         check_cyclic_insertion((1, 0))
 
 
+def test_symmetric_check_refuses_bool_entries():
+    # it reported verified-rational with params {"a": [true, 0, 0]}
+    with pytest.raises(ValueError, match="^block vector entries must be >= 0, got True$"):
+        check_symmetric_sum([True, 0, 0])
+
+
+@pytest.mark.parametrize("check", [check_bbbl_family, check_bowman_bradley])
+@pytest.mark.parametrize("n,m", [(True, 0), (1, False), (True, True)])
+def test_spine_checks_refuse_bool_params(check, n, m):
+    # check_bbbl_family(True, 0) reported params {"n": true, "m": 0}
+    with pytest.raises(ValueError, match=f"^need n >= 1 and m >= 0, got n={n}, m={m}$"):
+        check(n, m)
+
+
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_family_vectors_keep_the_block_vector_rules(family):
     # a derived vector is not checked again, so every producer must keep the rules

@@ -27,6 +27,7 @@ from multizeta.words import (
     format_vector,
     format_word,
     sign_of,
+    weight_of,
 )
 
 
@@ -290,19 +291,25 @@ def test_residual_of_closed_set_is_empty():
 # Negative controls for the orbit route.  A real phi is a fixed-point-free
 # involution with the reversal and quotient properties, so each failure line
 # below is reached by swapping in a broken enumeration or pairing.  The
-# verifier finds each encoding's partner by the window that
-# `reflected_windows` gives it, so a broken pairing, written as a map on
-# encodings, is swapped in as the windows of its images.
+# verifier reads the windows and their partners off the runs that
+# `reflected_runs` gives, so a broken enumeration of (e, start, end) triples
+# or a broken pairing, written as a map on encodings, is swapped in as runs
+# of one window each, whose mirror sends it to the window of its image.
 
 
 def _orbit_route(monkeypatch, *, enumerate_with=None, partner=None, entries=(1, 0, 0)):
-    if enumerate_with is not None:
-        monkeypatch.setattr(verifier, "enumerate_odd_encodings", enumerate_with)
-    if partner is not None:
-        def windows_of_images(b, found):
-            return [(f.vector, *encodings.window_of(f)) for f in (partner(e) for e, _, _ in found)]
+    if enumerate_with is not None or partner is not None:
+        enumerate_with = enumerate_with or encodings.enumerate_odd_encodings
+        partner = partner or encodings.phi
 
-        monkeypatch.setattr(verifier, "reflected_windows", windows_of_images)
+        def runs_of_one(b, length):
+            for e, start, end in enumerate_with(b, length):
+                _, s, l, t, m = e
+                f = partner(e)
+                mirror = encodings.window_of(f)[0] + start
+                yield s, t, start - l, end + m, range(start, start + 1), f.vector, mirror
+
+        monkeypatch.setattr(verifier, "reflected_runs", runs_of_one)
     return verify_instance(build_instance(entries)).checks[0]
 
 
@@ -448,7 +455,7 @@ def reference_check_degree(expanded, r):
         found = encodings.enumerate_odd_encodings(w, r + 2)
         encs = [e for e, _, _ in found]
         found_encodings += encs
-        lines += encodings.notations(encs, text)
+        lines += map(str, encs)
         cuts.update({e: (word, start, end) for e, start, end in found})
         positions = {(start, end) for _, start, end in found}
         if positions != surviving:
@@ -491,9 +498,36 @@ def _assert_records_match_the_reference(inst):
         assert record == reference_check_degree(expanded, r), (inst.words, r)
 
 
-@pytest.mark.parametrize("entries", _symmetric_vectors_up_to_weight_20(), ids=format_vector)
+def _symmetric_vectors_of_weight_22():
+    # beyond the golden corpus, which stops at weight 20
+    vectors = [tuple(p["a"]) for p in FAMILIES["symmetric"].sweep(22)]
+    vectors = [a for a in vectors if weight_of(a) == 22]
+    assert len(vectors) == 36
+    assert sum(len(build_instance(a).words) for a in vectors) == 1023
+    return vectors
+
+
+@pytest.mark.parametrize(
+    "entries",
+    _symmetric_vectors_up_to_weight_20() + _symmetric_vectors_of_weight_22(),
+    ids=format_vector,
+)
 def test_check_degree_matches_the_reference(entries):
     _assert_records_match_the_reference(build_instance(entries))
+
+
+@pytest.mark.parametrize("entries,twice", [((1, 0, 0), 1), ((2, 1, 0), 0), ((1, 1, 0, 0, 0), 5)])
+def test_check_degree_reports_a_word_listed_twice(entries, twice):
+    # the second listing has the first one's number, so its places repeat
+    inst = build_instance(entries)
+    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in inst.words]
+    expanded.append(expanded[twice])
+    for r in range(3, inst.weight, 2):
+        record = verifier._check_degree(expanded, r)
+        assert record == reference_check_degree(expanded, r), r
+        if record.encodings:
+            assert "duplicate encodings in input" in record.failures
+            assert record.orbits == 0
 
 
 @pytest.mark.parametrize(

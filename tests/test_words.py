@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from multizeta.verifier import build_instance
 from multizeta.words import (
     Composition,
     block_vector,
@@ -56,6 +57,14 @@ def test_composition_rejects_bad_parts():
         Composition((-1,))
 
 
+def test_composition_refuses_bool_parts():
+    # True == 1, but a flag is no part: Composition((True, 2)) would be zeta(1, 2)
+    with pytest.raises(ValueError, match="^composition parts must be positive integers, got True$"):
+        Composition((True, 2))
+    with pytest.raises(ValueError, match="^composition parts must be positive integers, got False$"):
+        Composition((2, False))
+
+
 def test_blockvector_composition_interleaving():
     assert blockvector_to_composition((0, 0, 0)).parts == (1, 3)
     assert blockvector_to_composition((1, 0, 0)).parts == (2, 1, 3)
@@ -106,6 +115,17 @@ def test_blockvector_arity_enforced():
         block_vector((1, 0, -1))
     with pytest.raises(ValueError, match="^block vector entries must be >= 0, got 1.0$"):
         block_vector((0, 1.0, 0))
+
+
+@pytest.mark.parametrize("entries", [(True, 0, 0), (1, 0, False)])
+def test_block_vector_refuses_bool_entries(entries):
+    # build_instance checks its vector here, so no cert-v1 can carry "a": [true, 0, 0]
+    bad = next(e for e in entries if isinstance(e, bool))
+    message = f"^block vector entries must be >= 0, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        block_vector(entries)
+    with pytest.raises(ValueError, match=message):
+        build_instance(list(entries))
 
 
 def test_block_vector_is_the_entry_tuple():
