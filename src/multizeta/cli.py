@@ -11,12 +11,14 @@ Three subcommands cover the package's capabilities:
   writes a report; ``--sweep`` iterates a whole family under the weight
   cap, optionally in parallel with ``--jobs``.
 
-Each command registers only the numeric settings of `SETTINGS` it reads:
-``MULTIZETA_DIGITS`` counts for ``eval`` and ``check``, ``MULTIZETA_WEIGHT_CAP``
-for ``verify`` and ``check``, and an explicit flag beats both; a value below
-its floor is reported under the flag or variable it came from.  ``eval``
-refuses more than `MAX_EVAL_DIGITS` digits.  Output is deterministic for
-identical inputs and configuration: fixed key order, no timestamps.
+Each call builds the parser of the invoked command alone; only help or an
+unknown command builds all three.  Each command registers only the numeric
+settings of `SETTINGS` it reads: ``MULTIZETA_DIGITS`` counts for ``eval`` and
+``check``, ``MULTIZETA_WEIGHT_CAP`` for ``verify`` and ``check``, and an
+explicit flag beats both; a value below its floor is reported under the flag
+or variable it came from.  ``eval`` refuses more than `MAX_EVAL_DIGITS` digits
+and a weight above `MAX_EVAL_WEIGHT`.  Output is deterministic for identical
+inputs and configuration: fixed key order, no timestamps.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .numerics import (
     DEFAULT_WEIGHT_CAP,
     FAMILIES,
     MAX_EVAL_DIGITS,
+    MAX_EVAL_WEIGHT,
     check_group,
     eval_mzv_fast,
     eval_mzv_series,
@@ -125,45 +128,6 @@ def _add_shared_flags(
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multizeta",
-        description="cancellation certificates and pi-power rationality checks for "
-        "interleaved 2-block zeta values",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="emit a cancellation certificate")
-    p_verify.add_argument(
-        "--a", required=True, type=_int_tuple, metavar="B0,B1,...",
-        help="block vector, an odd-length list of insertion counts",
-    )
-    _add_shared_flags(p_verify, ("json", "text"), "weight-cap")
-
-    p_eval = sub.add_parser("eval", help="evaluate one zeta value with both engines")
-    p_eval.add_argument(
-        "--zeta", required=True, type=_int_tuple, metavar="N1,N2,...",
-        help="composition indexing the zeta value, last part >= 2",
-    )
-    _add_shared_flags(p_eval, ("json", "text"), "digits")
-
-    def used_by(param: str) -> str:
-        return ", ".join(name for name, family in FAMILIES.items() if param in family.params)
-
-    p_check = sub.add_parser("check", help="numeric rationality report for a family")
-    p_check.add_argument("--family", required=True, choices=list(FAMILIES))
-    p_check.add_argument("--a", type=_int_tuple, metavar="B0,B1,...",
-                         help=f"block vector ({used_by('a')})")
-    p_check.add_argument("--n", type=int, help=f"spine half-length ({used_by('n')})")
-    p_check.add_argument("--m", type=int, help=f"insertion count ({used_by('m')})")
-    p_check.add_argument("--sweep", action="store_true",
-                         help="run every instance of the family under the weight cap")
-    _add_shared_flags(
-        p_check, ("json", "csv", "text"), "digits", "max-denominator", "weight-cap", "jobs"
-    )
-    return parser
-
-
 def _certificate_text(cert) -> str:
     inst = cert.instance
     lines = [
@@ -201,6 +165,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     comp = Composition(args.zeta)
+    if comp.weight > MAX_EVAL_WEIGHT:
+        raise ValueError(f"weight {comp.weight} exceeds the cap {MAX_EVAL_WEIGHT}")
     if args.digits > MAX_EVAL_DIGITS:
         raise ValueError(f"precision request {args.digits} exceeds the cap {MAX_EVAL_DIGITS}")
     fast = eval_mzv_fast(comp, args.digits)
@@ -330,8 +296,66 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--a", required=True, type=_int_tuple, metavar="B0,B1,...",
+                     help="block vector, an odd-length list of insertion counts")
+    _add_shared_flags(sub, ("json", "text"), "weight-cap")
+
+
+def _eval_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--zeta", required=True, type=_int_tuple, metavar="N1,N2,...",
+                     help="composition indexing the zeta value, last part >= 2")
+    _add_shared_flags(sub, ("json", "text"), "digits")
+
+
+def _check_arguments(sub: argparse.ArgumentParser) -> None:
+    def used_by(param: str) -> str:
+        return ", ".join(name for name, family in FAMILIES.items() if param in family.params)
+
+    sub.add_argument("--family", required=True, choices=list(FAMILIES))
+    sub.add_argument("--a", type=_int_tuple, metavar="B0,B1,...",
+                     help=f"block vector ({used_by('a')})")
+    sub.add_argument("--n", type=int, help=f"spine half-length ({used_by('n')})")
+    sub.add_argument("--m", type=int, help=f"insertion count ({used_by('m')})")
+    sub.add_argument("--sweep", action="store_true",
+                     help="run every instance of the family under the weight cap")
+    _add_shared_flags(
+        sub, ("json", "csv", "text"), "digits", "max-denominator", "weight-cap", "jobs"
+    )
+
+
+# command name: (help, registers its arguments, runs it)
+COMMANDS = {
+    "verify": ("emit a cancellation certificate", _verify_arguments, cmd_verify),
+    "eval": ("evaluate one zeta value with both engines", _eval_arguments, cmd_eval),
+    "check": ("numeric rationality report for a family", _check_arguments, cmd_check),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when it is None.
+
+    Both print the usage line `multizeta [-h] {verify,eval,check} ...`; the
+    one-command parser needs that as its metavar, which in the full parser
+    would rename the positional `command` in its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="multizeta",
+        description="cancellation certificates and pi-power rationality checks for "
+        "interleaved 2-block zeta values",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=text))
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the invoked command's parser; the full one for help or a bad command
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         # each subcommand registered only the settings it reads; the flag
@@ -348,11 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     parser.error(f"{source} must be at least {floor}, got {value}")
                 setattr(args, dest, value)
         _check_writable(args.output)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        return cmd_check(args)
+        return COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

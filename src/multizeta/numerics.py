@@ -70,6 +70,7 @@ __all__ = [
     "DEFAULT_DIGITS",
     "DEFAULT_WEIGHT_CAP",
     "MAX_EVAL_DIGITS",
+    "MAX_EVAL_WEIGHT",
     "bernoulli_numbers",
     "zeta_even_rational",
     "euler_zeta_even",
@@ -88,6 +89,9 @@ __all__ = [
 DEFAULT_DIGITS = 60
 DEFAULT_WEIGHT_CAP = 14
 MAX_EVAL_DIGITS = 200
+# `eval` refuses heavier compositions: at weight 100 the deepest, 98 ones and a 2,
+# takes about 1.4 s, and the oracle's cost grows about 4x per doubling of depth
+MAX_EVAL_WEIGHT = 100
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import errno
@@ -14,11 +15,13 @@ from multizeta import cli, numerics
 from multizeta.cli import main
 from multizeta.numerics import (
     FAMILIES,
+    MAX_EVAL_WEIGHT,
     check_cyclic_insertion,
     check_group,
     check_symmetric_sum,
 )
 from multizeta.verifier import InsertionInstance, build_instance
+from test_golden import recorded_calls
 
 
 def run_cli(capsys, *argv):
@@ -348,6 +351,38 @@ def test_eval_digits_cap(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: precision request 201 exceeds the cap 200\n"
+
+
+def test_eval_weight_cap_precedes_both_engines(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an engine ran before the weight was checked")
+
+    monkeypatch.setattr(cli, "eval_mzv_fast", refuse)
+    monkeypatch.setattr(cli, "eval_mzv_series", refuse)
+    code, out, err = run_cli(capsys, "eval", "--zeta", f"1,{MAX_EVAL_WEIGHT}")
+    assert (code, out) == (2, "")
+    assert err == f"error: weight {MAX_EVAL_WEIGHT + 1} exceeds the cap {MAX_EVAL_WEIGHT}\n"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "eval", "--zeta", str(MAX_EVAL_WEIGHT))
+    assert code == 0
+    assert json.loads(out)["composition"] == [MAX_EVAL_WEIGHT]
+
+
+def test_eval_refuses_a_huge_composition_at_once():
+    # 50,000 parts of 2: depth 400 took 28 s and each doubling about 4x more,
+    # so the oracle would run for days; the alarm's default action kills the
+    # child if the refusal comes late
+    script = (
+        "import signal; signal.alarm(10)\n"
+        "import sys; from multizeta.cli import main\n"
+        "sys.exit(main(['eval', '--zeta', ','.join(['2'] * 50000)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: weight 100000 exceeds the cap {MAX_EVAL_WEIGHT}\n"
 
 
 def test_eval_bad_tokens_usage_error(capsys):
@@ -770,3 +805,90 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "verified"
+
+
+# every way argparse output reaches the user: top-level and command help,
+# unrecognized arguments, a setting below its floor, no or an unknown command
+PARSER_OUTPUTS = [
+    [], ["bogus"], ["--help"], ["verify", "--help"], ["eval", "--help"], ["check", "--help"],
+    ["verify", "--a", "1,0,0", "--bogus"],
+    ["eval", "--zeta", "1,3", "extra"],
+    ["verify", "--weight-cap", "2", "--a", "1,0,0"],
+    ["check", "--family", "bbbl", "--n", "1", "--m", "0", "--digits", "3"],
+]
+# the full parser's own errors, which a metavar on it would reword
+NAMES_COMMAND = {
+    (): "the following arguments are required: command",
+    ("bogus",): "argument command: invalid choice",
+}
+
+
+def test_one_command_parser_parses_every_recorded_call_as_the_full_one():
+    for argv in recorded_calls():
+        one = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(one) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", PARSER_OUTPUTS, ids=lambda argv: " ".join(argv) or "none")
+def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    for env, *_ in cli.SETTINGS.values():
+        if env is not None:
+            monkeypatch.delenv(env, raising=False)
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    built = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == built
+    assert built[0] in (0, 2)
+    assert NAMES_COMMAND.get(tuple(argv), "") in built[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--a", "1,0,0"],
+    ["eval", "--zeta", "1,3", "--digits", "20"],
+    ["check", "--family", "bbbl", "--n", "1", "--m", "0", "--digits", "20"],
+], ids=lambda argv: argv[0])
+def test_a_call_registers_only_its_own_command(capsys, monkeypatch, argv):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert registered == [argv[0]]
+    registered.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert registered == list(cli.COMMANDS)
+
+
+def test_main_without_argv_reads_the_command_from_sys_argv(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    monkeypatch.setattr(sys, "argv", ["multizeta", "verify", "--a", "1,0,0", "--format", "text"])
+    assert main() == 0
+    assert "verdict: verified" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["multizeta", "bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "argument command: invalid choice" in capsys.readouterr().err
+    assert built == ["verify", None]
