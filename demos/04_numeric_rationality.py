@@ -13,9 +13,7 @@ from multizeta import (
     check_symmetric_sum,
     eval_mzv_fast,
     eval_mzv_series,
-    euler_zeta_even,
     reconstruct_rational,
-    zeta_even_rational,
 )
 
 # Two independent engines, both integer sweeps in fixed point.  The series
@@ -39,10 +37,15 @@ frac = reconstruct_rational(ratio, digits_trusted=fast.guaranteed_digits - 10)
 print(f"zeta(1,3) / pi^4 = {frac}")
 assert frac == Fraction(1, 360)
 
-# Even single zetas have closed forms; the Bernoulli route gives them
-# exactly and agrees with the engine.
-print(f"zeta(8) = {zeta_even_rational(4)} * pi^8")
-print(f"          {mp.nstr(euler_zeta_even(4, digits=30).value, 25)}")
+# Even single zetas are rational multiples of pi powers too, Euler's
+# zeta(2k) = |B_2k| (2 pi)^(2k) / (2 (2k)!); the same readback finds it.
+zeta8 = eval_mzv_fast(Composition((8,)), digits=60)
+with mp.workdps(70):
+    ratio = zeta8.value / pi ** 8
+frac = reconstruct_rational(ratio, digits_trusted=zeta8.guaranteed_digits - 10)
+print(f"zeta(8) = {frac} * pi^8")
+assert frac == Fraction(1, 9450)
+print(f"          {mp.nstr(eval_mzv_fast(Composition((8,)), digits=30).value, 25)}")
 
 # Reconstruction refuses numbers that are not small rationals: no
 # convergent of pi is accurate to 25 digits before its denominator blows

@@ -23,7 +23,6 @@ from .coaction import accumulate, cut, dr_terms, reversal_canonical, surviving_w
 from .encodings import (
     OddEncoding,
     enumerate_odd_encodings,
-    pair_up,
     phi,
     quotient_of,
     subsequence_of,
@@ -39,16 +38,13 @@ from .verifier import (
 )
 from .numerics import (
     PrecisionReal,
-    bernoulli_numbers,
     check_bbbl_family,
     check_bowman_bradley,
     check_cyclic_insertion,
     check_symmetric_sum,
-    euler_zeta_even,
     eval_mzv_fast,
     eval_mzv_series,
     reconstruct_rational,
-    zeta_even_rational,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +57,6 @@ __all__ = [
     "OddEncoding",
     "PrecisionReal",
     "accumulate",
-    "bernoulli_numbers",
     "block_vector",
     "blockvector_to_composition",
     "blockvector_to_word",
@@ -74,13 +69,11 @@ __all__ = [
     "cut",
     "dr_terms",
     "enumerate_odd_encodings",
-    "euler_zeta_even",
     "eval_mzv_fast",
     "eval_mzv_series",
     "expansion_residual",
     "format_vector",
     "format_word",
-    "pair_up",
     "phi",
     "quotient_of",
     "reconstruct_rational",
@@ -91,5 +84,4 @@ __all__ = [
     "verify_instance",
     "weight_of",
     "window_of",
-    "zeta_even_rational",
 ]

@@ -35,11 +35,11 @@ facts drive the pairwise cancellation proof in the verifier.  An orbit is
 a plain (e, phi(e)) pair, smaller encoding first; the subword and the
 quotient of an encoding are `coaction.cut` of its word at its window.
 
-`phi` and `pair_up` are the reference; the verifier finds each partner by
-its window instead, from one scan.  `window_runs` gives the windows of one
-length run by run, one run per block pair (s, t): blocks s..t span [p, q)
-of the word, p = offs[s] and q = offs[t+1] for the block offsets offs,
-and e = (b; s, l; t, m) has the window [p + l, q - m).  Reversing
+`phi` is the reference; the verifier finds each partner by its window
+instead, from one scan.  `window_runs` gives the windows of one length
+run by run, one run per block pair (s, t): blocks s..t span [p, q) of the
+word, p = offs[s] and q = offs[t+1] for the block offsets offs, and
+e = (b; s, l; t, m) has the window [p + l, q - m).  Reversing
 (b_s, ..., b_t) permutes the blocks inside [p, q) and moves none outside
 it, so [p, q) is also the span of blocks s..t in phi(e)'s word, and
 phi(e)'s window is [p + m, q - l) = [p + q - end, p + q - start): the
@@ -67,7 +67,6 @@ __all__ = [
     "window_of",
     "encoding_at",
     "reflected_runs",
-    "pair_up",
 ]
 
 
@@ -79,12 +78,6 @@ class OddEncoding(NamedTuple):
     start_offset: int
     end_block: int
     end_offset: int
-
-    @property
-    def length(self) -> int:
-        """Window length: total size of the spanned blocks minus both offsets."""
-        start, end = window_of(self)
-        return end - start
 
     def __str__(self) -> str:
         b, s, l, t, m = self
@@ -187,34 +180,3 @@ def quotient_of(e: OddEncoding) -> Word:
     """The right factor: the word with the window's interior removed."""
     return cut(blockvector_to_word(e.vector), *window_of(e))[1]
 
-
-def pair_up(
-    encodings: List[OddEncoding],
-) -> Tuple[List[Tuple[OddEncoding, OddEncoding]], List[str]]:
-    """Greedy phi-pairing into (e, phi(e)) orbits, smaller encoding first.
-
-    Sources are taken in ascending order and each pairs only with a larger
-    image that no earlier source took, so no encoding lies in two orbits.
-    Returns the orbits plus a description of any failures; the cancellation
-    argument needs none.
-    """
-    pool = set(encodings)
-    if len(pool) != len(encodings):
-        return [], ["duplicate encodings in input"]
-    orbits = []
-    failures = []
-    paired = set()  # images already taken; a sorted scan never revisits a source
-    for e in sorted(pool):
-        if e in paired:
-            continue
-        f = phi(e)
-        if f == e:
-            failures.append(f"fixed point of phi: {e}")
-        elif f not in pool:
-            failures.append(f"phi image missing from the collection: {e} -> {f}")
-        elif f < e or f in paired:
-            failures.append(f"phi is not an involution: {e} -> {f}")
-        else:
-            paired.add(f)
-            orbits.append((e, f))
-    return orbits, failures

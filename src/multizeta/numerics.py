@@ -32,10 +32,11 @@ Two independent evaluation engines are provided.
 Rational readback is exact and has one rule (`_readback`): the fraction
 nearest a certified interval's midpoint with denominator up to the Q its
 width derives, or a lower cap, if it lies in the interval.  A check reads
-the row's interval over pi^weight, rounded outward; `reconstruct_rational`
-reads x +- 10^-digits.  None is the normal outcome for a value that is not
-a small-denominator rational.  The family checks combine the engines with
-the symbolic verifier; `FAMILIES` holds all that tells one family from another.
+the row's interval over pi^weight, rounded outward, if it lies above 0;
+`reconstruct_rational` reads x +- 10^-digits.  None is the normal outcome
+for a value that is not a small-denominator rational.  The family checks
+combine the engines with the symbolic verifier; `FAMILIES` holds all that
+tells one family from another.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ __all__ = [
     "DEFAULT_WEIGHT_CAP",
     "MAX_EVAL_DIGITS",
     "MAX_EVAL_WEIGHT",
-    "bernoulli_numbers",
-    "zeta_even_rational",
-    "euler_zeta_even",
     "eval_mzv_series",
     "eval_mzv_fast",
     "reconstruct_rational",
@@ -111,44 +109,6 @@ class PrecisionReal:
         if self.error_bound == 0:
             return self.digits
         return max(0, int(mp.floor(-mp.log10(self.error_bound))))
-
-
-def bernoulli_numbers(limit: int) -> List[Fraction]:
-    """B_0 .. B_limit as exact fractions, with B_1 = -1/2."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    numbers = [Fraction(0)] * (limit + 1)
-    numbers[0] = Fraction(1)
-    for m in range(1, limit + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += comb(m + 1, j) * numbers[j]
-        numbers[m] = -acc / (m + 1)
-    return numbers
-
-
-def zeta_even_rational(k: int) -> Fraction:
-    """The exact rational zeta(2k) / pi^(2k)."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    b = bernoulli_numbers(2 * k)[2 * k]
-    return Fraction((-1) ** (k + 1)) * b * Fraction(4**k, 2 * factorial(2 * k))
-
-
-def euler_zeta_even(k: int, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
-    """zeta(2k) evaluated from its closed form: an exact rational times pi^(2k).
-
-    The bound is derived.  At p = round((digits + 11) log2 10) bits, pi, its
-    2k-th power, the numerator, the product and the quotient are each rounded
-    once, to 2^(1-p) relatively, and the power takes pi's error 2k-fold.  As
-    zeta(2k) < 2, the error is under 1.03 (2k + 4) 2^(2-p) < 6 (2k + 4)
-    10^(-digits-11), which is at most 10^-digits for k < 8 10^9, digits >= 1.
-    """
-    ratio = zeta_even_rational(k)
-    with mp.workdps(digits + 10):
-        value = mp.pi ** (2 * k) * mpf(ratio.numerator) / ratio.denominator
-        bound = mpf(10) ** (-digits)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
 
 
 def _series_tail_bound(parts: Tuple[int, ...], terms: int) -> mpf:
@@ -466,8 +426,10 @@ def _check(
     encloses the row's zeta sum S at digits + 10, with the other rows of
     a `check_group` if this is its running row's call (same digits, same
     argument objects), which takes that row's parse and share by position;
-    lambda S / pi^weight is then enclosed in [low, high] / 2^bits,
-    `_readback` reads the fraction off it, and `value` shows its midpoint.
+    lambda S / pi^weight is then enclosed in [low, high] / 2^bits, and
+    `value` shows its midpoint.  Every family sum is a positive combination
+    of zeta values, so `_readback` reads a fraction off the interval only
+    when low > 0: an interval that reaches 0 has not resolved the value.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
@@ -488,7 +450,7 @@ def _check(
     low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
     high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
     target = spec.target(weight, **params)
-    reconstructed = _readback(low, high, 1 << bits, max_denominator)
+    reconstructed = _readback(low, high, 1 << bits, max_denominator) if low > 0 else None
     if reconstructed is None:
         status = "no-reconstruction"
     elif spec.conjectural_target and reconstructed == target:

@@ -28,7 +28,7 @@ independent routes:
    which makes the paired terms cancel.  The same windows are checked to
    match, word by word, the windows of the degree-r cut that survive the
    boundary filter.  Failure lines name encodings; each kind is reported
-   in ascending encoding order, as `encodings.pair_up` would give them.
+   in ascending encoding order.
 2. Expansion route: the degree-r terms of every word in C, the cuts of
    the surviving windows that the orbit route compared, are accumulated
    modulo left-factor reversal; no term may be left over.

@@ -508,6 +508,29 @@ def test_sweep_reads_back_no_fraction_but_the_target(capsys, family, settings):
         assert declined == [row["params"] for row in rows if int(row["weight"]) >= 36]
 
 
+# from about weight 56 at 20 digits, and 80 at 60, the certified interval of
+# a row's ratio reaches down to 0, and 0/1 was read back as verified-rational
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--family", "bbbl", "--n", "14", "--m", "0", "--digits", "20",
+                  "--weight-cap", "56"), id="bbbl-w56-20d"),
+    pytest.param(("--family", "symmetric", "--a", "40,0,0", "--weight-cap", "200"),
+                 id="symmetric-w84"),
+    pytest.param(("--family", "bowman-bradley", "--n", "1", "--m", "39", "--weight-cap", "84"),
+                 id="bowman-bradley-w82"),
+    pytest.param(("--family", "bbbl", "--sweep", "--weight-cap", "84"), id="bbbl-sweep-cap84"),
+])
+def test_interval_reaching_zero_reads_nothing_back(capsys, argv):
+    code, out, _ = run_cli(capsys, "check", *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    # every family sum is positive, so 0/1, or any fraction but the target, is wrong
+    assert [row["params"] for row in rows if row["reconstructed"] not in ("", row["target"])] == []
+    if "--sweep" not in argv:
+        [row] = rows
+        assert (row["reconstructed"], row["status"]) == ("", "no-reconstruction")
+
+
 def test_check_sweep_json_is_array(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--family", "cyclic", "--sweep",

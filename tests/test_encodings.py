@@ -8,7 +8,6 @@ from multizeta.encodings import (
     OddEncoding,
     encoding_at,
     enumerate_odd_encodings,
-    pair_up,
     phi,
     quotient_of,
     reflected_runs,
@@ -17,6 +16,8 @@ from multizeta.encodings import (
 )
 from multizeta.verifier import build_instance
 from multizeta.words import blockvector_to_word, format_word, weight_of
+
+from conftest import pair_up, window_length
 
 
 @st.composite
@@ -67,7 +68,7 @@ def test_producers_keep_the_encoding_rules():
                 f = phi(e)
                 assert _rules_hold(e), e
                 assert _rules_hold(f), (e, f)
-                assert e.length == f.length == length
+                assert window_length(e) == window_length(f) == length
                 assert (start, end) == window_of(e), e
                 assert encoding_at(b, start, end) == e
 
@@ -132,11 +133,13 @@ def test_enumeration_preconditions():
 
 @given(odd_encodings())
 def test_length_formula(e):
-    assert e.length % 2 == 1
-    assert e.length >= 3
-    start, end = window_of(e)
-    assert end - start == e.length
-    assert len(subsequence_of(e)) == e.length
+    b, s, l, t, m = e
+    length = window_length(e)
+    assert length % 2 == 1
+    assert length >= 3
+    # the spanned blocks' total size minus both offsets
+    assert sum(2 * (b[i] + 1) for i in range(s, t + 1)) - l - m == length
+    assert len(subsequence_of(e)) == length
 
 
 @given(odd_encodings())
@@ -144,7 +147,7 @@ def test_phi_is_a_fixed_point_free_involution(e):
     f = phi(e)
     assert f != e
     assert phi(f) == e
-    assert f.length == e.length
+    assert window_length(f) == window_length(e)
 
 
 @given(odd_encodings())
@@ -166,7 +169,7 @@ def test_quotient_glues_window_ends(e):
     word = blockvector_to_word(e.vector)
     start, end = window_of(e)
     quotient = quotient_of(e)
-    assert len(quotient) == len(word) - e.length + 2
+    assert len(quotient) == len(word) - (end - start) + 2
     assert quotient[: start + 1] == word[: start + 1]
     assert quotient[start + 1 :] == word[end - 1 :]
 

@@ -21,17 +21,14 @@ from multizeta.numerics import (
     _split_sum,
     _truncated_series,
     _truncation_degree,
-    bernoulli_numbers,
     check_bbbl_family,
     check_bowman_bradley,
     check_cyclic_insertion,
     check_group,
     check_symmetric_sum,
-    euler_zeta_even,
     eval_mzv_fast,
     eval_mzv_series,
     reconstruct_rational,
-    zeta_even_rational,
 )
 from multizeta.verifier import build_instance
 from multizeta.words import (
@@ -43,7 +40,7 @@ from multizeta.words import (
     weight_of,
 )
 
-from conftest import weak_compositions
+from conftest import bernoulli_numbers, euler_zeta_even, weak_compositions, zeta_even_rational
 
 
 def admissible_compositions(max_weight):

@@ -30,6 +30,8 @@ from multizeta.words import (
     weight_of,
 )
 
+from conftest import pair_up
+
 
 def test_build_instance_100():
     inst = build_instance((1, 0, 0))
@@ -464,7 +466,7 @@ def reference_check_degree(expanded, r):
                 f"encoded {sorted(positions)} vs surviving {sorted(surviving)}"
             )
 
-    orbits, pair_failures = encodings.pair_up(found_encodings)
+    orbits, pair_failures = pair_up(found_encodings)
     failures.extend(pair_failures)
     for e, f in orbits:
         sub_e, quo_e = cut(*cuts[e])
