@@ -6,7 +6,8 @@ Three subcommands cover the package's capabilities:
   verified, 1 when any check fails, 2 on usage errors).
 * ``eval --zeta 1,3 --digits 50`` evaluates one zeta value with the fast
   engine and reports how many digits the slow series oracle confirms; it
-  exits 1, printing no value, when the two engines' intervals are disjoint.
+  exits 1, printing no value, when the two engines' intervals, both exact
+  integers over a power of two, are disjoint (one shared end is not).
 * ``check --family bbbl --n 1 --m 1`` runs a numeric rationality check and
   writes a report; ``--sweep`` iterates a whole family under the weight
   cap, optionally in parallel with ``--jobs``.
@@ -30,11 +31,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby
 from typing import List, Optional, Tuple
-
-from mpmath import mp
 
 from .numerics import (
     DEFAULT_DIGITS,
@@ -42,9 +42,11 @@ from .numerics import (
     FAMILIES,
     MAX_EVAL_DIGITS,
     MAX_EVAL_WEIGHT,
+    _nstr,
+    _series_interval,
+    _split_interval,
+    _zero_places,
     check_group,
-    eval_mzv_fast,
-    eval_mzv_series,
 )
 from .verifier import build_instance, verify_instance
 from .words import Composition, format_vector
@@ -169,21 +171,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"weight {comp.weight} exceeds the cap {MAX_EVAL_WEIGHT}")
     if args.digits > MAX_EVAL_DIGITS:
         raise ValueError(f"precision request {args.digits} exceeds the cap {MAX_EVAL_DIGITS}")
-    fast = eval_mzv_fast(comp, args.digits)
-    oracle = eval_mzv_series(comp, ORACLE_TERMS)
-    with mp.workdps(args.digits + 10):
-        diff = abs(fast.value - oracle.value)
-        if diff > fast.error_bound + oracle.error_bound:
-            ends = [mp.nstr(r.value + s * r.error_bound, args.digits)
-                    for r in (fast, oracle) for s in (-1, 1)]
-            print("error: the engines' intervals are disjoint\nfast: [{}, {}]\n"
-                  "oracle: [{}, {}]".format(*ends), file=sys.stderr)
-            return 1
-        agreement = args.digits if diff == 0 else max(0, int(mp.floor(-mp.log10(diff))))
+    fast = _split_interval(comp, args.digits)
+    oracle = _series_interval(comp, ORACLE_TERMS)[:3]
+    # each engine's exact interval; meeting at one end is agreement
+    (fast_low, fast_high), (oracle_low, oracle_high) = (
+        (Fraction(low, 1 << exponent), Fraction(high, 1 << exponent))
+        for low, high, exponent in (fast, oracle)
+    )
+    if fast_high < oracle_low or oracle_high < fast_low:
+        ends = [_nstr(end, exponent, args.digits, args.digits + 10)
+                for low, high, exponent in (fast, oracle) for end in (low, high)]
+        print("error: the engines' intervals are disjoint\nfast: [{}, {}]\n"
+              "oracle: [{}, {}]".format(*ends), file=sys.stderr)
+        return 1
+    diff = abs(fast_low - oracle_low)
+    agreement = args.digits if diff == 0 else _zero_places(diff)
     payload = {
         "composition": list(args.zeta),
         "digits": args.digits,
-        "value": mp.nstr(fast.value, args.digits),
+        "value": _nstr(fast[0], fast[2], args.digits, args.digits + 15),
         "engine_agreement_digits": agreement,
         "oracle_terms": ORACLE_TERMS,
     }

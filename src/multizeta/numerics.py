@@ -1,16 +1,21 @@
 """High-precision evaluation of multiple zeta values and rational readback.
 
-Two independent evaluation engines are provided.
+Two independent evaluation engines are provided.  Both work in Python
+integers and enclose a value in [low, high] / 2^e; `eval_mzv_series` and
+`eval_mzv_fast` are their mpf faces, and only they, `reconstruct_rational`
+and `PrecisionReal` import mpmath, when they run.  The CLI reads the
+integer intervals directly, so no command loads mpmath.
 
 * `eval_mzv_series` sums the defining nested series directly up to a cutoff
-  N, in fixed point: one running sum per depth level, each a Python
-  integer scaled by a power of two.  Its error bound is derived: the
-  truncation tail, from the elementary estimate f_j(k) <= k^(-n_j)
-  H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the harmonic
-  number, bounded by 1 + log), plus the floors of the sweep, which enough
-  guard bits keep below the working precision.  The tail shrinks only
-  like a power of N, so it gives a few digits; it is the independent
-  oracle, sharing no code with the other engine.
+  N, in fixed point (`_series_interval`): one running sum per depth level,
+  each a Python integer scaled by a power of two.  Its error bound is
+  derived: the truncation tail, from the elementary estimate f_j(k) <=
+  k^(-n_j) H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the
+  harmonic number, bounded by 1 + log), an exact fraction whose logarithms
+  are bounded from above, plus the floors of the sweep, which enough guard
+  bits keep below the working precision.  The tail shrinks only like a
+  power of N, so it gives a few digits; it is the independent oracle,
+  sharing no code with the other engine.
 * `eval_mzv_fast` evaluates the word integral by splitting every
   integration path at 1/2 and convolving prefix values of the word with
   prefix values of its reversed-complemented dual.  The prefix values come
@@ -27,7 +32,7 @@ Two independent evaluation engines are provided.
   words and duals (`_prefix_walk`), which sweeps every distinct prefix of
   the group once: `check_group` runs one weight's rows in order, the first
   check runs the walk, and each takes its row's share by position.
-  `eval_mzv_fast` is the one-word case, the only place integers become mpf.
+  `_split_interval` is the one-word case.
 
 Rational readback is exact and has one rule (`_readback`): the fraction
 nearest a certified interval's midpoint with denominator up to the Q its
@@ -37,6 +42,11 @@ the row's interval over pi^weight, rounded outward, if it lies above 0;
 for a value that is not a small-denominator rational.  The family checks
 combine the engines with the symbolic verifier; `FAMILIES` holds all that
 tells one family from another.
+
+What the checks took from mpmath is ported to integers, value for value:
+pi at `bits` significant bits rounded either way (`_pi_below`, from
+Machin's formula), the bits of a decimal precision (`_dps_to_prec`) and
+`mp.nstr`'s decimal string (`_nstr`).
 """
 
 from __future__ import annotations
@@ -45,14 +55,11 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain, combinations, repeat
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, log
 from operator import floordiv, mul, rshift
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
-
-from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_pi, round_ceiling, round_floor, to_rational
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .verifier import build_instance, verify_instance
 from .words import (
@@ -65,6 +72,9 @@ from .words import (
     composition_to_word,
     weight_of,
 )
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "PrecisionReal",
@@ -97,7 +107,9 @@ class PrecisionReal:
     """A floating value together with a digit count and an absolute bound.
 
     `digits` is the requested precision for the split engine and, for the
-    series oracle, the count its truncation tail allows.
+    series oracle, the count its truncation tail allows.  It is the mpf face
+    of the engines' integer intervals: the functions that build one, and
+    `guaranteed_digits`, import mpmath when they run.
     """
 
     value: mpf
@@ -106,39 +118,101 @@ class PrecisionReal:
 
     @property
     def guaranteed_digits(self) -> int:
+        from mpmath import mp
+
         if self.error_bound == 0:
             return self.digits
         return max(0, int(mp.floor(-mp.log10(self.error_bound))))
 
 
-def _series_tail_bound(parts: Tuple[int, ...], terms: int) -> mpf:
+def _as_precision_real(low: int, high: int, exponent: int, digits: int, dps: int) -> PrecisionReal:
+    """[low, high] / 2^exponent as an mpf and a bound, at `dps` decimal digits.
+
+    `value` is the lower end rounded once to nearest at p bits, the bits of
+    `dps` digits; `error_bound`, rounded up, is the width plus that
+    rounding, at most 2^(-p) times the value.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        value = mp.ldexp(mpf(low), -exponent)
+        bound = mp.ldexp(mpf(((high - low) << mp.prec) + low, rounding="u"), -exponent - mp.prec)
+    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+
+
+def _dps_to_prec(dps: int) -> int:
+    """The bits of `dps` decimal digits, by mpmath's formula, which fixes every width here."""
+    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
+
+
+def _zero_places(x: Fraction) -> int:
+    """max(0, floor(-log10 x)) for x > 0: how many decimal places of x are 0."""
+    return len(str(x.denominator // x.numerator)) - 1
+
+
+# the fractional bits of every logarithm bound in `_series_tail_bound`
+_LOG_BITS = 128
+
+
+def _atanh_above(a: int, b: int, bits: int) -> int:
+    """An integer at least 2^bits atanh(a/b), for 0 <= a/b <= 1/3.
+
+    Sums z^(2j+1) / (2j+1), z = a/b, with every power and quotient rounded
+    up, while the power exceeds one unit; the rest of the series is at most
+    z^(2k+1) / ((2k+1) (1 - z^2)), which is added rounded up too.
+    """
+    a2, b2 = a * a, b * b
+    power = -(-(a << bits) // b)
+    total, j = 0, 0
+    while power > 1:
+        total += -(-power // (2 * j + 1))
+        power = -(-power * a2 // b2)
+        j += 1
+    return total + -(-power * b2 // ((2 * j + 1) * (b2 - a2)))
+
+
+def _log_above(x: int) -> int:
+    """An integer at least 2^_LOG_BITS ln x, for an integer x >= 1.
+
+    With 2^k <= x < 2^(k+1), ln x = 2 k atanh(1/3) + 2 atanh((x - 2^k) / (x + 2^k)),
+    both arguments at most 1/3.
+    """
+    k = x.bit_length() - 1
+    ln2 = _atanh_above(1, 3, _LOG_BITS)
+    return 2 * (k * ln2 + _atanh_above(x - (1 << k), x + (1 << k), _LOG_BITS))
+
+
+def _series_tail_bound(parts: Tuple[int, ...], terms: int) -> Fraction:
     """Upper bound on the discarded tail of the nested series after `terms` terms.
 
     With p = depth - 1 and s the final exponent, the inner sums satisfy
     f_p(k) <= (1 + log k)^p / p!, so the tail is at most the remaining sum of
-    k^(-s) (1 + log k)^p / p!, which integration by parts bounds by the
-    closed form below.
+    k^(-s) (1 + log k)^p / p!, which integration by parts bounds by
+
+        ((1 + log(N+1))^p (N+1)^(-s)
+         + N^(1-s) sum_i p!/(p-i)! (1 + log N)^(p-i) / (s-1)^(i+1)) / p!.
+
+    Every term grows with the logarithms, which `_log_above` bounds from
+    above; the rest is exact, so the bound is too.
     """
-    p = len(parts) - 1
-    s = parts[-1]
-    n = mpf(terms)
-    log_terms = mp.log(n)
-    head = (1 + mp.log(n + 1)) ** p * (n + 1) ** (-s)
-    series = mpf(0)
-    for i in range(p + 1):
-        series += (
-            mpf(factorial(p) // factorial(p - i))
-            * (1 + log_terms) ** (p - i)
-            / mpf(s - 1) ** (i + 1)
-        )
-    return (head + n ** (1 - s) * series) / factorial(p)
+    p, s, n = len(parts) - 1, parts[-1], terms
+    one = 1 << _LOG_BITS
+    inner, outer = one + _log_above(n), one + _log_above(n + 1)
+    # the sum over i, as an integer over one^p (s-1)^(p+1)
+    series = sum(
+        factorial(p) // factorial(p - i) * inner ** (p - i) * one**i * (s - 1) ** (p - i)
+        for i in range(p + 1)
+    )
+    head = Fraction(outer**p, one**p * (n + 1) ** s)
+    rest = Fraction(series, one**p * (s - 1) ** (p + 1) * n ** (s - 1))
+    return (head + rest) / factorial(p)
 
 
 def _series_rounding_units(depth: int, terms: int) -> int:
     """How many units of 2^(-S) `_truncated_series` may fall short by.
 
     Runs the recurrence u_j = N (1 + ceil(h^(j-1) / (j-1)!) + u_(j-1)),
-    u_0 = 0, with N = `terms` and h = bitlength(N); `eval_mzv_series`
+    u_0 = 0, with N = `terms` and h = bitlength(N); `_series_interval`
     derives it.
     """
     h = terms.bit_length()
@@ -166,21 +240,17 @@ def _truncated_series(parts: Tuple[int, ...], terms: int, bits: int) -> int:
     return deque(level, maxlen=1)[0]
 
 
-def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
-    """Direct nested summation with a derived error bound.
+def _series_interval(c: Composition, terms: int) -> Tuple[int, int, int, int]:
+    """Direct nested summation: zeta(c) in [low, high] / 2^S, and the digits the tail allows.
 
     Sums over 0 < k_1 < ... < k_r <= N, N = `terms`, in fixed point: every
-    level is a Python integer scaled by 2^S and becomes an mpf once, at the
-    end.  Accuracy is limited by the tail, roughly N^(1 - last part) up to
-    logarithms; `digits` is the count the tail alone allows, and the sum
-    is converted at p bits, p the precision of digits + 10 (at least 30)
-    decimal digits.
+    level is a Python integer scaled by 2^S.  Accuracy is limited by the
+    tail, roughly N^(1 - last part) up to logarithms; the digit count is
+    floor(-log10) of the tail bound, at least 1, and S = p + bitlength(d_r),
+    p the bits of that count + 10 (at least 30) decimal digits.
 
-    `error_bound` is the sum of three parts:
+    low is the computed sum, and high adds two parts:
 
-    * Truncation.  `_series_tail_bound`: every inner sum L_j(k) of the
-      first j parts is at most H_k^j / j! <= (1 + ln k)^j / j!, H the
-      harmonic number, and the tail beyond N is bounded by integration.
     * Rounding.  Each power floor(2^S k^(-e)) is low by less than one unit
       of 2^(-S), and each update floor(l_(j-1) power / 2^S) loses less
       than one more.  Every floor lowers the result, so the error d_j of
@@ -190,33 +260,45 @@ def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
       d_0 = 0 and L_0 = 1.  `_series_rounding_units` runs this with
       L_(j-1)(N) <= h^(j-1) / (j-1)!, h = bitlength(N) >= 1 + ln N
       (true for N >= 8).
-    * Conversion.  One rounding to nearest at p bits, at most 2^(-p) times
-      the value.
+    * Truncation.  `_series_tail_bound`: every inner sum L_j(k) of the
+      first j parts is at most H_k^j / j! <= (1 + ln k)^j / j!, H the
+      harmonic number, and the tail beyond N is bounded by integration;
+      it is rounded up to a unit of 2^(-S).
 
-    S = p + bitlength(d_r) makes the rounding part below 2^(-p).
+    The empty composition is exactly 1 and claims `MAX_EVAL_DIGITS`.
     """
     if terms < 10:
         raise ValueError(f"need terms >= 10, got {terms}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
     if c.depth == 0:
-        return PrecisionReal(value=mpf(1), digits=MAX_EVAL_DIGITS, error_bound=mpf(0))
+        return 1, 1, 0, MAX_EVAL_DIGITS
 
     parts = c.parts
-    with mp.workdps(30):
-        tail = _series_tail_bound(parts, terms)
-        claimed = max(1, int(mp.floor(-mp.log10(tail))))
-    with mp.workdps(max(30, claimed + 10)):
-        units = _series_rounding_units(len(parts), terms)
-        bits = mp.prec + units.bit_length()
-        total = _truncated_series(parts, terms, bits)
-        value = mp.ldexp(mpf(total), -bits)
-        # rounding and conversion as an integer over 2^(bits + p)
-        rest = (units << mp.prec) + total
-        bound = mp.fadd(
-            tail, mp.ldexp(mpf(rest, rounding="u"), -(bits + mp.prec)), rounding="u"
-        )
-    return PrecisionReal(value=value, digits=claimed, error_bound=bound)
+    tail = _series_tail_bound(parts, terms)
+    claimed = max(1, _zero_places(tail))
+    units = _series_rounding_units(len(parts), terms)
+    bits = _dps_to_prec(max(30, claimed + 10)) + units.bit_length()
+    low = _truncated_series(parts, terms, bits)
+    tail_units = -(-(tail.numerator << bits) // tail.denominator)
+    return low, low + units + tail_units, bits, claimed
+
+
+def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
+    """Direct nested summation with a derived error bound, as an mpf.
+
+    `_series_interval` encloses the value and derives its bound; `digits`
+    is the count the tail alone allows, and the interval is converted at
+    that count + 10 (at least 30) decimal digits, its width plus the one
+    rounding being the bound.  The empty composition is exactly 1, with
+    bound 0.
+    """
+    low, high, exponent, claimed = _series_interval(c, terms)
+    if c.depth == 0:
+        from mpmath import mpf
+
+        return PrecisionReal(value=mpf(1), digits=claimed, error_bound=mpf(0))
+    return _as_precision_real(low, high, exponent, claimed, max(30, claimed + 10))
 
 
 def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word, List[int]]:
@@ -314,7 +396,7 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
     n = len(interiors[0][0])
     m_max = _truncation_degree(n, digits)
-    bits = dps_to_prec(digits + 15) + 2 * n.bit_length()
+    bits = _dps_to_prec(digits + 15) + 2 * n.bit_length()
     prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
     exponent = 2 * (bits + m_max)
     per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
@@ -325,25 +407,30 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     return [(total, total + len(row) * per_word, exponent) for row, total in zip(rows, totals)]
 
 
-def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
-    """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
+def _split_interval(c: Composition, digits: int) -> Tuple[int, int, int]:
+    """zeta(c) in [low, high] / 2^e: the one-word row of `_split_sum` at `digits`.
 
-    The one-word case of `_split_sum`: `value` is the interval's lower end
-    rounded once to nearest at p bits, and `error_bound`, rounded up, is the
-    width plus that rounding, at most 2^(-p) times the value.  It stays below
-    10^-(digits+7), so `guaranteed_digits` is at least `digits`; the empty
-    composition comes out as exactly 1, with that same positive bound.  Any
-    precision is accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.
+    Any precision is accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
-    [(low, high, exponent)] = _split_sum([[composition_to_word(c)]], digits)
-    with mp.workdps(digits + 15):
-        value = mp.ldexp(mpf(low), -exponent)
-        bound = mp.ldexp(mpf(((high - low) << mp.prec) + low, rounding="u"), -exponent - mp.prec)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+    [interval] = _split_sum([[composition_to_word(c)]], digits)
+    return interval
+
+
+def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
+    """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
+
+    `_split_interval` converted at digits + 15 decimal digits: `value` is
+    the interval's lower end rounded once to nearest at p bits, and
+    `error_bound`, rounded up, is the width plus that rounding, at most
+    2^(-p) times the value.  It stays below 10^-(digits+7), so
+    `guaranteed_digits` is at least `digits`; the empty composition comes
+    out as exactly 1, with that same positive bound.
+    """
+    return _as_precision_real(*_split_interval(c, digits), digits, digits + 15)
 
 
 def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[Fraction]:
@@ -377,6 +464,9 @@ def reconstruct_rational(
     takes, such as `mp.pi`, then read at digits_trusted + 10 digits.  None
     means no small rational explains x, as expected of an irrational.
     """
+    from mpmath import mp, mpf
+    from mpmath.libmp import to_rational
+
     if digits_trusted < 20:
         raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")
     with mp.workdps(digits_trusted + 10):
@@ -408,12 +498,123 @@ class _WeightGroup:
 _open_group: Optional[_WeightGroup] = None
 
 
+def _arctan_inverse(x: int, bits: int) -> Tuple[int, int]:
+    """(t, e): 2^bits atan(1/x) lies within e of t, for an integer x >= 2.
+
+    t sums the terms of atan(1/x) = sum_j (-1)^j / ((2j+1) x^(2j+1)) as
+    floor(2^bits / ((2j+1) x^(2j+1))), exactly, since floor divisions by
+    integers nest; each is low by less than 1.  The sum stops at the first
+    j = k whose floor(2^bits / x^(2k+1)) is 0: the alternating rest is
+    smaller than its first term, below 1/(2k+1).  So e = k + 1.
+    """
+    power, square = (1 << bits) // x, x * x
+    total = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= square
+        k += 1
+    return total, k + 1
+
+
+@cache
+def _pi_below(bits: int) -> int:
+    """floor(pi 2^(bits - 2)): pi rounded down to `bits` significant bits; + 1 rounds up.
+
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) at g guard bits gives
+    2^(bits - 2 + g) pi within e = 16 e_5 + 4 e_239 of t.  Where t - e and
+    t + e agree above the guard bits, that is the floor.  The atan(1/5) sum
+    takes at most p/4 + 1 terms at p bits and the other fewer, so e stays
+    below 5 (bits + g) + 40, which is below 5 bits + 200 while g <= 32.  g
+    starts at bitlength(5 bits + 200) + 10, so t +- e straddles a multiple
+    of 2^g, and g doubles, at odds below 2^-9.  Each width is computed
+    once, as mpmath caches its pi.
+    """
+    guard = (5 * bits + 200).bit_length() + 10
+    while True:
+        five, e_five = _arctan_inverse(5, bits - 2 + guard)
+        big, e_big = _arctan_inverse(239, bits - 2 + guard)
+        t, e = 16 * five - 4 * big, 16 * e_five + 4 * e_big
+        if (t - e) >> guard == (t + e) >> guard:
+            return (t - e) >> guard
+        guard *= 2
+
+
 def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) -> int:
-    """value / 2^exponent / pi^weight as an integer over 2^bits, rounded up if `up`, else down."""
-    _, man, exp, _ = mpf_pi(bits, round_floor if up else round_ceiling)
-    shift = bits - exponent - weight * exp
-    numerator, denominator = value << max(shift, 0), man**weight << max(-shift, 0)
+    """value / 2^exponent / pi^weight as an integer over 2^bits, rounded up if `up`, else down.
+
+    pi is P / 2^(bits - 2) at `bits` significant bits, rounded down for
+    the upper end and up for the lower one.
+    """
+    pi = _pi_below(bits) + (not up)
+    shift = bits - exponent + weight * (bits - 2)
+    numerator, denominator = value << max(shift, 0), pi**weight << max(-shift, 0)
     return -(-numerator // denominator) if up else numerator // denominator
+
+
+# log2(10) as mpmath's decimal conversion takes it, float for float
+_LOG2_10 = log(10, 2)
+
+
+def _nstr(numerator: int, exponent: int, digits: int, dps: int) -> str:
+    """numerator / 2^exponent as mpmath 1.3's `nstr` prints it, made an mpf at `dps` digits.
+
+    `digits` >= 1 is nstr's digit count.  The steps replay mpmath's, in
+    integers:
+
+    * round to nearest, ties to even, at p bits, the bits of `dps` digits;
+    * with the value in [2^(E-1), 2^E) and b = int((digits + 3) log2 10) + 10,
+      floor it to an integer over 2^F, F = max(b - E, 0), and that to one
+      over 10^D, D = int(F / log2 10 + 0.5);
+    * round half up at digit `digits`, on that digit alone;
+    * print d.ddd in fixed point when the decimal exponent lies strictly
+      between min(-(digits // 3), -5) and `digits`, else d.ddd e+x or
+      d.ddd e-x, trailing zeros stripped; 0 prints as 0.0.
+
+    Outside 2^-3500 .. 2^3500 mpmath first divides by an approximate power
+    of ten.  Here the floor to 10^-D is exact there instead (above 2^3500 F
+    is 0, so it is anyway): those digits are the rounded value's, rounded
+    half up at digit `digits`.
+    """
+    if numerator == 0:
+        return "0.0"
+    sign, man = ("-", -numerator) if numerator < 0 else ("", numerator)
+    exp = -exponent
+    cut = man.bit_length() - _dps_to_prec(dps)
+    if cut > 0:
+        dropped, half = man & ((1 << cut) - 1), 1 << (cut - 1)
+        man >>= cut
+        exp += cut
+        if dropped > half or (dropped == half and man & 1):
+            man += 1
+    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    if exp + man.bit_length() < -3500:
+        scaled = man * 10**fixdps >> -exp
+    else:
+        offset = exp + fixprec
+        fixed = man << offset if offset >= 0 else man >> -offset
+        scaled = fixed * 10**fixdps >> fixprec
+    text = str(scaled)
+    power = len(text) - fixdps - 1
+    if len(text) > digits and text[digits] in "56789":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # 99..9 rounded up to 100..0
+            text, power = text[:digits], power + 1
+    else:
+        text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < power < digits:
+        if power < 0:
+            text = "0" * -power + text
+        else:
+            split = power + 1
+            text += "0" * (split - digits)
+        power = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + (f"e{power:+d}" if power else "")
 
 
 def _check(
@@ -460,15 +661,13 @@ def _check(
     else:
         # unproven, and missing the only available prediction: unconfirmed
         status = "no-reconstruction"
-    with mp.workdps(digits + 20):
-        value = mp.nstr(mp.ldexp(mpf(low + high), -(bits + 1)), digits)
     return {
         "version": "report-v1",
         "family": family,
         "params": params,
         "weight": weight,
         "digits": digits,
-        "value": value,
+        "value": _nstr(low + high, bits + 1, digits, digits + 20),
         "pi_power": weight,
         "reconstructed": _fraction_obj(reconstructed),
         "target": _fraction_obj(target),

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf
@@ -21,6 +22,7 @@ from multizeta.numerics import (
     check_symmetric_sum,
 )
 from multizeta.verifier import InsertionInstance, build_instance
+from multizeta.words import Composition
 from test_golden import recorded_calls
 
 
@@ -196,7 +198,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("work started before --output was checked")
 
-    for name in ("check_group", "build_instance", "eval_mzv_fast"):
+    for name in ("check_group", "build_instance", "_split_interval", "_series_interval"):
         monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
@@ -314,13 +316,14 @@ def test_eval_text(capsys):
 
 
 def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
-    fast = cli.eval_mzv_fast
+    split = cli._split_interval
 
     def perturbed(c, digits):
-        out = fast(c, digits)
-        return dataclasses.replace(out, value=out.value + mpf(10) ** -3)
+        low, high, exponent = split(c, digits)
+        shift = -(-(1 << exponent) // 1000)  # 10^-3, rounded up to a unit
+        return low + shift, high + shift, exponent
 
-    monkeypatch.setattr(cli, "eval_mzv_fast", perturbed)
+    monkeypatch.setattr(cli, "_split_interval", perturbed)
     code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
     assert code == 1
     assert out == ""
@@ -336,6 +339,27 @@ def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
     exact = mpf("0.2705808084277845478790")
     assert ends["oracle"][0] < exact < ends["oracle"][1] < ends["fast"][0]
     assert abs(ends["fast"][1] - exact - mpf(10) ** -3) < mpf(10) ** -12
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_eval_intervals_sharing_one_end_do_not_fail_closed(capsys, monkeypatch, side):
+    # a fast interval as wide as the oracle's, next to it, with one end in common
+    low, high, exponent, _ = numerics._series_interval(Composition((1, 3)), cli.ORACLE_TERMS)
+    width = high - low
+    touching = (high, high + width) if side == "above" else (low - width, low)
+    monkeypatch.setattr(cli, "_split_interval", lambda c, digits: (*touching, exponent))
+    code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
+    assert (code, err) == (0, "")
+    # the two values are one oracle width apart
+    assert json.loads(out)["engine_agreement_digits"] == numerics._zero_places(
+        Fraction(width, 1 << exponent))
+    # one unit further out, the intervals are disjoint
+    step = 1 if side == "above" else -1
+    apart = (touching[0] + step, touching[1] + step, exponent)
+    monkeypatch.setattr(cli, "_split_interval", lambda c, digits: apart)
+    code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the engines' intervals are disjoint\n")
 
 
 def test_eval_divergent_exits_2(capsys):
@@ -357,8 +381,8 @@ def test_eval_weight_cap_precedes_both_engines(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an engine ran before the weight was checked")
 
-    monkeypatch.setattr(cli, "eval_mzv_fast", refuse)
-    monkeypatch.setattr(cli, "eval_mzv_series", refuse)
+    monkeypatch.setattr(cli, "_split_interval", refuse)
+    monkeypatch.setattr(cli, "_series_interval", refuse)
     code, out, err = run_cli(capsys, "eval", "--zeta", f"1,{MAX_EVAL_WEIGHT}")
     assert (code, out) == (2, "")
     assert err == f"error: weight {MAX_EVAL_WEIGHT + 1} exceeds the cap {MAX_EVAL_WEIGHT}\n"
@@ -377,12 +401,34 @@ def test_eval_refuses_a_huge_composition_at_once():
         "import sys; from multizeta.cli import main\n"
         "sys.exit(main(['eval', '--zeta', ','.join(['2'] * 50000)]))\n"
     )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: weight 100000 exceeds the cap {MAX_EVAL_WEIGHT}\n"
+
+
+def run_child(script):
+    """`python -c script` in a fresh interpreter that imports this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     inherited = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: weight 100000 exceeds the cap {MAX_EVAL_WEIGHT}\n"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def test_no_command_imports_mpmath():
+    # every command computes in integers; mpmath serves only the mpf API
+    script = (
+        "import contextlib, io, sys\n"
+        "from multizeta.cli import main\n"
+        "calls = [['verify', '--a', '1,0,0'],\n"
+        "         ['check', '--family', 'bbbl', '--n', '1', '--m', '1'],\n"
+        "         ['check', '--family', 'cyclic', '--sweep', '--weight-cap', '8'],\n"
+        "         ['eval', '--zeta', '1,3']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0] []\n", "")
 
 
 def test_eval_bad_tokens_usage_error(capsys):

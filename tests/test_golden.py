@@ -193,6 +193,28 @@ def test_cli_output_matches_corpus(record, clean_env):
     }
 
 
+def test_corpus_replays_without_mpmath():
+    # every record again in a child where importing mpmath fails: no command
+    # may reach it, and each output stays byte for byte the same
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from test_golden import RECORDS, run_cli\n"
+        "keys = ('code', 'stdout', 'stderr')\n"
+        "changed = [r['argv'] for r in RECORDS if run_cli(r['argv']) != {k: r[k] for k in keys}]\n"
+        "loaded = [n for n, m in sys.modules.items() if n.split('.')[0] == 'mpmath' and m]\n"
+        "print(json.dumps([len(RECORDS), changed, loaded]))\n"
+    )
+    paths = [str(ROOT / "src"), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {name: value for name, value in os.environ.items() if name not in ENV_FLAGS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [len(RECORDS), [], []]
+
+
 CAP20_SWEEPS = [
     record for record in RECORDS
     if record["argv"][3:] == ["--sweep", "--weight-cap", "20", "--format", "csv"]

@@ -7,7 +7,7 @@ from operator import floordiv, mul
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import dps_to_prec, mpf_pi, round_ceiling, round_floor, to_rational
 
 from multizeta import numerics
 from multizeta.numerics import (
@@ -427,18 +427,17 @@ def test_fixed_point_series_is_low_by_at_most_the_rounding_units(parts, terms):
 @pytest.mark.parametrize("terms", [10, 60])
 @pytest.mark.parametrize("parts", SERIES_CASES, ids=str)
 def test_series_oracle_value_within_rounding_and_conversion(parts, terms):
-    exact = exact_nested_sum(parts, terms)
+    truncated = exact_nested_sum(parts, terms)
     out = eval_mzv_series(Composition(parts), terms)
-    with mp.workdps(30):
-        tail = _series_tail_bound(parts, terms)
+    tail = _series_tail_bound(parts, terms)
     with mp.workdps(max(30, out.digits + 10)):
         prec = mp.prec
-    with mp.workdps(out.digits + 60):
-        gap = abs(mpf(exact.numerator) / exact.denominator - out.value)
-        # what is left of the bound once the tail is taken out: the rounding,
-        # below 2^-prec, and the conversion, 2^-prec times a value below 2
-        rest = out.error_bound - tail
-        assert gap <= rest < 3 * mpf(2) ** -prec
+    gap = abs(truncated - exact(out.value))
+    # what is left of the bound once the tail is taken out: the rounding,
+    # below 2^-prec, the tail's rounding up to a unit of the sweep, below
+    # that, and the conversion, 2^-prec times a value below 2
+    rest = exact(out.error_bound) - tail
+    assert gap <= rest < Fraction(3, 2**prec)
 
 
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 8, 3), (1, 5, 5, 3), (1, 2, 1, 2, 1, 2, 2)])
@@ -474,6 +473,58 @@ def test_series_tail_bound_is_sound():
         exact = eval_mzv_fast(comp, 40)
         with mp.workdps(50):
             assert abs(approx.value - exact.value) < approx.error_bound
+
+
+def mpf_series_tail_bound(parts, terms):
+    """The tail bound's closed form in mpf at the working precision, as it was computed before."""
+    p, s = len(parts) - 1, parts[-1]
+    n = mpf(terms)
+    head = (1 + mp.log(n + 1)) ** p * (n + 1) ** (-s)
+    series = mpf(0)
+    for i in range(p + 1):
+        series += (
+            mpf(math.factorial(p) // math.factorial(p - i))
+            * (1 + mp.log(n)) ** (p - i)
+            / mpf(s - 1) ** (i + 1)
+        )
+    return (head + n ** (1 - s) * series) / math.factorial(p)
+
+
+TAIL_SHAPES = sorted(
+    {(c.depth - 1, c.parts[-1]) for c in admissible_compositions(12)}
+    | {(p, s) for p in (20, 50, 98) for s in (2, 3)}
+)
+
+
+@pytest.mark.parametrize("terms", [10, 300, 5000])
+def test_exact_tail_bound_is_above_and_near_the_closed_form(terms):
+    # the 60-digit closed form is within relative 10^-58 of the exact one,
+    # which the bound may equal (depth 1 takes no logarithm)
+    for p, s in TAIL_SHAPES:
+        parts = (1,) * p + (s,)
+        bound = _series_tail_bound(parts, terms)
+        with mp.workdps(60):
+            reference = exact(mpf_series_tail_bound(parts, terms))
+        assert reference * (1 - Fraction(1, 10**50)) <= bound, (p, s)
+        assert bound <= reference * (1 + Fraction(1, 10**20)), (p, s)
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 7, 8, 10, 5000, 5001, 2**40 - 1, 2**40, 10**30 + 7])
+def test_log_bound_is_above_and_within_a_few_units(x):
+    bound = Fraction(numerics._log_above(x), 2**numerics._LOG_BITS)
+    with mp.workdps(80):
+        excess = exact(mpf(bound.numerator) / bound.denominator - mp.log(x)) if x > 1 else bound
+    assert 0 <= excess < Fraction(1, 2**100), x
+
+
+def test_oracle_claims_the_same_digits_as_the_mpf_tail(monkeypatch):
+    # every admissible composition of weight up to 12 at the CLI's 5000 terms;
+    # the claim reads only the tail, so the sweep itself is skipped
+    monkeypatch.setattr(numerics, "_truncated_series", lambda parts, terms, bits: 0)
+    for comp in admissible_compositions(12):
+        with mp.workdps(30):
+            before = max(1, int(mp.floor(-mp.log10(mpf_series_tail_bound(comp.parts, 5000)))))
+        assert numerics._series_interval(comp, 5000)[3] == before, comp
 
 
 def test_engines_agree_within_bounds_weight_up_to_7():
@@ -844,6 +895,94 @@ def test_pi_power_division_rounds_outward(weight, shift):
         # pi is known to 2^(1 - bits) relatively, so its weight-th power to
         # about weight 2^(1 - bits), plus one unit for each division
         assert high - low <= 2 + 4 * weight * mp.ldexp(quotient, -bits)
+
+
+@pytest.mark.parametrize("widths", [[4 * (digits + 40) for digits in range(1, 401)], range(2, 300)])
+def test_pi_bounds_are_mpmaths(widths):
+    # every width `_check` takes for 1 to 400 digits, and the narrow ones
+    for bits in widths:
+        below = Fraction(numerics._pi_below(bits), 2 ** (bits - 2))
+        assert below == Fraction(*to_rational(mpf_pi(bits, round_floor))), bits
+        assert below + Fraction(1, 2 ** (bits - 2)) == Fraction(
+            *to_rational(mpf_pi(bits, round_ceiling))), bits
+
+
+def test_bits_per_digit_is_mpmaths():
+    assert [numerics._dps_to_prec(n) for n in range(10**4 + 1)] == [
+        dps_to_prec(n) for n in range(10**4 + 1)
+    ]
+
+
+def decimal_near(rng, digits):
+    """A value within a rounding of a decimal at its `digits`-th digit's edge.
+
+    The `digits` leading digits are random or all 9s, and the rest is 5,
+    4999..., 5000...1 or 49: an exact half, or just either side of one.
+    """
+    lead = 10**digits - 1 if rng.random() < 0.3 else rng.randrange(10 ** (digits - 1), 10**digits)
+    tail = rng.choice(["5", "4" + "9" * rng.randint(1, 12), "5" + "0" * rng.randint(1, 12) + "1", "49"])
+    return Fraction(int(f"{lead}{tail}"), 10 ** (digits + len(tail) - 1)) * Fraction(10) ** rng.randint(-900, 900)
+
+
+def formatter_inputs(count, seed):
+    """(numerator, exponent, digits, dps) for `_nstr`, binary exponents within +-3500."""
+    rng = random.Random(seed)
+    inputs = [(0, rng.randint(-50, 50), digits, digits + 20) for digits in (1, 2, 60)]
+    while len(inputs) < count:
+        digits, dps = rng.randint(1, 220), rng.randint(1, 240)
+        kind = rng.random()
+        if kind < 0.4:
+            # near a decimal edge, at the working precision or past it
+            value = decimal_near(rng, digits)
+            exponent = max(dps_to_prec(dps), 60) + 20 - (value.numerator.bit_length()
+                                                         - value.denominator.bit_length())
+            numerator = round(value * Fraction(2) ** exponent)
+        elif kind < 0.5:
+            # a dyadic decimal half: N / 2^s = N 5^s / 10^s, its digit `digits` a 5 then zeros
+            odd, exponent = 10 * rng.randrange(10 ** rng.randint(0, 40)) + 5, rng.randint(0, 60)
+            numerator = odd * 10 ** rng.randint(0, 5)
+            digits = max(1, len(str(odd * 5**exponent)) - 1)
+            dps = rng.choice([dps, len(str(numerator)) + 5])
+        else:
+            numerator = rng.getrandbits(rng.randint(1, 1200))
+            exponent = rng.randint(-200, 1500)
+        inputs.append((numerator * rng.choice([1, 1, 1, -1]), exponent, digits, dps))
+    return inputs
+
+
+def test_formatter_is_mpmaths_nstr():
+    inputs = formatter_inputs(20000, seed=27)
+    for numerator, exponent, digits, dps in inputs:
+        with mp.workdps(dps):
+            expected = mp.nstr(mp.ldexp(mpf(numerator), -exponent), digits)
+        assert numerics._nstr(numerator, exponent, digits, dps) == expected, (
+            numerator, exponent, digits, dps)
+
+
+def test_formatter_rounds_half_up_below_two_to_the_minus_3500():
+    # where mpmath divides by an approximate power of ten first, the digits
+    # are those of the dps-rounded value, rounded half up at digit `digits`
+    rng = random.Random(3500)
+    for _ in range(2000):
+        digits, dps = rng.randint(1, 80), rng.randint(1, 100)
+        if rng.random() < 0.5:
+            value = decimal_near(rng, digits) * Fraction(10) ** -2000
+            exponent = max(dps_to_prec(dps), 60) + 20 - (value.numerator.bit_length()
+                                                         - value.denominator.bit_length())
+            numerator = round(value * 2**exponent)
+        else:
+            numerator = rng.getrandbits(rng.randint(1, 400)) | 1
+            exponent = numerator.bit_length() + rng.randint(3501, 9000)
+        with mp.workdps(dps):
+            rounded = exact(mp.ldexp(mpf(numerator), -exponent))
+        power = math.floor(math.log10(rounded.numerator) - math.log10(rounded.denominator))
+        power += (rounded >= Fraction(10) ** (power + 1)) - (rounded < Fraction(10) ** power)
+        lead = math.floor(rounded / Fraction(10) ** (power - digits + 1) + Fraction(1, 2))
+        if lead == 10**digits:
+            lead, power = lead // 10, power + 1
+        text = str(lead).rstrip("0")
+        assert rounded < Fraction(1, 2**3500)
+        assert numerics._nstr(numerator, exponent, digits, dps) == f"{text[0]}.{text[1:] or '0'}e{power}"
 
 
 def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monkeypatch):
