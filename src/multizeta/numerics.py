@@ -8,7 +8,8 @@ integer intervals directly, so no command loads mpmath.
 
 * `eval_mzv_series` sums the defining nested series directly up to a cutoff
   N, in fixed point (`_series_interval`): one running sum per depth level,
-  each a Python integer scaled by a power of two.  Its error bound is
+  each a Python integer scaled by a power of two, the first a sum of
+  powers, and equal parts sharing one stream of them.  Its error bound is
   derived: the truncation tail, from the elementary estimate f_j(k) <=
   k^(-n_j) H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the
   harmonic number, bounded by 1 + log), an exact fraction whose logarithms
@@ -19,12 +20,14 @@ integer intervals directly, so no command loads mpmath.
 * `eval_mzv_fast` evaluates the word integral by splitting every
   integration path at 1/2 and convolving prefix values of the word with
   prefix values of its reversed-complemented dual.  The prefix values come
-  from a power-series sweep in fixed point (Python integers scaled by a
-  power of two), and the convolution is one exact integer sum, so sixty
-  digits cost a millisecond or two.  Its error bound is derived: the tail
-  after degree M, which the geometric factor 2^(-M) makes small, plus at
-  most one unit per floor division, carried through the sweep.  A family
-  check sums a row of words, which share one weight and so one M and one
+  from a power-series sweep in fixed point that keeps each series as its
+  terms at 1/2, Python integers scaled by a power of two, so a value is
+  their sum; the convolution is one exact integer sum, and sixty digits
+  cost a millisecond or two.  Its error bound is derived: the tail after
+  degree M, which the geometric factor 2^(-M) makes small, plus at most
+  one unit per floor division, carried through the sweep and summed over
+  a value's M terms, which bitlength(M) more bits pay for.  A family check
+  sums a row of words, which share one weight and so one M and one
   bit width, in exact integers (`_split_sum`): the sum lies in an interval
   over one power of two, k times one word's tail and rounding wide.  Every
   row of one weight shares M and the bit width too, so a sweep evaluates
@@ -56,9 +59,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat, tee
 from math import comb, factorial, isqrt, log
-from operator import floordiv, mul, rshift
+from operator import floordiv, lshift, mul, rshift
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .verifier import build_instance, verify_instance
@@ -226,17 +229,24 @@ def _truncated_series(parts: Tuple[int, ...], terms: int, bits: int) -> int:
     """The nested sum over 0 < k_1 < ... < k_r <= terms, as an integer over 2^bits.
 
     Level j is the running sum over k of level j-1 at k - 1 times
-    floor(2^bits k^(-n_j)), shifted down by `bits`.  The levels are lazy
-    iterators chained into one another, so only O(depth) integers are live.
+    floor(2^bits k^(-n_j)), shifted down by `bits`.  Level 0 is 2^bits, so
+    that product and shift give the power back exactly, and level 1 is the
+    running sum of the powers.  The levels are lazy iterators chained into
+    one another, and equal parts draw on one stream of powers through
+    `tee`, which buffers only the few powers between its readers, so only
+    O(depth) integers are live.
     """
     one = 1 << bits
     ks = range(1, terms + 1)
-    previous = repeat(one)
-    for e in parts:
-        powers = map(floordiv, repeat(one), map(pow, ks, repeat(e)))
-        level = accumulate(map(rshift, map(mul, previous, powers), repeat(bits)))
+    streams = {
+        e: iter(tee(map(floordiv, repeat(one), map(pow, ks, repeat(e))), parts.count(e)))
+        for e in set(parts)
+    }
+    level = accumulate(next(streams[parts[0]]))
+    for e in parts[1:]:
         # level j-1 at k - 1 feeds level j at k: the strict k_(j-1) < k_j
-        previous = chain((0,), level)
+        products = map(mul, chain((0,), level), next(streams[e]))
+        level = accumulate(map(rshift, products, repeat(bits)))
     return deque(level, maxlen=1)[0]
 
 
@@ -305,12 +315,20 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
     """Values at 1/2 of the iterated integrals of every prefix of every sequence.
 
     The current integrand is carried as its power series up to degree
-    `m_max`, in fixed point: coefficient c_m is an integer just below
-    c_m 2^bits (`_split_sum` bounds the gap).  Symbol 1 is a running sum
-    followed by `// (m + 1)`, symbol 0 is `// m`.  The value at 1/2 of each
-    truncated series is exact, by shift-and-add, as an integer over
-    2^(bits + m_max); a sequence maps to the values of its prefixes of
-    length 0, 1, ..., len.
+    `m_max`, in fixed point, scaled to its terms at 1/2: coefficient c_m is
+    kept as t_m, an integer just below c_m 2^(bits - m), so the value at
+    1/2 of the truncated series is sum(t) over 2^bits.  Symbol 0 divides
+    c_m by m, so t_m becomes t_m // m; symbol 1 makes c_(m+1) the mean of
+    c_0 .. c_m, so t_(m+1) becomes ((t_0 + 2 t_1 + ... + 2^m t_m) >> (m+1))
+    // (m+1), the shift and the division flooring as one.  Both make the
+    constant term 0.  Each symbol's floor lowers a term by less than one
+    unit of 2^(-bits), after dividing the earlier errors, each below k
+    units: symbol 0 divides one of them by m, and symbol 1 their sum
+    weighted by 2^i, below k 2^(m+1), by (m+1) 2^(m+1).  So after k symbols
+    every term is low by less than k units, the constant term not at all,
+    and the value, the exact sum of the terms, by less than k `m_max`
+    units.  A sequence maps to the values of its prefixes of length 0, 1,
+    ..., len.
 
     The distinct sequences, all of one length, are sorted and walked depth
     first, so every distinct prefix is extended by one symbol exactly once.
@@ -322,23 +340,21 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
     order = sorted(set(sequences))
     degrees = range(1, m_max + 1)
     found: Dict[Word, List[int]] = {}
-    pending = [(0, len(order), [1 << bits] + [0] * m_max, [1 << (bits + m_max)])]
+    pending = [(0, len(order), [1 << bits] + [0] * m_max, [1 << bits])]
     while pending:
-        lo, hi, coeffs, values = pending.pop()
+        lo, hi, terms, values = pending.pop()
         word = order[lo]
         for depth in range(len(values) - 1, len(word)):
             if word[depth] != order[hi - 1][depth]:
                 mid = bisect_left(order, word[:depth] + (1,), lo, hi)
-                pending.append((mid, hi, coeffs, values.copy()))
+                pending.append((mid, hi, terms, values.copy()))
                 hi = mid
             if word[depth] == 1:
-                coeffs = [0, *map(floordiv, accumulate(coeffs[:m_max]), degrees)]
+                weighted = accumulate(map(lshift, terms[:m_max], range(m_max)))
+                terms = [0, *map(floordiv, map(rshift, weighted, degrees), degrees)]
             else:
-                coeffs = [0, *map(floordiv, coeffs[1:], degrees)]
-            acc = 0
-            for coefficient in coeffs:
-                acc = (acc << 1) + coefficient
-            values.append(acc)
+                terms = [0, *map(floordiv, terms[1:], degrees)]
+            values.append(sum(terms))
         found[word] = values
     return found
 
@@ -364,10 +380,11 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     computes both runs of every word in fixed point, sweeping each distinct
     prefix of all the rows' words and duals once.  A prefix's value depends
     on nothing but the prefix, M and B, so a row's integers are the same
-    whichever rows share its walk.  Each row's convolutions are added
+    whichever rows share its walk.  The walk runs at B' = B + g bits,
+    g = bitlength(M), so 2^g > M.  Each row's convolutions are added
     exactly in integers, and the row comes back as (low, high, e) with
-    e = 2 (B + M): its sum S lies in [low, high] / 2^e, whose width is
-    derived from two parts per word:
+    e = 2 B': its sum S lies in [low, high] / 2^e, whose width is derived
+    from two parts per word:
 
     * Truncation.  Every power series in the sweep has coefficients in
       [0, 1]: it starts as the constant 1, symbol 0 divides c_m by m and
@@ -376,19 +393,20 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
       dropping the degrees above M costs each at most 2^(-M) and one
       convolution at most 2 (n+1) 2^(-M).  `_truncation_degree` picks M
       so that this tail is at most 10^-(digits+8).
-    * Rounding.  Degrees up to M are computed exactly but for the floor
-      divisions.  Each loses less than one unit of 2^(-B) and divides an
-      earlier error of at most k units (symbol 0 divides one coefficient by
-      m; symbol 1 sums m + 1 of them and divides by m + 1), so after k
-      symbols every coefficient is low by less than k units, the constant
-      term not at all.  The shift-and-add is exact, so P_j is low by less
-      than j 2^(-B) and Q_(n-j) by less than (n-j) 2^(-B); with all factors
-      in [0, 1] one convolution is low by less than n (n+1) 2^(-B).
+    * Rounding.  The walk keeps each series as its terms at 1/2, t_m just
+      below c_m 2^(B' - m), and degrees up to M are computed exactly but
+      for the floors.  After k symbols every term is low by less than k
+      units of 2^(-B'), the constant term, then 0, not at all (`_prefix_walk`
+      derives this).  A value is the exact sum of the terms, so P_j is low
+      by less than j M units of 2^(-B'), which is below j 2^(-B) as M < 2^g,
+      and Q_(n-j) by less than (n-j) 2^(-B); with all factors in [0, 1] one
+      convolution is low by less than n (n+1) 2^(-B).
 
     Both parts only lower a convolution, and the integer sum adds no error,
     so low is the sum and a row of k words falls short by less than k times
     (tail + rounding).  B = p + 2 bitlength(n), p the bits of digits + 15
-    decimal digits, makes the rounding part below 2^(-p) per word.  The
+    decimal digits, makes the rounding part below 2^(-p) per word; the g
+    more bits of the walk pay for its M terms per value.  The
     empty interior word, n = 0, has the one exact convolution 1 * 1; its
     rounding term is 0 and its tail is kept.
     """
@@ -397,8 +415,9 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     n = len(interiors[0][0])
     m_max = _truncation_degree(n, digits)
     bits = _dps_to_prec(digits + 15) + 2 * n.bit_length()
-    prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, bits)
-    exponent = 2 * (bits + m_max)
+    scale = bits + m_max.bit_length()
+    prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, scale)
+    exponent = 2 * scale
     per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
     totals = (
         sum(sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(row, row_duals))

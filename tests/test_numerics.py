@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
-from operator import floordiv, mul
+from itertools import accumulate, chain, repeat
+from operator import floordiv, mul, rshift
 
 import pytest
 from mpmath import mp, mpf
@@ -41,6 +43,7 @@ from multizeta.words import (
 )
 
 from conftest import bernoulli_numbers, euler_zeta_even, weak_compositions, zeta_even_rational
+from test_golden import recorded_calls
 
 
 def admissible_compositions(max_weight):
@@ -171,32 +174,73 @@ def walk_convolutions(words, m_max, bits):
     return [sum(map(mul, prefix[w], reversed(prefix[d]))) for w, d in zip(words, duals)]
 
 
-def split_precision(n, digits):
-    """M, B and p of a row of interior length n at `digits` digits."""
+def split_precision(words, digits):
+    """M, B and p of a row of full `words` at `digits` digits, and the walk's scale.
+
+    The scale is read off `_split_sum`: half its exponent.
+    """
+    n = len(words[0]) - 2
     with mp.workdps(digits + 15):
         prec = mp.prec
-    return _truncation_degree(n, digits), prec + 2 * n.bit_length(), prec
+    [(_, _, exponent)] = _split_sum([words[:1]], digits)
+    assert exponent % 2 == 0
+    return _truncation_degree(n, digits), prec + 2 * n.bit_length(), prec, exponent // 2
 
 
+@pytest.mark.parametrize("digits", [20, 200])
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 1, 3), (2, 2, 1, 2, 3, 2), (1, 1, 1, 5, 2)])
-def test_fixed_point_rounding_within_stated_bound(parts):
-    word = composition_to_word(Composition(parts))[1:-1]
-    n = len(word)
-    m_max, bits, more = 120, 200, 264
-    coarse = _prefix_walk([word], m_max, bits)[word]
+def test_fixed_point_rounding_within_stated_bound(parts, digits):
+    full = composition_to_word(Composition(parts))
+    word, n = full[1:-1], len(full) - 2
+    m_max, bits, _, scale = split_precision([full], digits)
+    # m_max units of 2^-scale are less than the one unit of 2^-B per symbol
+    # that the row's width counts
+    assert m_max << bits < 1 << scale
+    more = scale + 64
+    coarse = _prefix_walk([word], m_max, scale)[word]
     fine = _prefix_walk([word], m_max, more)[word]
-    # after j symbols the value at 1/2 is low by less than j units of 2^-bits
+    # after j symbols every term is low by less than j units, so the value
+    # at 1/2 is low by less than j m_max units of 2^-scale
     for j, (p, q) in enumerate(zip(coarse, fine)):
-        gap = Fraction(q, 2 ** (more + m_max)) - Fraction(p, 2 ** (bits + m_max))
-        assert -Fraction(j, 2**more) <= gap <= Fraction(j, 2**bits)
-    low = Fraction(walk_convolutions([word], m_max, bits)[0], 2 ** (2 * (bits + m_max)))
-    high = Fraction(walk_convolutions([word], m_max, more)[0], 2 ** (2 * (bits + m_max + 64)))
+        gap = Fraction(q, 2**more) - Fraction(p, 2**scale)
+        assert -Fraction(j * m_max, 2**more) <= gap <= Fraction(j * m_max, 2**scale), j
+    low = Fraction(walk_convolutions([word], m_max, scale)[0], 2 ** (2 * scale))
+    high = Fraction(walk_convolutions([word], m_max, more)[0], 2 ** (2 * more))
     assert abs(high - low) <= Fraction(n * (n + 1), 2**bits)
     assert high != low
 
 
 def reference_prefix_values(symbols, m_max, bits):
-    """The per-word prefix sweep that the row walk replaced, kept as the reference."""
+    """One sequence's prefixes swept from scratch in scaled terms: the walk's reference."""
+    terms = [1 << bits] + [0] * m_max
+    values = [1 << bits]
+    for sym in symbols:
+        if sym == 1:
+            weighted, nxt = 0, [0]
+            for m in range(m_max):
+                weighted += terms[m] << m
+                nxt.append((weighted >> (m + 1)) // (m + 1))
+        else:
+            nxt = [0] + [terms[m] // m for m in range(1, m_max + 1)]
+        terms = nxt
+        values.append(sum(terms))
+    return values
+
+
+def reference_half_split(word, m_max, bits):
+    """Each interior word and its dual swept from scratch, then convolved."""
+    prefix = reference_prefix_values(word, m_max, bits)
+    suffix = reference_prefix_values(dual_word(word), m_max, bits)
+    return sum(p * q for p, q in zip(prefix, reversed(suffix)))
+
+
+def coefficient_prefix_values(symbols, m_max, bits):
+    """The coefficient sweep the scaled walk replaced, kept as a cross-check.
+
+    Coefficient c_m is an integer just below c_m 2^bits, and each value at
+    1/2 is their shift-and-add, over 2^(bits + m_max), low by less than j
+    units of 2^-bits after j symbols.
+    """
     degrees = range(1, m_max + 1)
     coeffs = [1 << bits] + [0] * m_max
     values = [1 << (bits + m_max)]
@@ -212,11 +256,19 @@ def reference_prefix_values(symbols, m_max, bits):
     return values
 
 
-def reference_half_split(word, m_max, bits):
-    """Each interior word and its dual swept from scratch, then convolved."""
-    prefix = reference_prefix_values(word, m_max, bits)
-    suffix = reference_prefix_values(dual_word(word), m_max, bits)
-    return sum(p * q for p, q in zip(prefix, reversed(suffix)))
+def coefficient_split_sum(words, digits):
+    """A row's (low, high, e) from the coefficient sweep, with the same width."""
+    n = len(words[0]) - 2
+    m_max, bits, _, _ = split_precision(words, digits)
+    exponent = 2 * (bits + m_max)
+    low = 0
+    for full in words:
+        word = full[1:-1]
+        prefix = coefficient_prefix_values(word, m_max, bits)
+        suffix = coefficient_prefix_values(dual_word(word), m_max, bits)
+        low += sum(map(mul, prefix, reversed(suffix)))
+    per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
+    return low, low + len(words) * per_word, exponent
 
 
 def eval_workload_compositions(seed):
@@ -263,26 +315,50 @@ def split_rows():
     return rows
 
 
-def converted(total, m_max, bits, digits):
-    """An integer over 2^(2 (bits + m_max)) rounded once, as `_split_sum` converts."""
+def converted(total, exponent, digits):
+    """An integer over 2^exponent rounded once, as `eval_mzv_fast` converts."""
     with mp.workdps(digits + 15):
-        return mp.ldexp(mpf(total), -2 * (bits + m_max))
+        return mp.ldexp(mpf(total), -exponent)
 
 
 def test_row_walk_is_bit_identical_to_the_per_word_sweep():
     for row_id, digits, words in split_rows():
         interiors = [w[1:-1] for w in words]
-        m_max, bits, _ = split_precision(len(interiors[0]), digits)
-        expected = [reference_half_split(w, m_max, bits) for w in interiors]
-        assert walk_convolutions(interiors, m_max, bits) == expected, row_id
+        m_max, _, _, scale = split_precision(words, digits)
+        expected = [reference_half_split(w, m_max, scale) for w in interiors]
+        assert walk_convolutions(interiors, m_max, scale) == expected, row_id
         # a row's lower end is the sum of the reference integers, over the
         # power of two they share
         [(low, _, exponent)] = _split_sum([words], digits)
-        assert (low, exponent) == (sum(expected), 2 * (bits + m_max)), row_id
+        assert (low, exponent) == (sum(expected), 2 * scale), row_id
         # and a word alone is its own reference integer
         for word, total in zip(words, expected):
             [(alone, _, _)] = _split_sum([[word]], digits)
             assert alone == total, row_id
+
+
+def golden_eval_compositions():
+    """Every composition the golden corpus evaluates, once."""
+    found = {tuple(map(int, call[2].split(","))) for call in recorded_calls() if call[0] == "eval"}
+    return [Composition(parts) for parts in sorted(found)]
+
+
+def test_scaled_walk_agrees_with_the_coefficient_sweep():
+    rows = [(row_id, 70, words) for row_id, _, words in split_rows()]
+    rows += [(str(c), 200, [composition_to_word(c)]) for c in golden_eval_compositions()]
+    for row_id, digits, words in rows:
+        k, n = len(words), len(words[0]) - 2
+        _, bits, _, _ = split_precision(words, digits)
+        [(low, high, exponent)] = _split_sum([words], digits)
+        old_low, old_high, old_exponent = coefficient_split_sum(words, digits)
+        new_low, new_high = Fraction(low, 2**exponent), Fraction(high, 2**exponent)
+        old_low, old_high = Fraction(old_low, 2**old_exponent), Fraction(old_high, 2**old_exponent)
+        # both enclose the same sum; each lower end is below the truncated
+        # sum by less than k n (n + 1) units of 2^-B, its rounding bound
+        assert new_low <= old_high and old_low <= new_high, row_id
+        assert abs(new_low - old_low) < 2 * k * Fraction(n * (n + 1), 2**bits), row_id
+        # and both widths are the same real number
+        assert new_high - new_low == old_high - old_low, row_id
 
 
 # a light and a heavy row of each family, and their weights
@@ -349,9 +425,9 @@ def test_one_word_row_is_eval_mzv_fast(vector):
         word = blockvector_to_word(vector)
         [(low, high, exponent)] = _split_sum([[word]], digits)
         out = eval_mzv_fast(blockvector_to_composition(vector), digits)
-        m_max, bits, prec = split_precision(len(word) - 2, digits)
+        _, _, prec, _ = split_precision([word], digits)
         # the value is the one conversion of the row's lower end
-        assert out.value == converted(low, m_max, bits, digits), vector
+        assert out.value == converted(low, exponent, digits), vector
         # the bound is the row's width, the one conversion, and the rounding
         # up of the bound itself, so it covers the whole interval
         width = Fraction(high - low, 2**exponent)
@@ -374,7 +450,7 @@ def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
         fine_low, fine_high = (Fraction(end, 2**fine_exponent) for end in (fine_low, fine_high))
         # the finer sum falls short by far less, so it lies in the interval
         assert low <= fine_low <= high, row_id
-        m_max, bits, _ = split_precision(n, digits)
+        m_max, bits, _, _ = split_precision(words, digits)
         per_word = Fraction(2 * (n + 1), 2**m_max) + Fraction(n * (n + 1), 2**bits)
         # the width is every word's tail and rounding, exactly
         assert high - low == k * per_word, row_id
@@ -450,6 +526,46 @@ def test_series_rounding_agrees_with_64_more_bits(parts):
     high = Fraction(_truncated_series(parts, terms, more), 2**more)
     assert -Fraction(units, 2**more) <= high - low <= Fraction(units, 2**bits)
     assert high != low
+
+
+def reference_truncated_series(parts, terms, bits):
+    """The oracle's nested sum before level 1 and equal parts shared their powers.
+
+    Every level, the first too, multiplies the level before it by a fresh
+    stream of powers and shifts down, starting from a constant 2^bits.
+    """
+    one = 1 << bits
+    ks = range(1, terms + 1)
+    previous = repeat(one)
+    for e in parts:
+        powers = map(floordiv, repeat(one), map(pow, ks, repeat(e)))
+        level = accumulate(map(rshift, map(mul, previous, powers), repeat(bits)))
+        previous = chain((0,), level)
+    return deque(level, maxlen=1)[0]
+
+
+ORACLE_CASES = [(parts, 100) for parts in sorted({c.parts for c in admissible_compositions(10)})]
+ORACLE_CASES += [(parts, terms) for parts in [(2, 2, 2, 2), (1, 1, 1, 2), (3, 1, 3, 1, 2)]
+                 for terms in (100, 5000)]
+
+
+def test_truncated_series_is_bit_identical_to_the_reference():
+    assert len(ORACLE_CASES) == 511 + 6
+    for parts, terms in ORACLE_CASES:
+        for bits in (12, 40, 200):
+            expected = reference_truncated_series(parts, terms, bits)
+            assert _truncated_series(parts, terms, bits) == expected, (parts, terms, bits)
+
+
+def test_truncated_series_keeps_only_a_few_integers_live():
+    # 5000 powers of 200 bits, held at once, would take some 170 KiB
+    tracemalloc.start()
+    try:
+        _truncated_series((2, 2, 2, 2), 5000, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_series_engine_known_value():
