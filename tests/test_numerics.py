@@ -227,10 +227,10 @@ def reference_prefix_values(symbols, m_max, bits):
     return values
 
 
-def reference_half_split(word, m_max, bits):
-    """Each interior word and its dual swept from scratch, then convolved."""
-    prefix = reference_prefix_values(word, m_max, bits)
-    suffix = reference_prefix_values(dual_word(word), m_max, bits)
+def reference_half_split(word, m_max, bits, sweep=reference_prefix_values):
+    """Each interior word and its dual swept from scratch by `sweep`, then convolved."""
+    prefix = sweep(word, m_max, bits)
+    suffix = sweep(dual_word(word), m_max, bits)
     return sum(p * q for p, q in zip(prefix, reversed(suffix)))
 
 
@@ -261,12 +261,7 @@ def coefficient_split_sum(words, digits):
     n = len(words[0]) - 2
     m_max, bits, _, _ = split_precision(words, digits)
     exponent = 2 * (bits + m_max)
-    low = 0
-    for full in words:
-        word = full[1:-1]
-        prefix = coefficient_prefix_values(word, m_max, bits)
-        suffix = coefficient_prefix_values(dual_word(word), m_max, bits)
-        low += sum(map(mul, prefix, reversed(suffix)))
+    low = sum(reference_half_split(w[1:-1], m_max, bits, coefficient_prefix_values) for w in words)
     per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
     return low, low + len(words) * per_word, exponent
 
@@ -558,7 +553,7 @@ def test_truncated_series_is_bit_identical_to_the_reference():
 
 
 def test_truncated_series_keeps_only_a_few_integers_live():
-    # 5000 powers of 200 bits, held at once, would take some 170 KiB
+    # 5000 powers of 200 bits, held at once in a list, would take about 290 KiB
     tracemalloc.start()
     try:
         _truncated_series((2, 2, 2, 2), 5000, 200)
