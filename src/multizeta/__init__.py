@@ -37,7 +37,6 @@ from .verifier import (
     verify_instance,
 )
 from .numerics import (
-    PrecisionReal,
     check_bbbl_family,
     check_bowman_bradley,
     check_cyclic_insertion,
@@ -55,7 +54,6 @@ __all__ = [
     "Composition",
     "InsertionInstance",
     "OddEncoding",
-    "PrecisionReal",
     "accumulate",
     "block_vector",
     "blockvector_to_composition",

@@ -43,10 +43,10 @@ from .numerics import (
     MAX_EVAL_DIGITS,
     MAX_EVAL_WEIGHT,
     _nstr,
-    _series_interval,
-    _split_interval,
     _zero_places,
     check_group,
+    eval_mzv_fast,
+    eval_mzv_series,
 )
 from .verifier import build_instance, verify_instance
 from .words import Composition, format_vector
@@ -171,8 +171,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"weight {comp.weight} exceeds the cap {MAX_EVAL_WEIGHT}")
     if args.digits > MAX_EVAL_DIGITS:
         raise ValueError(f"precision request {args.digits} exceeds the cap {MAX_EVAL_DIGITS}")
-    fast = _split_interval(comp, args.digits)
-    oracle = _series_interval(comp, ORACLE_TERMS)[:3]
+    fast = eval_mzv_fast(comp, args.digits)
+    oracle = eval_mzv_series(comp, ORACLE_TERMS)
     # each engine's exact interval; meeting at one end is agreement
     (fast_low, fast_high), (oracle_low, oracle_high) = (
         (Fraction(low, 1 << exponent), Fraction(high, 1 << exponent))

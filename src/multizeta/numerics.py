@@ -1,19 +1,18 @@
 """High-precision evaluation of multiple zeta values and rational readback.
 
 Two independent evaluation engines are provided.  Both work in Python
-integers and enclose a value in [low, high] / 2^e; `eval_mzv_series` and
-`eval_mzv_fast` are their mpf faces, and only they, `reconstruct_rational`
-and `PrecisionReal` import mpmath, when they run.  The CLI reads the
-integer intervals directly, so no command loads mpmath.
+integers alone and enclose a value in [low, high] / 2^e, which they
+return as the exact triple (low, high, e); the readback reads such an
+interval, so the package needs no floating-point library.
 
 * `eval_mzv_series` sums the defining nested series directly up to a cutoff
-  N, in fixed point (`_series_interval`): one running sum per depth level,
-  each a Python integer scaled by a power of two, the first a sum of
-  powers, and equal parts sharing one stream of them.  Its error bound is
-  derived: the truncation tail, from the elementary estimate f_j(k) <=
-  k^(-n_j) H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the
-  harmonic number, bounded by 1 + log), an exact fraction whose logarithms
-  are bounded from above, plus the floors of the sweep, which enough guard
+  N, in fixed point: one running sum per depth level, each a Python
+  integer scaled by a power of two, the first a sum of powers, and equal
+  parts sharing one stream of them.  Its error bound is derived: the
+  truncation tail, from the elementary estimate f_j(k) <= k^(-n_j)
+  H_{k-1}^(j-1) / (j-1)! on the inner partial sums (H is the harmonic
+  number, bounded by 1 + log), an exact fraction whose logarithms are
+  bounded from above, plus the floors of the sweep, which enough guard
   bits keep below the working precision.  The tail shrinks only like a
   power of N, so it gives a few digits; it is the independent oracle,
   sharing no code with the other engine.
@@ -35,16 +34,16 @@ integer intervals directly, so no command loads mpmath.
   words and duals (`_prefix_walk`), which sweeps every distinct prefix of
   the group once: `check_group` runs one weight's rows in order, the first
   check runs the walk, and each takes its row's share by position.
-  `_split_interval` is the one-word case.
+  `eval_mzv_fast` is the one-word case.
 
-Rational readback is exact and has one rule (`_readback`): the fraction
-nearest a certified interval's midpoint with denominator up to the Q its
-width derives, or a lower cap, if it lies in the interval.  A check reads
-the row's interval over pi^weight, rounded outward, if it lies above 0;
-`reconstruct_rational` reads x +- 10^-digits.  None is the normal outcome
-for a value that is not a small-denominator rational.  The family checks
-combine the engines with the symbolic verifier; `FAMILIES` holds all that
-tells one family from another.
+Rational readback is exact and has one rule (`reconstruct_rational`): the
+fraction nearest a certified interval's midpoint with denominator up to
+the Q its width derives, or a lower cap, if it lies in the interval.  A
+check reads the row's interval over pi^weight, rounded outward, if it
+lies above 0.  None is the normal outcome for a value that is not a
+small-denominator rational.  The family checks combine the engines with
+the symbolic verifier; `FAMILIES` holds all that tells one family from
+another.
 
 What the checks took from mpmath is ported to integers, value for value:
 pi at `bits` significant bits rounded either way (`_pi_below`, from
@@ -62,7 +61,7 @@ from functools import cache, partial
 from itertools import accumulate, chain, combinations, repeat, tee
 from math import comb, factorial, isqrt, log
 from operator import floordiv, lshift, mul, rshift
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .verifier import build_instance, verify_instance
 from .words import (
@@ -76,11 +75,7 @@ from .words import (
     weight_of,
 )
 
-if TYPE_CHECKING:
-    from mpmath import mpf
-
 __all__ = [
-    "PrecisionReal",
     "DEFAULT_DIGITS",
     "DEFAULT_WEIGHT_CAP",
     "MAX_EVAL_DIGITS",
@@ -103,44 +98,6 @@ MAX_EVAL_DIGITS = 200
 # `eval` refuses heavier compositions: at weight 100 the deepest, 98 ones and a 2,
 # takes about 1.4 s, and the oracle's cost grows about 4x per doubling of depth
 MAX_EVAL_WEIGHT = 100
-
-
-@dataclass(frozen=True)
-class PrecisionReal:
-    """A floating value together with a digit count and an absolute bound.
-
-    `digits` is the requested precision for the split engine and, for the
-    series oracle, the count its truncation tail allows.  It is the mpf face
-    of the engines' integer intervals: the functions that build one, and
-    `guaranteed_digits`, import mpmath when they run.
-    """
-
-    value: mpf
-    digits: int
-    error_bound: mpf
-
-    @property
-    def guaranteed_digits(self) -> int:
-        from mpmath import mp
-
-        if self.error_bound == 0:
-            return self.digits
-        return max(0, int(mp.floor(-mp.log10(self.error_bound))))
-
-
-def _as_precision_real(low: int, high: int, exponent: int, digits: int, dps: int) -> PrecisionReal:
-    """[low, high] / 2^exponent as an mpf and a bound, at `dps` decimal digits.
-
-    `value` is the lower end rounded once to nearest at p bits, the bits of
-    `dps` digits; `error_bound`, rounded up, is the width plus that
-    rounding, at most 2^(-p) times the value.
-    """
-    from mpmath import mp, mpf
-
-    with mp.workdps(dps):
-        value = mp.ldexp(mpf(low), -exponent)
-        bound = mp.ldexp(mpf(((high - low) << mp.prec) + low, rounding="u"), -exponent - mp.prec)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
 
 
 def _dps_to_prec(dps: int) -> int:
@@ -215,7 +172,7 @@ def _series_rounding_units(depth: int, terms: int) -> int:
     """How many units of 2^(-S) `_truncated_series` may fall short by.
 
     Runs the recurrence u_j = N (1 + ceil(h^(j-1) / (j-1)!) + u_(j-1)),
-    u_0 = 0, with N = `terms` and h = bitlength(N); `_series_interval`
+    u_0 = 0, with N = `terms` and h = bitlength(N); `eval_mzv_series`
     derives it.
     """
     h = terms.bit_length()
@@ -250,14 +207,14 @@ def _truncated_series(parts: Tuple[int, ...], terms: int, bits: int) -> int:
     return deque(level, maxlen=1)[0]
 
 
-def _series_interval(c: Composition, terms: int) -> Tuple[int, int, int, int]:
-    """Direct nested summation: zeta(c) in [low, high] / 2^S, and the digits the tail allows.
+def eval_mzv_series(c: Composition, terms: int) -> Tuple[int, int, int]:
+    """Direct nested summation: (low, high, S) with zeta(c) in [low, high] / 2^S.
 
     Sums over 0 < k_1 < ... < k_r <= N, N = `terms`, in fixed point: every
     level is a Python integer scaled by 2^S.  Accuracy is limited by the
-    tail, roughly N^(1 - last part) up to logarithms; the digit count is
-    floor(-log10) of the tail bound, at least 1, and S = p + bitlength(d_r),
-    p the bits of that count + 10 (at least 30) decimal digits.
+    tail, roughly N^(1 - last part) up to logarithms.  With d the digits
+    the tail bound allows, floor(-log10) of it and at least 1, S = p +
+    bitlength(d_r), p the bits of d + 10 (at least 30) decimal digits.
 
     low is the computed sum, and high adds two parts:
 
@@ -275,14 +232,14 @@ def _series_interval(c: Composition, terms: int) -> Tuple[int, int, int, int]:
       harmonic number, and the tail beyond N is bounded by integration;
       it is rounded up to a unit of 2^(-S).
 
-    The empty composition is exactly 1 and claims `MAX_EVAL_DIGITS`.
+    The empty composition is exactly 1, (1, 1, 0).
     """
     if terms < 10:
         raise ValueError(f"need terms >= 10, got {terms}")
     if not c.is_admissible():
         raise ValueError(f"composition {c} diverges (last part must be >= 2)")
     if c.depth == 0:
-        return 1, 1, 0, MAX_EVAL_DIGITS
+        return 1, 1, 0
 
     parts = c.parts
     tail = _series_tail_bound(parts, terms)
@@ -291,24 +248,7 @@ def _series_interval(c: Composition, terms: int) -> Tuple[int, int, int, int]:
     bits = _dps_to_prec(max(30, claimed + 10)) + units.bit_length()
     low = _truncated_series(parts, terms, bits)
     tail_units = -(-(tail.numerator << bits) // tail.denominator)
-    return low, low + units + tail_units, bits, claimed
-
-
-def eval_mzv_series(c: Composition, terms: int) -> PrecisionReal:
-    """Direct nested summation with a derived error bound, as an mpf.
-
-    `_series_interval` encloses the value and derives its bound; `digits`
-    is the count the tail alone allows, and the interval is converted at
-    that count + 10 (at least 30) decimal digits, its width plus the one
-    rounding being the bound.  The empty composition is exactly 1, with
-    bound 0.
-    """
-    low, high, exponent, claimed = _series_interval(c, terms)
-    if c.depth == 0:
-        from mpmath import mpf
-
-        return PrecisionReal(value=mpf(1), digits=claimed, error_bound=mpf(0))
-    return _as_precision_real(low, high, exponent, claimed, max(30, claimed + 10))
+    return low, low + units + tail_units, bits
 
 
 def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word, List[int]]:
@@ -426,10 +366,12 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
     return [(total, total + len(row) * per_word, exponent) for row, total in zip(rows, totals)]
 
 
-def _split_interval(c: Composition, digits: int) -> Tuple[int, int, int]:
-    """zeta(c) in [low, high] / 2^e: the one-word row of `_split_sum` at `digits`.
+def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> Tuple[int, int, int]:
+    """(low, high, e) with zeta(c) in [low, high] / 2^e: the one-word row of `_split_sum`.
 
-    Any precision is accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.
+    The width is below 10^-(digits+7) times 2^e.  Any precision is
+    accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.  The empty
+    composition comes out with low exactly 2^e and a positive width.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
@@ -439,60 +381,31 @@ def _split_interval(c: Composition, digits: int) -> Tuple[int, int, int]:
     return interval
 
 
-def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
-    """Evaluate an admissible zeta value to `digits` digits via the 1/2 split.
-
-    `_split_interval` converted at digits + 15 decimal digits: `value` is
-    the interval's lower end rounded once to nearest at p bits, and
-    `error_bound`, rounded up, is the width plus that rounding, at most
-    2^(-p) times the value.  It stays below 10^-(digits+7), so
-    `guaranteed_digits` is at least `digits`; the empty composition comes
-    out as exactly 1, with that same positive bound.
-    """
-    return _as_precision_real(*_split_interval(c, digits), digits, digits + 15)
-
-
-def _readback(low: int, high: int, scale: int, cap: Optional[int]) -> Optional[Fraction]:
+def reconstruct_rational(
+    low: int, high: int, scale: int, max_denominator: Optional[int] = None
+) -> Optional[Fraction]:
     """The only fraction with denominator up to Q in [low, high] / scale, if any.
 
-    The one readback rule.  Q = floor((width 10^10)^(-1/2)), lowered by a
-    `cap`; a cap below 1 raises.  Fractions with denominators up to Q lie
-    at least 1/Q^2 = 10^10 widths apart, so at most one is in the interval,
-    within half a width of the midpoint and 10^10 widths from the others:
-    it is the nearest, which `limit_denominator` returns, and the least
-    denominator there.  If none is, the nearest is outside and is refused.
+    The one readback rule.  Q = floor((width 10^10)^(-1/2)), lowered by
+    `max_denominator`.  Fractions with denominators up to Q lie at least
+    1/Q^2 = 10^10 widths apart, so at most one is in the interval, within
+    half a width of the midpoint and 10^10 widths from the others: it is
+    the nearest, which `limit_denominator` returns, and the least
+    denominator there.  If none is, the nearest is outside and is refused:
+    None means no small rational explains the value, as expected of an
+    irrational.  An empty or one-point interval, a scale below 1 and a cap
+    below 1 raise.
     """
-    if cap is not None and cap < 1:
-        raise ValueError(f"need max_denominator >= 1, got {cap}")
+    if high <= low:
+        raise ValueError(f"need low < high, got low={low}, high={high}")
+    if scale < 1:
+        raise ValueError(f"need scale >= 1, got {scale}")
+    if max_denominator is not None and max_denominator < 1:
+        raise ValueError(f"need max_denominator >= 1, got {max_denominator}")
     limit = isqrt(scale // ((high - low) * 10**10))
-    limit = limit if cap is None else min(limit, cap)
+    limit = limit if max_denominator is None else min(limit, max_denominator)
     nearest = Fraction(low + high, 2 * scale).limit_denominator(max(limit, 1))
     return nearest if nearest.denominator <= limit and low <= nearest * scale <= high else None
-
-
-def reconstruct_rational(
-    x: Union[mpf, float, int],
-    digits_trusted: int,
-    max_denominator: Optional[int] = None,
-) -> Optional[Fraction]:
-    """Read an exact fraction off a high-precision value, or decline.
-
-    `_readback` reads the interval x +- 10^-digits_trusted: the fraction
-    nearest x with denominator up to its Q, or a lower `max_denominator`,
-    if it lies in it.  x is an mpf, kept as it is, or anything `mpf()`
-    takes, such as `mp.pi`, then read at digits_trusted + 10 digits.  None
-    means no small rational explains x, as expected of an irrational.
-    """
-    from mpmath import mp, mpf
-    from mpmath.libmp import to_rational
-
-    if digits_trusted < 20:
-        raise ValueError(f"need digits_trusted >= 20, got {digits_trusted}")
-    with mp.workdps(digits_trusted + 10):
-        # re-wrapping an mpf would round it to the working precision
-        num, den = to_rational((x if isinstance(x, mpf) else mpf(x))._mpf_)
-    ten = 10**digits_trusted
-    return _readback(num * ten - den, num * ten + den, den * ten, max_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +561,7 @@ def _check(
     argument objects), which takes that row's parse and share by position;
     lambda S / pi^weight is then enclosed in [low, high] / 2^bits, and
     `value` shows its midpoint.  Every family sum is a positive combination
-    of zeta values, so `_readback` reads a fraction off the interval only
+    of zeta values, so `reconstruct_rational` reads a fraction off the interval only
     when low > 0: an interval that reaches 0 has not resolved the value.
     """
     if digits < 1:
@@ -670,7 +583,9 @@ def _check(
     low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
     high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
     target = spec.target(weight, **params)
-    reconstructed = _readback(low, high, 1 << bits, max_denominator) if low > 0 else None
+    reconstructed = (
+        reconstruct_rational(low, high, 1 << bits, max_denominator) if low > 0 else None
+    )
     if reconstructed is None:
         status = "no-reconstruction"
     elif spec.conjectural_target and reconstructed == target:

@@ -7,6 +7,10 @@ are visible in plain `pytest` output and in teed logs.
 `pair_up` is the greedy phi-pairing the verifier's orbit route replaced,
 and `bernoulli_numbers`, `zeta_even_rational` and `euler_zeta_even` give
 zeta(2k) from its Bernoulli closed form, independently of both engines.
+
+The engines return exact intervals (low, high, e); `mpf_interval` reads
+one as two mpfs for comparison with mpmath's values, and
+`decimal_interval` turns an mpf x into the readback's x +- 10^-digits.
 """
 
 from fractions import Fraction
@@ -14,9 +18,10 @@ from math import comb, factorial
 from typing import List, Tuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from multizeta.encodings import OddEncoding, phi, window_of
-from multizeta.numerics import DEFAULT_DIGITS, PrecisionReal
+from multizeta.numerics import DEFAULT_DIGITS
 
 _CRITERION_LINES = []
 
@@ -97,20 +102,34 @@ def zeta_even_rational(k: int) -> Fraction:
     return Fraction((-1) ** (k + 1)) * b * Fraction(4**k, 2 * factorial(2 * k))
 
 
-def euler_zeta_even(k: int, digits: int = DEFAULT_DIGITS) -> PrecisionReal:
+def mpf_interval(interval: Tuple[int, int, int], dps: int) -> Tuple[mpf, mpf]:
+    """[low, high] / 2^e as two mpfs at `dps` digits, rounded outward, so they enclose it."""
+    low, high, exponent = interval
+    with mp.workdps(dps):
+        return (mp.ldexp(mpf(low, rounding="d"), -exponent),
+                mp.ldexp(mpf(high, rounding="u"), -exponent))
+
+
+def decimal_interval(x: mpf, digits: int) -> Tuple[int, int, int]:
+    """x +- 10^-digits as `reconstruct_rational`'s (low, high, scale), x read exactly."""
+    num, den = to_rational(x._mpf_)
+    ten = 10**digits
+    return num * ten - den, num * ten + den, den * ten
+
+
+def euler_zeta_even(k: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """zeta(2k) evaluated from its closed form: an exact rational times pi^(2k).
 
-    The bound is derived.  At p = round((digits + 11) log2 10) bits, pi, its
-    2k-th power, the numerator, the product and the quotient are each rounded
-    once, to 2^(1-p) relatively, and the power takes pi's error 2k-fold.  As
-    zeta(2k) < 2, the error is under 1.03 (2k + 4) 2^(2-p) < 6 (2k + 4)
-    10^(-digits-11), which is at most 10^-digits for k < 8 10^9, digits >= 1.
+    Its error is below 10^-digits, which is derived.  At p = round((digits
+    + 11) log2 10) bits, pi, its 2k-th power, the numerator, the product and
+    the quotient are each rounded once, to 2^(1-p) relatively, and the power
+    takes pi's error 2k-fold.  As zeta(2k) < 2, the error is under 1.03
+    (2k + 4) 2^(2-p) < 6 (2k + 4) 10^(-digits-11), which is at most
+    10^-digits for k < 8 10^9, digits >= 1.
     """
     ratio = zeta_even_rational(k)
     with mp.workdps(digits + 10):
-        value = mp.pi ** (2 * k) * mpf(ratio.numerator) / ratio.denominator
-        bound = mpf(10) ** (-digits)
-    return PrecisionReal(value=value, digits=digits, error_bound=bound)
+        return mp.pi ** (2 * k) * mpf(ratio.numerator) / ratio.denominator
 
 
 def pytest_terminal_summary(terminalreporter):

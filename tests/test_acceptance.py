@@ -35,7 +35,14 @@ from multizeta.verifier import (
 )
 from multizeta.words import Composition, weight_of
 
-from conftest import euler_zeta_even, record_criterion, weak_compositions, window_length
+from conftest import (
+    decimal_interval,
+    euler_zeta_even,
+    mpf_interval,
+    record_criterion,
+    weak_compositions,
+    window_length,
+)
 
 
 def _instance_suite():
@@ -131,16 +138,17 @@ def test_criterion_4_negative_control():
 
 
 def test_criterion_5_numeric_identities():
+    low, _ = mpf_interval(eval_mzv_fast(Composition((1, 3)), 60), 75)
     with mp.workdps(75):
-        ratio = eval_mzv_fast(Composition((1, 3)), 60).value / mp.pi**4
+        ratio = low / mp.pi**4
         assert abs(ratio - mpf(1) / 360) < mpf(10) ** -35
-    assert reconstruct_rational(ratio, 55) == Fraction(1, 360)
+    assert reconstruct_rational(*decimal_interval(ratio, 55)) == Fraction(1, 360)
 
     report = check_bowman_bradley(1, 1, digits=60)
     assert report["reconstructed"] == {"num": 1, "den": 5040}
     with mp.workdps(75):
         direct = sum(
-            eval_mzv_fast(Composition(parts), 60).value
+            mpf_interval(eval_mzv_fast(Composition(parts), 60), 75)[0]
             for parts in [(2, 1, 3), (1, 2, 3), (1, 3, 2)]
         )
         assert abs(direct / mp.pi**6 - mpf(1) / 5040) < mpf(10) ** -35
@@ -151,9 +159,9 @@ def test_criterion_5_numeric_identities():
 
     for k in range(1, 6):
         euler = euler_zeta_even(k, 45)
-        engine = eval_mzv_fast(Composition((2 * k,)), 45)
+        engine, _ = mpf_interval(eval_mzv_fast(Composition((2 * k,)), 45), 60)
         with mp.workdps(55):
-            assert abs(euler.value - engine.value) < mpf(10) ** -40
+            assert abs(euler - engine) < mpf(10) ** -40
     record_criterion("PASS criterion 5: zeta(1,3)/pi^4 = 1/360, Bowman-Bradley sums exact, "
           "even zeta closed form matches engine for k <= 5")
 

@@ -198,7 +198,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("work started before --output was checked")
 
-    for name in ("check_group", "build_instance", "_split_interval", "_series_interval"):
+    for name in ("check_group", "build_instance", "eval_mzv_fast", "eval_mzv_series"):
         monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
@@ -316,14 +316,14 @@ def test_eval_text(capsys):
 
 
 def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
-    split = cli._split_interval
+    split = cli.eval_mzv_fast
 
     def perturbed(c, digits):
         low, high, exponent = split(c, digits)
         shift = -(-(1 << exponent) // 1000)  # 10^-3, rounded up to a unit
         return low + shift, high + shift, exponent
 
-    monkeypatch.setattr(cli, "_split_interval", perturbed)
+    monkeypatch.setattr(cli, "eval_mzv_fast", perturbed)
     code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
     assert code == 1
     assert out == ""
@@ -344,10 +344,10 @@ def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_eval_intervals_sharing_one_end_do_not_fail_closed(capsys, monkeypatch, side):
     # a fast interval as wide as the oracle's, next to it, with one end in common
-    low, high, exponent, _ = numerics._series_interval(Composition((1, 3)), cli.ORACLE_TERMS)
+    low, high, exponent = numerics.eval_mzv_series(Composition((1, 3)), cli.ORACLE_TERMS)
     width = high - low
     touching = (high, high + width) if side == "above" else (low - width, low)
-    monkeypatch.setattr(cli, "_split_interval", lambda c, digits: (*touching, exponent))
+    monkeypatch.setattr(cli, "eval_mzv_fast", lambda c, digits: (*touching, exponent))
     code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
     assert (code, err) == (0, "")
     # the two values are one oracle width apart
@@ -356,7 +356,7 @@ def test_eval_intervals_sharing_one_end_do_not_fail_closed(capsys, monkeypatch, 
     # one unit further out, the intervals are disjoint
     step = 1 if side == "above" else -1
     apart = (touching[0] + step, touching[1] + step, exponent)
-    monkeypatch.setattr(cli, "_split_interval", lambda c, digits: apart)
+    monkeypatch.setattr(cli, "eval_mzv_fast", lambda c, digits: apart)
     code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
     assert (code, out) == (1, "")
     assert err.startswith("error: the engines' intervals are disjoint\n")
@@ -381,8 +381,8 @@ def test_eval_weight_cap_precedes_both_engines(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an engine ran before the weight was checked")
 
-    monkeypatch.setattr(cli, "_split_interval", refuse)
-    monkeypatch.setattr(cli, "_series_interval", refuse)
+    monkeypatch.setattr(cli, "eval_mzv_fast", refuse)
+    monkeypatch.setattr(cli, "eval_mzv_series", refuse)
     code, out, err = run_cli(capsys, "eval", "--zeta", f"1,{MAX_EVAL_WEIGHT}")
     assert (code, out) == (2, "")
     assert err == f"error: weight {MAX_EVAL_WEIGHT + 1} exceeds the cap {MAX_EVAL_WEIGHT}\n"
@@ -415,7 +415,7 @@ def run_child(script):
 
 
 def test_no_command_imports_mpmath():
-    # every command computes in integers; mpmath serves only the mpf API
+    # every command computes in integers, and the package never imports mpmath
     script = (
         "import contextlib, io, sys\n"
         "from multizeta.cli import main\n"

@@ -16,7 +16,6 @@ from multizeta.numerics import (
     DEFAULT_DIGITS,
     DEFAULT_WEIGHT_CAP,
     FAMILIES,
-    MAX_EVAL_DIGITS,
     _prefix_walk,
     _series_rounding_units,
     _series_tail_bound,
@@ -42,12 +41,19 @@ from multizeta.words import (
     weight_of,
 )
 
-from conftest import bernoulli_numbers, euler_zeta_even, weak_compositions, zeta_even_rational
+from conftest import (
+    bernoulli_numbers,
+    decimal_interval,
+    euler_zeta_even,
+    mpf_interval,
+    weak_compositions,
+    zeta_even_rational,
+)
 from test_golden import recorded_calls
 
 
 def admissible_compositions(max_weight):
-    """All admissible compositions of weight 2..max_weight."""
+    """All admissible compositions of weight 2..max_weight, each once."""
     found = []
 
     def extend(prefix, remaining):
@@ -56,20 +62,24 @@ def admissible_compositions(max_weight):
         for part in range(1, remaining + 1):
             extend(prefix + [part], remaining - part)
 
-    for w in range(2, max_weight + 1):
-        extend([], w)
-    return [c for c in found if c.weight <= max_weight]
+    extend([], max_weight)
+    return found
 
 
 def test_fast_engine_against_classical_values():
     with mp.workdps(80):
         pi = mp.pi
-        assert abs(eval_mzv_fast(Composition((2,)), 60).value - pi**2 / 6) < mpf(10) ** -60
-        assert abs(eval_mzv_fast(Composition((1, 3)), 60).value - pi**4 / 360) < mpf(10) ** -60
-        assert abs(eval_mzv_fast(Composition((2, 2)), 60).value - pi**4 / 120) < mpf(10) ** -60
-        # zeta(2,1) = zeta(3), an independent closed form
-        assert abs(eval_mzv_fast(Composition((1, 2)), 60).value - mp.zeta(3)) < mpf(10) ** -60
-        assert abs(eval_mzv_fast(Composition((4,)), 60).value - mp.zeta(4)) < mpf(10) ** -60
+        cases = [
+            ((2,), pi**2 / 6),
+            ((1, 3), pi**4 / 360),
+            ((2, 2), pi**4 / 120),
+            ((1, 2), mp.zeta(3)),  # zeta(2,1) = zeta(3), an independent closed form
+            ((4,), mp.zeta(4)),
+        ]
+        for parts, exact in cases:
+            low, high = mpf_interval(eval_mzv_fast(Composition(parts), 60), 80)
+            assert low <= exact <= high, parts
+            assert high - low < mpf(10) ** -60, parts
 
 
 def dual(c):
@@ -100,10 +110,9 @@ DUALITY_PAIRS = sorted(
 @pytest.mark.parametrize("c, d", DUALITY_PAIRS, ids=lambda c: str(c))
 def test_fast_engine_duality_pair(c, d, digits):
     # the 1/2 split sweeps a word and its dual from opposite ends
-    a = eval_mzv_fast(c, digits)
-    b = eval_mzv_fast(d, digits)
-    with mp.workdps(digits + 20):
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+    a_low, a_high = mpf_interval(eval_mzv_fast(c, digits), digits + 20)
+    b_low, b_high = mpf_interval(eval_mzv_fast(d, digits), digits + 20)
+    assert a_low <= b_high and b_low <= a_high
 
 
 def euler_zeta_one(n):
@@ -115,15 +124,14 @@ def euler_zeta_one(n):
 
 @pytest.mark.parametrize("digits", [60, 200])
 def test_fast_error_bound_holds_against_closed_forms(digits):
-    cases = [(Composition((2 * k,)), euler_zeta_even(k, digits + 30).value) for k in range(2, 9)]
+    cases = [(Composition((2 * k,)), euler_zeta_even(k, digits + 30)) for k in range(2, 9)]
     with mp.workdps(digits + 40):
         cases += [(Composition((1, n)), euler_zeta_one(n)) for n in range(2, 16)]
     for comp, exact in cases:
-        out = eval_mzv_fast(comp, digits)
-        assert out.error_bound <= mpf(10) ** -digits
-        assert out.guaranteed_digits >= digits
-        with mp.workdps(digits + 40):
-            assert abs(out.value - exact) <= out.error_bound, comp
+        low, high, exponent = interval = eval_mzv_fast(comp, digits)
+        assert (high - low) * 10**digits <= 2**exponent, comp
+        enclosure = mpf_interval(interval, digits + 40)
+        assert enclosure[0] <= exact <= enclosure[1], comp
 
 
 def mpf_half_split(c, digits):
@@ -156,11 +164,11 @@ def test_fixed_point_engine_matches_mpf_reference(digits):
     rng = random.Random(11)
     comps = rng.sample(sorted(set(admissible_compositions(9)), key=lambda c: c.parts), 12)
     for comp in comps:
-        fast = eval_mzv_fast(comp, digits)
+        low, _ = mpf_interval(eval_mzv_fast(comp, digits), digits + 20)
         reference = mpf_half_split(comp, digits)
         # equal truncation, so only the rounding of the two sweeps differs
         with mp.workdps(digits + 20):
-            assert abs(fast.value - reference) <= mpf(10) ** -(digits + 12), comp
+            assert abs(low - reference) <= mpf(10) ** -(digits + 12), comp
 
 
 def dual_word(word):
@@ -310,12 +318,6 @@ def split_rows():
     return rows
 
 
-def converted(total, exponent, digits):
-    """An integer over 2^exponent rounded once, as `eval_mzv_fast` converts."""
-    with mp.workdps(digits + 15):
-        return mp.ldexp(mpf(total), -exponent)
-
-
 def test_row_walk_is_bit_identical_to_the_per_word_sweep():
     for row_id, digits, words in split_rows():
         interiors = [w[1:-1] for w in words]
@@ -417,22 +419,8 @@ def exact(x):
 def test_one_word_row_is_eval_mzv_fast(vector):
     # the bbbl rows at the default cap, and one vector that is not constant
     for digits in (20, 70):
-        word = blockvector_to_word(vector)
-        [(low, high, exponent)] = _split_sum([[word]], digits)
-        out = eval_mzv_fast(blockvector_to_composition(vector), digits)
-        _, _, prec, _ = split_precision([word], digits)
-        # the value is the one conversion of the row's lower end
-        assert out.value == converted(low, exponent, digits), vector
-        # the bound is the row's width, the one conversion, and the rounding
-        # up of the bound itself, so it covers the whole interval
-        width = Fraction(high - low, 2**exponent)
-        conversion = Fraction(low, 2**exponent) / 2**prec
-        bound = exact(out.error_bound)
-        assert width + conversion <= bound, vector
-        assert bound <= (width + conversion) * (1 + Fraction(4, 2**prec)), vector
-        value = exact(out.value)
-        assert value - bound <= Fraction(low, 2**exponent), vector
-        assert Fraction(high, 2**exponent) <= value + bound, vector
+        [row] = _split_sum([[blockvector_to_word(vector)]], digits)
+        assert eval_mzv_fast(blockvector_to_composition(vector), digits) == row, vector
 
 
 @pytest.mark.parametrize("digits", [30, 70])
@@ -453,10 +441,10 @@ def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
 
 @pytest.mark.parametrize("digits", [1, 20, 60, 200])
 def test_empty_composition_is_exactly_one_with_a_positive_bound(digits):
-    out = eval_mzv_fast(Composition(()), digits)
-    assert out.value == 1
-    assert out.error_bound > 0
-    assert out.guaranteed_digits >= digits
+    low, high, exponent = eval_mzv_fast(Composition(()), digits)
+    assert low == 2**exponent
+    assert high > low
+    assert (high - low) * 10**digits <= 2**exponent
 
 
 @pytest.mark.parametrize("n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102)])
@@ -497,18 +485,17 @@ def test_fixed_point_series_is_low_by_at_most_the_rounding_units(parts, terms):
 
 @pytest.mark.parametrize("terms", [10, 60])
 @pytest.mark.parametrize("parts", SERIES_CASES, ids=str)
-def test_series_oracle_value_within_rounding_and_conversion(parts, terms):
+def test_series_oracle_value_within_rounding(parts, terms):
     truncated = exact_nested_sum(parts, terms)
-    out = eval_mzv_series(Composition(parts), terms)
+    low, high, exponent = eval_mzv_series(Composition(parts), terms)
     tail = _series_tail_bound(parts, terms)
-    with mp.workdps(max(30, out.digits + 10)):
+    with mp.workdps(max(30, numerics._zero_places(tail) + 10)):
         prec = mp.prec
-    gap = abs(truncated - exact(out.value))
-    # what is left of the bound once the tail is taken out: the rounding,
-    # below 2^-prec, the tail's rounding up to a unit of the sweep, below
-    # that, and the conversion, 2^-prec times a value below 2
-    rest = exact(out.error_bound) - tail
-    assert gap <= rest < Fraction(3, 2**prec)
+    gap = truncated - Fraction(low, 2**exponent)
+    # what is left of the width once the tail is taken out: the rounding,
+    # below 2^-prec, and the tail's rounding up to a unit of the sweep, below that
+    rest = Fraction(high - low, 2**exponent) - tail
+    assert 0 <= gap <= rest < Fraction(2, 2**prec)
 
 
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 8, 3), (1, 5, 5, 3), (1, 2, 1, 2, 1, 2, 2)])
@@ -564,11 +551,11 @@ def test_truncated_series_keeps_only_a_few_integers_live():
 
 
 def test_series_engine_known_value():
-    s = eval_mzv_series(Composition((1, 3)), 10**4)
+    low, high, exponent = interval = eval_mzv_series(Composition((1, 3)), 10**4)
+    enclosure = mpf_interval(interval, 40)
     with mp.workdps(40):
-        actual_error = abs(s.value - mp.pi**4 / 360)
-    assert actual_error < s.error_bound
-    assert s.digits >= 6
+        assert enclosure[0] < mp.pi**4 / 360 < enclosure[1]
+    assert (high - low) * 10**6 <= 2**exponent
 
 
 def test_series_tail_bound_is_sound():
@@ -580,10 +567,10 @@ def test_series_tail_bound_is_sound():
         (Composition((1, 1, 2)), 300),
     ]
     for comp, terms in cases:
-        approx = eval_mzv_series(comp, terms)
-        exact = eval_mzv_fast(comp, 40)
-        with mp.workdps(50):
-            assert abs(approx.value - exact.value) < approx.error_bound
+        # the series interval holds the fast engine's, which is 10^-47 wide
+        s_low, s_high = mpf_interval(eval_mzv_series(comp, terms), 50)
+        f_low, f_high = mpf_interval(eval_mzv_fast(comp, 40), 50)
+        assert s_low < f_low <= f_high < s_high, comp
 
 
 def mpf_series_tail_bound(parts, terms):
@@ -628,35 +615,30 @@ def test_log_bound_is_above_and_within_a_few_units(x):
         assert 0 <= excess < mpf(2) ** -100, x
 
 
-def test_oracle_claims_the_same_digits_as_the_mpf_tail(monkeypatch):
-    # every admissible composition of weight up to 12 at the CLI's 5000 terms;
-    # the claim reads only the tail, so the sweep itself is skipped
-    monkeypatch.setattr(numerics, "_truncated_series", lambda parts, terms, bits: 0)
+def test_oracle_claims_the_same_digits_as_the_mpf_tail():
+    # every admissible composition of weight up to 12 at the CLI's 5000 terms:
+    # the digits that set the oracle's bit width
     for parts in sorted({c.parts for c in admissible_compositions(12)}):
         with mp.workdps(30):
             before = max(1, int(mp.floor(-mp.log10(mpf_series_tail_bound(parts, 5000)))))
-        assert numerics._series_interval(Composition(parts), 5000)[3] == before, parts
+        claimed = max(1, numerics._zero_places(_series_tail_bound(parts, 5000)))
+        assert claimed == before, parts
 
 
 def test_engines_agree_within_bounds_weight_up_to_7():
-    for comp in admissible_compositions(7):
-        series = eval_mzv_series(comp, 300)
-        fast = eval_mzv_fast(comp, 40)
-        with mp.workdps(50):
-            gap = abs(series.value - fast.value)
-        assert gap < series.error_bound + fast.error_bound, comp
+    compositions = admissible_compositions(7)
+    assert len(compositions) == 63
+    for comp in compositions:
+        s_low, s_high = mpf_interval(eval_mzv_series(comp, 300), 50)
+        f_low, f_high = mpf_interval(eval_mzv_fast(comp, 40), 50)
+        assert s_low <= f_high and f_low <= s_high, comp
 
 
 def test_empty_composition_evaluates_to_one():
-    assert eval_mzv_series(Composition(()), 100).value == 1
-    assert eval_mzv_fast(Composition(()), 40).value == 1
-
-
-def test_empty_composition_series_bound_is_exact():
-    # an exact zero bound claims the full cap instead of taking log10(0)
-    out = eval_mzv_series(Composition(()), 100)
-    assert out.error_bound == 0
-    assert out.guaranteed_digits == MAX_EVAL_DIGITS == 200
+    # the oracle's interval is the exact 1, of width 0
+    assert eval_mzv_series(Composition(()), 100) == (1, 1, 0)
+    low, _, exponent = eval_mzv_fast(Composition(()), 40)
+    assert low == 2**exponent
 
 
 def test_engine_preconditions():
@@ -671,16 +653,18 @@ def test_engine_preconditions():
 
 
 def test_precision_cap_is_adjustable():
-    out = eval_mzv_fast(Composition((2,)), 250)
-    with mp.workdps(260):
-        assert abs(out.value - mp.pi**2 / 6) < mpf(10) ** -250
+    low, high = mpf_interval(eval_mzv_fast(Composition((2,)), 250), 270)
+    with mp.workdps(270):
+        assert low <= mp.pi**2 / 6 <= high
+        assert high - low < mpf(10) ** -250
 
 
 def test_guaranteed_digits_tracking():
-    out = eval_mzv_fast(Composition((1, 3)), 60)
-    assert out.guaranteed_digits >= 60
-    slow = eval_mzv_series(Composition((2,)), 100)
-    assert slow.guaranteed_digits <= 3
+    # the digits each width guarantees: at least 60, and at most 3
+    low, high, exponent = eval_mzv_fast(Composition((1, 3)), 60)
+    assert (high - low) * 10**60 <= 2**exponent
+    low, high, exponent = eval_mzv_series(Composition((2,)), 100)
+    assert (high - low) * 10**4 > 2**exponent
 
 
 def test_bernoulli_numbers():
@@ -712,7 +696,7 @@ def test_euler_zeta_even_matches_mpmath():
     for k in range(1, 7):
         out = euler_zeta_even(k, 50)
         with mp.workdps(60):
-            assert abs(out.value - mp.zeta(2 * k)) < mpf(10) ** -48
+            assert abs(out - mp.zeta(2 * k)) < mpf(10) ** -48
 
 
 @pytest.mark.parametrize("digits", [20, 60, 200])
@@ -722,7 +706,7 @@ def test_euler_zeta_even_error_bound_holds(digits):
         out = euler_zeta_even(k, digits)
         finer = euler_zeta_even(k, digits + 40)
         with mp.workdps(digits + 60):
-            assert abs(out.value - finer.value) <= out.error_bound, k
+            assert abs(out - finer) <= mpf(10) ** -digits, k
 
 
 def test_reconstruct_recovers_planted_rationals():
@@ -733,46 +717,49 @@ def test_reconstruct_recovers_planted_rationals():
             den = rng.randint(1, 10**6)
             noise = mpf(rng.randint(-100, 100)) * mpf(10) ** -55
             x = mpf(num) / den + noise
-            assert reconstruct_rational(x, 45) == Fraction(num, den)
+            assert reconstruct_rational(*decimal_interval(x, 45)) == Fraction(num, den)
 
 
 @pytest.mark.parametrize("digits", [20, 50])
 def test_reconstruct_declines_irrationals(digits):
     with mp.workdps(70):
-        assert reconstruct_rational(mp.sqrt(2), digits) is None
-        assert reconstruct_rational(mp.e, digits) is None
-        assert reconstruct_rational(mp.pi, digits) is None
-        assert reconstruct_rational(mp.zeta(3), digits) is None
+        for x in (mp.sqrt(2), +mp.e, +mp.pi, mp.zeta(3)):
+            assert reconstruct_rational(*decimal_interval(x, digits)) is None, x
 
 
 def test_reconstruct_denominator_cap():
     with mp.workdps(70):
-        x = mpf(1) / 10**13
-        assert reconstruct_rational(x, 50, max_denominator=10**12) is None
-        assert reconstruct_rational(x, 50, max_denominator=10**14) == Fraction(1, 10**13)
+        x = decimal_interval(mpf(1) / 10**13, 50)
+        assert reconstruct_rational(*x, max_denominator=10**12) is None
+        assert reconstruct_rational(*x, max_denominator=10**14) == Fraction(1, 10**13)
 
 
 def test_reconstruct_caps_at_q_by_default():
     # Q at 60 digits is about 10^25, above the denominator 15! = 1307674368000
     with mp.workdps(80):
-        x = mpf(1) / math.factorial(15)
-        assert reconstruct_rational(x, 60) == Fraction(1, math.factorial(15))
-        assert reconstruct_rational(x, 60, max_denominator=None) == Fraction(1, math.factorial(15))
+        x = decimal_interval(mpf(1) / math.factorial(15), 60)
+        assert reconstruct_rational(*x) == Fraction(1, math.factorial(15))
+        assert reconstruct_rational(*x, max_denominator=None) == Fraction(1, math.factorial(15))
 
 
 def test_reconstruct_trusts_x_to_exactly_its_digits():
     with mp.workdps(80):
-        third = mpf(1) / 3
-        assert reconstruct_rational(third + mpf(10) ** -40 / 2, 40) == Fraction(1, 3)
-        assert reconstruct_rational(third + 2 * mpf(10) ** -40, 40) is None
+        third, unit = mpf(1) / 3, mpf(10) ** -40
+        assert reconstruct_rational(*decimal_interval(third + unit / 2, 40)) == Fraction(1, 3)
+        assert reconstruct_rational(*decimal_interval(third + 2 * unit, 40)) is None
 
 
 def test_reconstruct_preconditions():
-    with pytest.raises(ValueError):
-        reconstruct_rational(mpf(1) / 3, 19)
+    # an empty or one-point interval, and a scale below 1
+    with pytest.raises(ValueError, match="^need low < high, got low=5, high=5$"):
+        reconstruct_rational(5, 5, 10)
+    with pytest.raises(ValueError, match="^need low < high, got low=6, high=5$"):
+        reconstruct_rational(6, 5, 10)
+    with pytest.raises(ValueError, match="^need scale >= 1, got 0$"):
+        reconstruct_rational(3, 4, 0)
     # every readback refuses a cap below 1 with one message
     for readback in (
-        partial(reconstruct_rational, mpf(1) / 3),
+        partial(reconstruct_rational, 1, 2),
         partial(check_bbbl_family, 1, 0),
         partial(check_group, "bbbl", [{"n": 1, "m": 0}]),
     ):
@@ -782,9 +769,8 @@ def test_reconstruct_preconditions():
 
 
 def test_reconstruct_handles_integers():
-    with mp.workdps(60):
-        assert reconstruct_rational(mpf(7), 40) == Fraction(7)
-        assert reconstruct_rational(mpf(0), 40) == Fraction(0)
+    assert reconstruct_rational(*decimal_interval(mpf(7), 40)) == Fraction(7)
+    assert reconstruct_rational(*decimal_interval(mpf(0), 40)) == Fraction(0)
 
 
 def least_denominator_fraction(low, high, scale, limit):
@@ -808,22 +794,22 @@ def test_readback_is_the_least_denominator_fraction_below_q():
         high = low + width
         # Q from the width: 316, 31 or 10
         limit = math.isqrt(scale // (width * 10**10))
-        found = numerics._readback(low, high, scale, 10**12)
+        found = reconstruct_rational(low, high, scale, 10**12)
         assert found == least_denominator_fraction(low, high, scale, limit), (low, high)
     # closed ends: an end that is itself the fraction, at any depth
-    assert numerics._readback(3 * scale, 3 * scale + 1, scale, 10**12) == 3
-    assert numerics._readback(scale // 4, scale // 4 + 1, scale, 10**12) == Fraction(1, 4)
-    assert numerics._readback(scale // 4 - 1, scale // 4, scale, 10**12) == Fraction(1, 4)
-    assert numerics._readback(-scale // 4, -scale // 4 + 1, scale, 10**12) == Fraction(-1, 4)
-    assert numerics._readback(333, 334, 1000, 10**12) is None  # Q = 0
+    assert reconstruct_rational(3 * scale, 3 * scale + 1, scale, 10**12) == 3
+    assert reconstruct_rational(scale // 4, scale // 4 + 1, scale, 10**12) == Fraction(1, 4)
+    assert reconstruct_rational(scale // 4 - 1, scale // 4, scale, 10**12) == Fraction(1, 4)
+    assert reconstruct_rational(-scale // 4, -scale // 4 + 1, scale, 10**12) == Fraction(-1, 4)
+    assert reconstruct_rational(333, 334, 1000, 10**12) is None  # Q = 0
     # the cap applies below Q too: Q = 1000 here, and 1/3 needs a cap of 3
     third = (3333333333333333 * 10**4, 3333333333333334 * 10**4, 10**20)
-    assert numerics._readback(*third, 2) is None
-    assert numerics._readback(*third, 3) == Fraction(1, 3)
+    assert reconstruct_rational(*third, 2) is None
+    assert reconstruct_rational(*third, 3) == Fraction(1, 3)
 
 
 def continued_fraction_readback(low, high, scale, cap):
-    """`numerics._readback` by a walk over the continued fractions of both ends.
+    """`reconstruct_rational` by a walk over the continued fractions of both ends.
 
     Both ends share the interval's continued-fraction terms until their
     integer parts differ; the least integer at that depth ends the walk, and
@@ -881,25 +867,23 @@ def test_readback_is_the_continued_fraction_walk_at_the_package_scales():
             width = rng.randint(scale // 10**10 + 1, scale // 10**3)
             low = rng.randint(-5, 5) * scale - rng.randint(0, width)
             cases += [(low, low + width, scale, cap) for cap in (None, 1)]
-    # reconstruct_rational's x +- 10^-digits over den 10^digits, x near p/q with q about Q
+    # x +- 10^-digits over den 10^digits, x near p/q with q about Q
     for digits in (20, 60, 200):
         limit = math.isqrt(10 ** (digits - 10) // 2)
         for _ in range(20):
             q = rng.randint(limit - 1, limit + 1)
             p = rng.randint(-3 * q, 3 * q)
             with mp.workdps(digits + 10):
-                num, den = to_rational((mpf(p) / q + rng.choice([0, mp.pi]))._mpf_)
-            ten = 10**digits
-            cases += [(num * ten - den, num * ten + den, den * ten, cap)
-                      for cap in (None, 1, q - 1, q)]
+                x = decimal_interval(mpf(p) / q + rng.choice([0, mp.pi]), digits)
+            cases += [(*x, cap) for cap in (None, 1, q - 1, q)]
     found = 0
     for low, high, scale, cap in cases:
         expected = continued_fraction_readback(low, high, scale, cap)
-        assert numerics._readback(low, high, scale, cap) == expected, (low, high, scale, cap)
+        assert reconstruct_rational(low, high, scale, cap) == expected, (low, high, scale, cap)
         found += expected is not None
     # most planted fractions read back, and many intervals hold none below Q
     assert 0.3 * len(cases) < found < 0.7 * len(cases)
-    assert numerics._readback(29999, 30001, 10**4, None) is None
+    assert reconstruct_rational(29999, 30001, 10**4, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +952,7 @@ def test_cyclic_reports():
 
 def test_off_target_reconstruction_without_proof_is_unconfirmed(monkeypatch):
     # status rule 4 of docs/schemas.md: no proof and the only prediction missed
-    monkeypatch.setattr(numerics, "_readback", lambda low, high, scale, cap: Fraction(1, 5041))
+    monkeypatch.setattr(numerics, "reconstruct_rational", lambda *interval: Fraction(1, 5041))
     rep = check_cyclic_insertion((1, 0, 0), digits=40)
     assert rep["target"] == {"num": 1, "den": 5040}
     assert rep["reconstructed"] == {"num": 1, "den": 5041}
@@ -978,15 +962,15 @@ def test_off_target_reconstruction_without_proof_is_unconfirmed(monkeypatch):
 
 
 def readback_intervals(monkeypatch):
-    """A list that gets each `_readback` call's [low, high] / scale from now on."""
+    """A list that gets each `reconstruct_rational` call's [low, high] / scale from now on."""
     intervals = []
-    readback = numerics._readback
+    readback = numerics.reconstruct_rational
 
     def recorded(low, high, scale, cap):
         intervals.append((Fraction(low, scale), Fraction(high, scale)))
         return readback(low, high, scale, cap)
 
-    monkeypatch.setattr(numerics, "_readback", recorded)
+    monkeypatch.setattr(numerics, "reconstruct_rational", recorded)
     return intervals
 
 

@@ -4,6 +4,7 @@ import pkgutil
 import pytest
 
 import multizeta
+from test_cli import run_child
 
 MODULES = ["multizeta"] + [
     f"multizeta.{info.name}" for info in pkgutil.iter_modules(multizeta.__path__)
@@ -16,3 +17,23 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), name
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_public_numerics_run_without_mpmath():
+    # both engines and the readback through the package, in a child where
+    # importing mpmath fails: the oracle's interval holds the fast one, and
+    # the readback declines zeta(1,3) = pi^4/360 but reads the empty zeta as 1
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import multizeta\n"
+        "c = multizeta.Composition((1, 3))\n"
+        "low, high, e = multizeta.eval_mzv_fast(c)\n"
+        "s_low, s_high, s_e = multizeta.eval_mzv_series(c, 100)\n"
+        "assert s_low << e <= low << s_e and high << s_e <= s_high << e\n"
+        "one_low, one_high, one_e = multizeta.eval_mzv_fast(multizeta.Composition(()))\n"
+        "print(multizeta.reconstruct_rational(low, high, 1 << e),\n"
+        "      multizeta.reconstruct_rational(one_low, one_high, 1 << one_e))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1\n", "")
