@@ -42,11 +42,11 @@ from .numerics import (
     FAMILIES,
     MAX_EVAL_DIGITS,
     MAX_EVAL_WEIGHT,
-    _nstr,
-    _zero_places,
     check_group,
     eval_mzv_fast,
     eval_mzv_series,
+    format_decimal,
+    zero_places,
 )
 from .verifier import build_instance, verify_instance
 from .words import Composition, format_vector
@@ -179,17 +179,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for low, high, exponent in (fast, oracle)
     )
     if fast_high < oracle_low or oracle_high < fast_low:
-        ends = [_nstr(end, exponent, args.digits, args.digits + 10)
+        ends = [format_decimal(end, exponent, args.digits)
                 for low, high, exponent in (fast, oracle) for end in (low, high)]
         print("error: the engines' intervals are disjoint\nfast: [{}, {}]\n"
               "oracle: [{}, {}]".format(*ends), file=sys.stderr)
         return 1
     diff = abs(fast_low - oracle_low)
-    agreement = args.digits if diff == 0 else _zero_places(diff)
+    agreement = min(args.digits, zero_places(diff)) if diff else args.digits
     payload = {
         "composition": list(args.zeta),
         "digits": args.digits,
-        "value": _nstr(fast[0], fast[2], args.digits, args.digits + 15),
+        "value": format_decimal(fast[0], fast[2], args.digits),
         "engine_agreement_digits": agreement,
         "oracle_terms": ORACLE_TERMS,
     }

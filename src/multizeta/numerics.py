@@ -47,8 +47,9 @@ another.
 
 What the checks took from mpmath is ported to integers, value for value:
 pi at `bits` significant bits rounded either way (`_pi_below`, from
-Machin's formula), the bits of a decimal precision (`_dps_to_prec`) and
-`mp.nstr`'s decimal string (`_nstr`).
+Machin's formula) and the bits of a decimal precision (`_dps_to_prec`).
+A printed value is the exact rounding of an interval's end or midpoint,
+half up, to the requested significant digits (`format_decimal`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, combinations, repeat, tee
-from math import comb, factorial, isqrt, log
+from math import comb, factorial, isqrt
 from operator import floordiv, lshift, mul, rshift
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -83,6 +84,8 @@ __all__ = [
     "eval_mzv_series",
     "eval_mzv_fast",
     "reconstruct_rational",
+    "format_decimal",
+    "zero_places",
     "check_symmetric_sum",
     "check_bowman_bradley",
     "check_bbbl_family",
@@ -105,7 +108,7 @@ def _dps_to_prec(dps: int) -> int:
     return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
-def _zero_places(x: Fraction) -> int:
+def zero_places(x: Fraction) -> int:
     """max(0, floor(-log10 x)) for x > 0: how many decimal places of x are 0."""
     return len(str(x.denominator // x.numerator)) - 1
 
@@ -243,7 +246,7 @@ def eval_mzv_series(c: Composition, terms: int) -> Tuple[int, int, int]:
 
     parts = c.parts
     tail = _series_tail_bound(parts, terms)
-    claimed = max(1, _zero_places(tail))
+    claimed = max(1, zero_places(tail))
     units = _series_rounding_units(len(parts), terms)
     bits = _dps_to_prec(max(30, claimed + 10)) + units.bit_length()
     low = _truncated_series(parts, terms, bits)
@@ -484,65 +487,31 @@ def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) 
     return -(-numerator // denominator) if up else numerator // denominator
 
 
-# log2(10) as mpmath's decimal conversion takes it, float for float
-_LOG2_10 = log(10, 2)
+def format_decimal(numerator: int, exponent: int, digits: int) -> str:
+    """numerator / 2^exponent rounded half up to `digits` >= 1 significant digits, exactly.
 
-
-def _nstr(numerator: int, exponent: int, digits: int, dps: int) -> str:
-    """numerator / 2^exponent as mpmath 1.3's `nstr` prints it, made an mpf at `dps` digits.
-
-    `digits` >= 1 is nstr's digit count.  The steps replay mpmath's, in
-    integers:
-
-    * round to nearest, ties to even, at p bits, the bits of `dps` digits;
-    * with the value in [2^(E-1), 2^E) and b = int((digits + 3) log2 10) + 10,
-      floor it to an integer over 2^F, F = max(b - E, 0), and that to one
-      over 10^D, D = int(F / log2 10 + 0.5);
-    * round half up at digit `digits`, on that digit alone;
-    * print d.ddd in fixed point when the decimal exponent lies strictly
-      between min(-(digits // 3), -5) and `digits`, else d.ddd e+x or
-      d.ddd e-x, trailing zeros stripped; 0 prints as 0.0.
-
-    Outside 2^-3500 .. 2^3500 mpmath first divides by an approximate power
-    of ten.  Here the floor to 10^-D is exact there instead (above 2^3500 F
-    is 0, so it is anyway): those digits are the rounded value's, rounded
-    half up at digit `digits`.
+    With 10^p <= |x| < 10^(p+1), the digits are floor(|x| 10^(digits-1-p)
+    + 1/2), and a carry to 10^digits raises p by one.  They print in fixed
+    point when p lies strictly between min(-(digits // 3), -5) and
+    `digits`, else as d.ddd e+p or d.ddd e-p, trailing zeros stripped and
+    the sign kept.  0 prints as 0.0.
     """
     if numerator == 0:
         return "0.0"
-    sign, man = ("-", -numerator) if numerator < 0 else ("", numerator)
-    exp = -exponent
-    cut = man.bit_length() - _dps_to_prec(dps)
-    if cut > 0:
-        dropped, half = man & ((1 << cut) - 1), 1 << (cut - 1)
-        man >>= cut
-        exp += cut
-        if dropped > half or (dropped == half and man & 1):
-            man += 1
-    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - man.bit_length(), 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    if exp + man.bit_length() < -3500:
-        scaled = man * 10**fixdps >> -exp
-    else:
-        offset = exp + fixprec
-        fixed = man << offset if offset >= 0 else man >> -offset
-        scaled = fixed * 10**fixdps >> fixprec
-    text = str(scaled)
-    power = len(text) - fixdps - 1
-    if len(text) > digits and text[digits] in "56789":
-        text = str(int(text[:digits]) + 1)
-        if len(text) > digits:  # 99..9 rounded up to 100..0
-            text, power = text[:digits], power + 1
-    else:
-        text = text[:digits]
-    split = 1
+    sign, top = ("-", -numerator) if numerator < 0 else ("", numerator)
+    top, bottom = top << max(-exponent, 0), 1 << max(exponent, 0)
+    # 10^(p-1) < |x| < 10^(p+1) for this p, so the decimal exponent is p or p - 1
+    power = len(str(top)) - len(str(bottom))
+    power -= top * 10 ** max(-power, 0) < bottom * 10 ** max(power, 0)
+    shift = digits - 1 - power
+    scaled, unit = (top * 10**shift, bottom) if shift >= 0 else (top, bottom * 10**-shift)
+    lead = (2 * scaled + unit) // (2 * unit)
+    if lead == 10**digits:
+        lead, power = lead // 10, power + 1
+    text, split = str(lead), 1
     if min(-(digits // 3), -5) < power < digits:
-        if power < 0:
-            text = "0" * -power + text
-        else:
-            split = power + 1
-            text += "0" * (split - digits)
-        power = 0
+        # zeros lead a value below 1 ("0" * -power is empty above); the point follows the units
+        text, split, power = "0" * -power + text, max(power, 0) + 1, 0
     text = (text[:split] + "." + text[split:]).rstrip("0")
     if text.endswith("."):
         text += "0"
@@ -601,7 +570,7 @@ def _check(
         "params": params,
         "weight": weight,
         "digits": digits,
-        "value": _nstr(low + high, bits + 1, digits, digits + 20),
+        "value": format_decimal(low + high, bits + 1, digits),
         "pi_power": weight,
         "reconstructed": _fraction_obj(reconstructed),
         "target": _fraction_obj(target),

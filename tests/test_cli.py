@@ -315,6 +315,14 @@ def test_eval_text(capsys):
     assert "engines agree" in out
 
 
+def test_eval_agreement_never_exceeds_the_digits_asked_for(capsys):
+    # zeta(8)'s lower ends differ by under 10^-26, which once read as 26 digits
+    # of agreement, more than the 20 that equal ends report
+    code, out, _ = run_cli(capsys, "eval", "--zeta", "8", "--digits", "20")
+    assert code == 0
+    assert json.loads(out)["engine_agreement_digits"] == 20
+
+
 def test_eval_fails_closed_when_the_engines_disagree(capsys, monkeypatch):
     split = cli.eval_mzv_fast
 
@@ -351,7 +359,7 @@ def test_eval_intervals_sharing_one_end_do_not_fail_closed(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, "eval", "--zeta", "1,3", "--digits", "20")
     assert (code, err) == (0, "")
     # the two values are one oracle width apart
-    assert json.loads(out)["engine_agreement_digits"] == numerics._zero_places(
+    assert json.loads(out)["engine_agreement_digits"] == numerics.zero_places(
         Fraction(width, 1 << exponent))
     # one unit further out, the intervals are disjoint
     step = 1 if side == "above" else -1

@@ -489,7 +489,7 @@ def test_series_oracle_value_within_rounding(parts, terms):
     truncated = exact_nested_sum(parts, terms)
     low, high, exponent = eval_mzv_series(Composition(parts), terms)
     tail = _series_tail_bound(parts, terms)
-    with mp.workdps(max(30, numerics._zero_places(tail) + 10)):
+    with mp.workdps(max(30, numerics.zero_places(tail) + 10)):
         prec = mp.prec
     gap = truncated - Fraction(low, 2**exponent)
     # what is left of the width once the tail is taken out: the rounding,
@@ -621,7 +621,7 @@ def test_oracle_claims_the_same_digits_as_the_mpf_tail():
     for parts in sorted({c.parts for c in admissible_compositions(12)}):
         with mp.workdps(30):
             before = max(1, int(mp.floor(-mp.log10(mpf_series_tail_bound(parts, 5000)))))
-        claimed = max(1, numerics._zero_places(_series_tail_bound(parts, 5000)))
+        claimed = max(1, numerics.zero_places(_series_tail_bound(parts, 5000)))
         assert claimed == before, parts
 
 
@@ -1020,7 +1020,11 @@ def decimal_near(rng, digits):
 
 
 def formatter_inputs(count, seed):
-    """(numerator, exponent, digits, dps) for `_nstr`, binary exponents within +-3500."""
+    """(numerator, exponent, digits, dps) for the formatter, binary exponents within +-3500.
+
+    dps is a working precision, as mpmath's `nstr` would first round the
+    value to; the formatter itself reads the exact value.
+    """
     rng = random.Random(seed)
     inputs = [(0, rng.randint(-50, 50), digits, digits + 20) for digits in (1, 2, 60)]
     while len(inputs) < count:
@@ -1045,18 +1049,59 @@ def formatter_inputs(count, seed):
     return inputs
 
 
-def test_formatter_is_mpmaths_nstr():
-    inputs = formatter_inputs(20000, seed=27)
-    for numerator, exponent, digits, dps in inputs:
-        with mp.workdps(dps):
-            expected = mp.nstr(mp.ldexp(mpf(numerator), -exponent), digits)
-        assert numerics._nstr(numerator, exponent, digits, dps) == expected, (
-            numerator, exponent, digits, dps)
+def decimal_power(x):
+    """floor(log10 x) for a Fraction x > 0."""
+    power = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    return power + (x >= Fraction(10) ** (power + 1)) - (x < Fraction(10) ** power)
+
+
+def decimal_reference(value, digits):
+    """`value` rounded half up to `digits` significant digits in Fractions, laid out
+    as docs/schemas.md says: fixed point for a decimal exponent strictly between
+    min(-(digits // 3), -5) and `digits`, else d.ddde+x; trailing zeros stripped."""
+    if value == 0:
+        return "0.0"
+    sign, x = ("-", -value) if value < 0 else ("", value)
+    power = decimal_power(x)
+    lead = math.floor(x / Fraction(10) ** (power - digits + 1) + Fraction(1, 2))
+    if lead == 10**digits:
+        lead, power = lead // 10, power + 1
+    mantissa = str(lead)
+    if not min(-(digits // 3), -5) < power < digits:
+        return f"{sign}{mantissa[0]}.{mantissa[1:].rstrip('0') or '0'}e{power:+d}"
+    if power < 0:
+        whole, fraction = "0", "0" * (-power - 1) + mantissa
+    else:
+        whole, fraction = mantissa[:power + 1], mantissa[power + 1:]
+    return f"{sign}{whole}.{fraction.rstrip('0') or '0'}"
+
+
+def distance_from_a_half(value, digits):
+    """How far |value| in units of its `digits`-th significant digit lies from the nearest half."""
+    x = abs(value)
+    units = x / Fraction(10) ** (decimal_power(x) - digits + 1)
+    return abs(units - math.floor(units) - Fraction(1, 2))
+
+
+def test_formatter_rounds_exactly_half_up():
+    agreed = 0
+    for numerator, exponent, digits, dps in formatter_inputs(20000, seed=27):
+        value = Fraction(numerator) / Fraction(2) ** exponent
+        text = numerics.format_decimal(numerator, exponent, digits)
+        assert text == decimal_reference(value, digits), (numerator, exponent, digits)
+        # mpmath's nstr rounds twice, to dps digits and then to `digits`; with
+        # ample dps it prints the same string unless the value is near a half
+        if dps >= digits + 10 and (numerator == 0 or (
+                Fraction(1, 2**3500) <= abs(value) < 2**3500
+                and distance_from_a_half(value, digits) > Fraction(1, 10**4))):
+            with mp.workdps(dps):
+                assert text == mp.nstr(mp.ldexp(mpf(numerator), -exponent), digits), (
+                    numerator, exponent, digits, dps)
+            agreed += 1
+    assert agreed == 6359
 
 
 def test_formatter_rounds_half_up_below_two_to_the_minus_3500():
-    # where mpmath divides by an approximate power of ten first, the digits
-    # are those of the dps-rounded value, rounded half up at digit `digits`
     rng = random.Random(3500)
     for _ in range(2000):
         digits, dps = rng.randint(1, 80), rng.randint(1, 100)
@@ -1068,16 +1113,11 @@ def test_formatter_rounds_half_up_below_two_to_the_minus_3500():
         else:
             numerator = rng.getrandbits(rng.randint(1, 400)) | 1
             exponent = numerator.bit_length() + rng.randint(3501, 9000)
-        with mp.workdps(dps):
-            rounded = exact(mp.ldexp(mpf(numerator), -exponent))
-        power = math.floor(math.log10(rounded.numerator) - math.log10(rounded.denominator))
-        power += (rounded >= Fraction(10) ** (power + 1)) - (rounded < Fraction(10) ** power)
-        lead = math.floor(rounded / Fraction(10) ** (power - digits + 1) + Fraction(1, 2))
-        if lead == 10**digits:
-            lead, power = lead // 10, power + 1
-        text = str(lead).rstrip("0")
-        assert rounded < Fraction(1, 2**3500)
-        assert numerics._nstr(numerator, exponent, digits, dps) == f"{text[0]}.{text[1:] or '0'}e{power}"
+        value = Fraction(numerator, 2**exponent)
+        assert value < Fraction(1, 2**3500)
+        text = decimal_reference(value, digits)
+        assert "e-" in text
+        assert numerics.format_decimal(numerator, exponent, digits) == text
 
 
 def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monkeypatch):
@@ -1091,9 +1131,7 @@ def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monk
     # the interval certifies about 42 of the 60 digits shown, and `value` is
     # its midpoint, which the lower end differs from in the 43rd digit
     [(low, high)] = intervals
-    middle = (low + high) / 2
-    with mp.workdps(80):
-        assert rep["value"] == mp.nstr(mpf(middle.numerator) / middle.denominator, 60)
+    assert rep["value"] == decimal_reference((low + high) / 2, 60)
 
 
 def sweep_reports(family, weight_cap, digits):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,19 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported), name
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a name that one module uses from another is that module's public API
+    private = [
+        (path.name, node.module, alias.name)
+        for path in sorted(Path(multizeta.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_public_numerics_run_without_mpmath():
