@@ -7,9 +7,10 @@ quotient is w with the window's interior removed.  `cut` is the only place
 that knows this slicing.
 
 The degree-r derivation of a full word w with interior length n is a sum of
-tensor terms, one per window of length r + 2 at position p in 0..n-r, each
+tensor terms, one per window of length r + 2 starting at p in 0..n-r, each
 the cut of that window.  A term vanishes when the two boundary symbols of
-its window agree, because the subword then represents a zero integral.
+its window agree, as the subword then represents a zero integral;
+`surviving_windows` gives the other windows' starts, and `dr_terms` cuts them.
 
 Accumulation reduces a list of terms modulo the reversal identity
 I(w) = (-1)^(interior length) I(reverse(w)) applied to left factors, into a
@@ -39,21 +40,20 @@ def cut(w: Word, start: int, end: int) -> Term:
     return w[start:end], w[: start + 1] + w[end - 1 :]
 
 
-def surviving_windows(w: Word, r: int) -> List[Tuple[int, int]]:
-    """Half-open ranges [start, end) of the degree-r windows that survive.
+def surviving_windows(w: Word, r: int) -> List[int]:
+    """Ascending starts of the degree-r windows [start, start + r + 2) that survive.
 
-    Of the n - r + 1 windows of length r + 2, those whose two boundary
-    symbols agree are dropped.
+    Of the n - r + 1 windows, those whose two boundary symbols agree are dropped.
     """
     n = len(w) - 2
     if r < 1 or r > n:
         raise ValueError(f"cut degree must satisfy 1 <= r <= interior length {n}, got {r}")
-    return [(p, p + r + 2) for p in range(n - r + 1) if w[p] != w[p + r + 1]]
+    return [p for p in range(n - r + 1) if w[p] != w[p + r + 1]]
 
 
 def dr_terms(w: Word, r: int) -> List[Term]:
     """(left, right) terms of the degree-r derivation of w, one per surviving window."""
-    return [cut(w, start, end) for start, end in surviving_windows(w, r)]
+    return [cut(w, start, start + r + 2) for start in surviving_windows(w, r)]
 
 
 def reversal_canonical(w: Word) -> Tuple[Word, int]:

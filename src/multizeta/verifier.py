@@ -29,10 +29,10 @@ independent routes:
    match, word by word, the windows of the degree-r cut that survive the
    boundary filter.  Failure lines name encodings; each kind is reported
    in ascending encoding order.
-2. Expansion route: the degree-r terms of every word in C, the cuts of
-   the surviving windows that the orbit route compared, are accumulated
-   modulo left-factor reversal; no term may be left over.
-   `expansion_residual` gives the same residual from the words alone.
+2. Expansion route: `expansion_residual` of the words of C, in order and
+   with repeats: the degree-r terms of every word, the cuts of its
+   surviving windows, accumulated modulo left-factor reversal; no term may
+   be left over.  It takes words alone, so it checks any multiset.
 
 A certificate collects one record per degree, whose fields are the
 `cert-v1` check keys, together with a verdict.  Serialization is
@@ -202,11 +202,8 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
 
     # each encoding's place -> its partner's place, negative when phi's vector is no word
     partner: Dict[int, int] = {}
-    survivors: List[Tuple[Word, List[Tuple[int, int]]]] = []
     for w, word, text in expanded:
         window_count += len(word) - length + 1
-        surviving = surviving_windows(word, r)
-        survivors.append((word, surviving))
         here = number[w] * stride
         encoded: List[int] = []
         for s, t, p, q, starts, vector, mirror in reflected_runs(w, length):
@@ -218,12 +215,13 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
                 partner[here + x] = there - x
             encoded += starts
         encoding_count += len(encoded)
-        surviving_starts = [start for start, _ in surviving]
+        surviving = surviving_windows(word, r)
         # equal lists are equal sets; only unequal lists are compared as sets
-        if encoded != surviving_starts and set(encoded) != set(surviving_starts):
+        if encoded != surviving and set(encoded) != set(surviving):
             failures.append(
                 f"window sets disagree on {text} at r={r}: "
-                f"encoded {sorted({(x, x + length) for x in encoded})} vs surviving {sorted(surviving)}"
+                f"encoded {sorted({(x, x + length) for x in encoded})} "
+                f"vs surviving {[(x, x + length) for x in surviving]}"
             )
 
     orbits = 0
@@ -260,10 +258,7 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
         for tagged in (unpaired, unmatched):
             failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
 
-    # the expansion route cuts the windows that the window-set check compared
-    residual = accumulate(
-        cut(word, start, end) for word, surviving in survivors for start, end in surviving
-    )
+    residual = expansion_residual((word for _, word, _ in expanded), r)
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")

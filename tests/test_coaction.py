@@ -15,11 +15,11 @@ def W(text):
 
 
 def test_surviving_windows():
-    # half-open ranges of length r + 2 whose boundary symbols differ
+    # starts of the windows of length r + 2 whose boundary symbols differ
     assert surviving_windows(W("0101"), 1) == []
     assert surviving_windows(W("011001"), 3) == []
-    assert surviving_windows(W("01011001"), 1) == [(2, 5), (3, 6), (4, 7), (5, 8)]
-    assert surviving_windows(W("01011001"), 3) == [(0, 5), (1, 6)]
+    assert surviving_windows(W("01011001"), 1) == [2, 3, 4, 5]
+    assert surviving_windows(W("01011001"), 3) == [0, 1]
     assert surviving_windows(W("01011001"), 5) == []
 
 
@@ -29,7 +29,7 @@ def test_surviving_windows_filter_the_candidate_positions(text):
     w = W(text)
     n = len(w) - 2
     for r in range(1, n + 1):
-        expected = [(p, p + r + 2) for p in range(n - r + 1) if w[p] != w[p + r + 1]]
+        expected = [p for p in range(n - r + 1) if w[p] != w[p + r + 1]]
         assert surviving_windows(w, r) == expected
 
 

@@ -140,6 +140,24 @@ def test_verify_instance_expands_each_word_once(monkeypatch):
     assert calls == list(inst.words)
 
 
+def test_verify_instance_takes_its_residual_from_expansion_residual(monkeypatch):
+    # the certificate's expansion route is the words-only entry, once per odd degree
+    calls = []
+
+    def counting(words, r):
+        words = list(words)
+        calls.append((words, r))
+        return expansion_residual(words, r)
+
+    monkeypatch.setattr(verifier, "expansion_residual", counting)
+    inst = build_instance((2, 1, 0))
+    cert = verify_instance(inst)
+    assert cert.verdict == "verified"
+    words = [blockvector_to_word(w) for w in inst.words]
+    assert calls == [(words, r) for r in (3, 5, 7, 9)]
+    assert [c.r for c in cert.checks] == [3, 5, 7, 9]
+
+
 def test_verify_instance_formats_each_vector_at_most_once(monkeypatch):
     # the digest lines share one formatted vector per word
     calls = []
@@ -289,6 +307,23 @@ def test_residual_of_closed_set_is_empty():
     for r in (3, 5, 7, 9, 11):
         assert len(expansion_residual(words, r)) == 0
 
+
+
+def test_expansion_residual_on_every_familys_summed_words():
+    # Brown's criterion on each row's words, every odd degree 3 <= r < weight:
+    # the proven families leave no term, and most cyclic rows do
+    empty, leftover = {}, {}
+    for name, spec in FAMILIES.items():
+        empty[name] = leftover[name] = 0
+        for row in spec.sweep(20):
+            _, weight = spec.parse(**row)
+            words = [blockvector_to_word(v) for v in spec.summands(**row)[1]]
+            terms = sum(len(expansion_residual(words, r)) for r in range(3, weight, 2))
+            empty[name] += terms == 0
+            leftover[name] += terms
+    assert empty == {"symmetric": 87, "cyclic": 44, "bowman-bradley": 25, "bbbl": 8}
+    assert leftover == {"symmetric": 0, "cyclic": 19712, "bowman-bradley": 0, "bbbl": 0}
+    assert [len(spec.sweep(20)) for spec in FAMILIES.values()] == [87, 207, 25, 8]
 
 # Negative controls for the orbit route.  A real phi is a fixed-point-free
 # involution with the reversal and quotient properties, so each failure line
@@ -453,7 +488,7 @@ def reference_check_degree(expanded, r):
     cuts = {}
     for w, word, text in expanded:
         window_count += len(word) - 2 - r + 1
-        surviving = set(surviving_windows(word, r))
+        surviving = {(x, x + r + 2) for x in surviving_windows(word, r)}
         found = encodings.enumerate_odd_encodings(w, r + 2)
         encs = [e for e, _, _ in found]
         found_encodings += encs
