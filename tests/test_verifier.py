@@ -308,7 +308,6 @@ def test_residual_of_closed_set_is_empty():
         assert len(expansion_residual(words, r)) == 0
 
 
-
 def test_expansion_residual_on_every_familys_summed_words():
     # Brown's criterion on each row's words, every odd degree 3 <= r < weight:
     # the proven families leave no term, and most cyclic rows do
@@ -324,6 +323,7 @@ def test_expansion_residual_on_every_familys_summed_words():
     assert empty == {"symmetric": 87, "cyclic": 44, "bowman-bradley": 25, "bbbl": 8}
     assert leftover == {"symmetric": 0, "cyclic": 19712, "bowman-bradley": 0, "bbbl": 0}
     assert [len(spec.sweep(20)) for spec in FAMILIES.values()] == [87, 207, 25, 8]
+
 
 # Negative controls for the orbit route.  A real phi is a fixed-point-free
 # involution with the reversal and quotient properties, so each failure line
