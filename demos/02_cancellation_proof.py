@@ -22,6 +22,7 @@ from multizeta import (
     expansion_residual,
     format_vector,
     format_word,
+    pack,
     phi,
     quotient_of,
     subsequence_of,
@@ -45,7 +46,7 @@ for b in inst.words:
 r = 3
 b = inst.words[0]
 word = blockvector_to_word(b)
-terms = dr_terms(word, r)
+terms = dr_terms(pack(word), r)  # the derivations run on packed words
 found = enumerate_odd_encodings(b, r + 2)
 print(f"\nD_{r} on {format_word(word)}: {len(terms)} surviving terms, "
       f"{len(found)} odd encodings of length {r + 2}")
@@ -96,7 +97,7 @@ broken = InsertionInstance(
     weight=inst.weight,
     sign=inst.sign,
 )
-residual = expansion_residual([blockvector_to_word(w) for w in broken.words], 3)
+residual = expansion_residual([pack(blockvector_to_word(w)) for w in broken.words], 3)
 bad = verify_instance(broken)
 print(f"\nwithout {format_vector(inst.words[-1])}: residual size {len(residual)}, "
       f"verdict {bad.verdict}")

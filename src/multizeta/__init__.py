@@ -19,7 +19,7 @@ from .words import (
     sign_of,
     weight_of,
 )
-from .coaction import accumulate, cut, dr_terms, reversal_canonical, surviving_windows
+from .coaction import accumulate, cut, dr_terms, pack, reversal_canonical, surviving_windows, unpack
 from .encodings import (
     OddEncoding,
     enumerate_odd_encodings,
@@ -72,6 +72,7 @@ __all__ = [
     "expansion_residual",
     "format_vector",
     "format_word",
+    "pack",
     "phi",
     "quotient_of",
     "reconstruct_rational",
@@ -79,6 +80,7 @@ __all__ = [
     "sign_of",
     "subsequence_of",
     "surviving_windows",
+    "unpack",
     "verify_instance",
     "weight_of",
     "window_of",

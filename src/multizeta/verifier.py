@@ -8,37 +8,33 @@ carried by every word.  Because lambda and the common depth sign factor out
 of every degree-r derivation, the verifier works with unweighted, unsigned
 term lists and records both constants in the certificate.
 
-`verify_instance` is the one entry: it expands each word of C once and
-checks every odd degree 3 <= r < weight against those expansions, along two
+`verify_instance` is the one entry.  It packs (`coaction.pack`) and
+formats each distinct word of C once, with its block-pair table
+(`encodings.block_pairs`), and checks one odd degree 3 <= r < weight at a
+time, so that only one degree's lines and partner map are live, along two
 independent routes:
 
-1. Orbit route: all odd encodings of length r + 2 over C are enumerated and
-   paired under the offset-swapping involution phi.  The windows come run
-   by run, one run per block pair (s, t) of a word, and phi reflects a
-   whole run onto one vector (`encodings.reflected_runs`).  Each window
-   is keyed by one integer, its place: the number of its word, by first
-   occurrence, times a stride, plus its start.  The partners' places of a
-   run follow from its vector and mirror, looked up once per run, and the
-   notation lines are written straight from the run; an encoding is built
-   only to write a failure line, and the encodings are never sorted.  The
-   partner must exist, differ from the encoding and map back to it.  Each
-   orbit is checked to consist of mutually reversed cut subwords (odd
-   interior, so their integrals are opposite) sitting over equal quotient
-   words, cut from the two actual words at their windows (`coaction.cut`),
-   which makes the paired terms cancel.  The same windows are checked to
-   match, word by word, the windows of the degree-r cut that survive the
-   boundary filter.  Failure lines name encodings; each kind is reported
-   in ascending encoding order.
-2. Expansion route: `expansion_residual` of the words of C, in order and
-   with repeats: the degree-r terms of every word, the cuts of its
-   surviving windows, accumulated modulo left-factor reversal; no term may
-   be left over.  It takes words alone, so it checks any multiset.
+1. Orbit route: the odd encodings of length r + 2 over C are paired under
+   the offset-swapping involution phi.  Each table row gives the starts of
+   its windows by arithmetic, a range, and phi reflects them onto one word,
+   looked up once per instance.  A window is keyed by its place, its
+   word's number (by first occurrence) times a stride plus its start; the
+   notation lines are written straight from the rows, and an encoding is
+   built only to write a failure line.  The partner must exist, differ
+   from the encoding and map back to it, and the two must cut mutually
+   reversed subwords (odd interior, so opposite integrals) over equal
+   quotients (`coaction.cut`), so that the paired terms cancel.  A word's
+   window starts, as bits, must equal its surviving starts
+   (`coaction.surviving_windows`).  Failure lines name encodings; each
+   kind comes in ascending encoding order.
+2. Expansion route: `expansion_residual` of the packed words of C, in
+   order and with repeats, must leave no term.  It takes words alone, so
+   it checks any multiset; its keys are unpacked only for residual lines.
 
 A certificate collects one record per degree, whose fields are the
 `cert-v1` check keys, together with a verdict.  Serialization is
 deterministic: fixed key order, no timestamps, and a digest of the sorted
-encoding notations per check.  Each word's vector is formatted once, next
-to its expansion, and every notation line of that word reuses it.
+encoding notations per check.
 """
 
 from __future__ import annotations
@@ -46,23 +42,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .coaction import Term, accumulate, cut, dr_terms, surviving_windows
-from .encodings import OddEncoding, encoding_at, phi, reflected_runs
-from .words import (
-    BlockVector,
-    Word,
-    block_vector,
-    blockvector_to_composition,
-    blockvector_to_word,
-    format_vector,
-    format_word,
-    sign_of,
-    weight_of,
-)
+from .coaction import Term, accumulate, cut, dr_terms, pack, reverse, surviving_windows, unpack
+from .encodings import OddEncoding, block_pairs, encoding_at, phi
+from .words import BlockVector, block_vector, blockvector_to_composition, blockvector_to_word
+from .words import format_vector, format_word, sign_of, weight_of
 
 __all__ = [
     "InsertionInstance",
@@ -178,59 +166,88 @@ def build_instance(a: Iterable[int]) -> InsertionInstance:
     )
 
 
-def expansion_residual(words: Iterable[Word], r: int) -> Dict[Term, int]:
-    """Accumulated degree-r terms of a word collection; empty means they sum to zero."""
-    return accumulate(t for w in words for t in dr_terms(w, r))
+def expansion_residual(words: Iterable[int], r: int) -> Dict[Term, int]:
+    """Accumulated degree-r terms of packed words; empty means they sum to zero."""
+    return accumulate(chain.from_iterable(dr_terms(w, r) for w in words))
 
 
-def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> CheckRecord:
+def _expand(vectors: Sequence[BlockVector]) -> tuple:
+    """(numbers, vectors, texts, words, listed, tables, stride) for `_check_degree`.
+
+    Vectors are numbered by first occurrence; numbers and the packed words
+    listed keep the instance's order and repeats.  Per `block_pairs` row, a
+    table row, widest first, is (q - p, p, q, p + a, q - c + 1, there,
+    "(b; s,", "; t,"), there = j * stride + p + q for image's number j, or -1.
+    """
+    distinct = list(dict.fromkeys(vectors))
+    number = {w: i for i, w in enumerate(distinct)}
+    words = [pack(blockvector_to_word(w)) for w in distinct]
+    stride = max((w.bit_length() - 1 for w in words), default=0)
+    middles = [f"; {t}," for t in range(stride)]
+    texts = [format_vector(w) for w in distinct]
+    tables = []
+    for w, text in zip(distinct, texts):
+        heads = [f"({text}; {s}," for s in range(len(w))]
+        rows = [
+            (q - p, p, q, p + a, q - c + 1, -1 if j is None else j * stride + p + q, heads[s], middles[t])
+            for s, t, p, q, a, c, image in block_pairs(w)
+            for j in (number.get(image),)
+        ]
+        rows.sort(reverse=True)
+        tables.append(rows)
+    numbers = [number[w] for w in vectors]
+    return numbers, distinct, texts, words, [words[i] for i in numbers], tables, stride
+
+
+def _check_degree(expansion: tuple, r: int) -> CheckRecord:
     """Run both proof routes for one odd degree over the expanded words."""
+    numbers, vectors, texts, words, listed, tables, stride = expansion
     length = r + 2
     failures: List[str] = []
     window_count = encoding_count = 0
     lines: List[str] = []
-    # each distinct vector is numbered by its first occurrence, and the window
-    # starting at x in the word of the vector numbered i has the place i * stride + x
-    word_of = {w: word for w, word, _ in expanded}
-    vectors, words = list(word_of), list(word_of.values())
-    number = {w: i for i, w in enumerate(vectors)}
-    stride = max(map(len, words), default=0)
+    offsets = [str(x) for x in range(stride)]  # formatted once for every notation line
 
     def encoding(place: int) -> OddEncoding:
         i, start = divmod(place, stride)
         return encoding_at(vectors[i], start, start + length)
 
-    # each encoding's place -> its partner's place, negative when phi's vector is no word
+    # each window is keyed by its place, i * stride + x for the window starting at x
+    # in the word numbered i; place -> its partner's place, negative when phi's vector is no word
     partner: Dict[int, int] = {}
-    for w, word, text in expanded:
-        window_count += len(word) - length + 1
-        here = number[w] * stride
-        encoded: List[int] = []
-        for s, t, p, q, starts, vector, mirror in reflected_runs(w, length):
-            j = number.get(vector)
-            there = -1 if j is None else j * stride + mirror
-            head, middle, tail = f"({text}; {s},", f"; {t},", q - length
-            for x in starts:
-                lines.append(f"{head}{x - p}{middle}{tail - x})")
+    for i in numbers:
+        window_count += words[i].bit_length() - length
+        here = i * stride
+        encoded = 0  # the windows' starts as bits
+        for span, p, q, first_end, last_start, there, head, middle in tables[i]:
+            if span < length:
+                break  # every later row spans less
+            lo = last_start - length
+            if lo < p:
+                lo = p
+            hi = q - length + 1
+            if hi > first_end:
+                hi = first_end
+            if lo >= hi:
+                continue
+            encoded |= (1 << hi) - (1 << lo)
+            encoding_count += hi - lo
+            there -= length  # phi's window of the one at x starts at there - x
+            tail = q - length
+            for x in range(lo, hi):
+                lines.append(f"{head}{offsets[x - p]}{middle}{offsets[tail - x]})")
                 partner[here + x] = there - x
-            encoded += starts
-        encoding_count += len(encoded)
-        surviving = surviving_windows(word, r)
-        # equal lists are equal sets; only unequal lists are compared as sets
-        if encoded != surviving and set(encoded) != set(surviving):
-            failures.append(
-                f"window sets disagree on {text} at r={r}: "
-                f"encoded {sorted({(x, x + length) for x in encoded})} "
-                f"vs surviving {[(x, x + length) for x in surviving]}"
-            )
+        surviving = surviving_windows(words[i], r)
+        if encoded != surviving:
+            encoded, surviving = ([(x, x + length) for x in range(stride) if m >> x & 1] for m in (encoded, surviving))
+            failures.append(f"window sets disagree on {texts[i]} at r={r}: encoded {encoded} vs surviving {surviving}")
 
     orbits = 0
     if len(partner) != encoding_count:
         failures.append("duplicate encodings in input")
     else:
-        # (encoding, line) pairs; each list is put in ascending encoding order
-        unpaired: List[Tuple[OddEncoding, str]] = []
-        unmatched: List[Tuple[OddEncoding, str]] = []
+        unpaired, unmatched = [], []  # (encoding, line) pairs, each put in ascending encoding order
+        reversed_of: Dict[int, int] = {}
         for here, there in partner.items():
             back = partner.get(there)
             if back == here and there != here:
@@ -240,9 +257,12 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
                     j, y = divmod(there, stride)
                     sub_e, quo_e = cut(words[i], x, x + length)
                     sub_f, quo_f = cut(words[j], y, y + length)
-                    if sub_e != sub_f[::-1] or quo_e != quo_f:
+                    rev = reversed_of.get(sub_f)
+                    if rev is None:
+                        rev = reversed_of[sub_f] = reverse(sub_f)
+                    if sub_e != rev or quo_e != quo_f:
                         e, f = sorted((encoding(here), encoding(there)))
-                        if sub_e != sub_f[::-1]:
+                        if sub_e != rev:
                             unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
                         if quo_e != quo_f:
                             unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
@@ -258,26 +278,16 @@ def _check_degree(expanded: List[Tuple[BlockVector, Word, str]], r: int) -> Chec
         for tagged in (unpaired, unmatched):
             failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
 
-    residual = expansion_residual((word for _, word, _ in expanded), r)
-    for (left, right), coeff in sorted(residual.items()):
-        left, right = format_word(left), format_word(right)
-        failures.append(f"residual term left={left} right={right} coefficient={coeff}")
+    residual = expansion_residual(listed, r)
+    for left, right, coeff in sorted((unpack(u), unpack(v), c) for (u, v), c in residual.items()):
+        failures.append(f"residual term left={format_word(left)} right={format_word(right)} coefficient={coeff}")
 
     digest = hashlib.sha256("\n".join(sorted(lines)).encode("ascii")).hexdigest()
-    return CheckRecord(
-        r=r,
-        windows=window_count,
-        encodings=encoding_count,
-        orbits=orbits,
-        residual=len(residual),
-        encodings_sha256=digest,
-        failures=tuple(failures),
-    )
+    return CheckRecord(r, window_count, encoding_count, orbits, len(residual), digest, tuple(failures))
 
 
 def verify_instance(instance: InsertionInstance) -> CancellationCertificate:
     """Check every odd degree 3 <= r < weight and assemble the certificate."""
-    # each word expanded and formatted once; the triples keep instance order and repeats
-    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in instance.words]
-    checks = tuple(_check_degree(expanded, r) for r in range(3, instance.weight, 2))
+    expansion = _expand(instance.words)
+    checks = tuple(_check_degree(expansion, r) for r in range(3, instance.weight, 2))
     return CancellationCertificate(instance=instance, checks=checks)

@@ -4,13 +4,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from multizeta.coaction import pack, surviving_windows
 from multizeta.encodings import (
     OddEncoding,
+    block_pairs,
     encoding_at,
     enumerate_odd_encodings,
     phi,
     quotient_of,
-    reflected_runs,
     subsequence_of,
     window_of,
 )
@@ -73,6 +74,14 @@ def test_producers_keep_the_encoding_rules():
                 assert encoding_at(b, start, end) == e
 
 
+def _runs(b, length):
+    # the rows of the table that hold a window of the length, with their starts
+    for s, t, p, q, a, c, image in block_pairs(b):
+        starts = range(max(p, q - c - length + 1), min(p + a, q - length + 1))
+        if starts:
+            yield s, t, p, q, a, c, image, starts
+
+
 def test_reflection_is_phi_on_every_encoding_up_to_weight_20():
     # every arrangement of the entries, not only the sorted vectors, and
     # every window length; the 36,864 of length 5 and more are those the
@@ -81,28 +90,54 @@ def test_reflection_is_phi_on_every_encoding_up_to_weight_20():
     for b in _words_up_to_weight(20):
         for length in range(3, weight_of(b) + 2, 2):
             found = iter(enumerate_odd_encodings(b, length))
-            for _, _, _, _, starts, vector, mirror in reflected_runs(b, length):
+            for _, _, p, q, _, _, image, starts in _runs(b, length):
+                mirror = p + q - length
                 for x in starts:
                     e, start, _ = next(found)
                     f = phi(e)
                     assert start == x, e
-                    assert (vector, mirror - x, mirror - x + length) == (f.vector, *window_of(f)), e
+                    assert (image, mirror - x, mirror - x + length) == (f.vector, *window_of(f)), e
                     counts[min(length, 5)] += 1
             assert next(found, None) is None, (b, length)
     assert counts == {3: 9216, 5: 36864}
 
 
 def test_reflection_builds_one_vector_per_block_pair():
-    # the runs are the encodings grouped by (s, t), each pair once, and each
-    # run's encodings share the one vector phi gives them
+    # the rows that hold windows are the encodings grouped by (s, t), each
+    # pair once, and each row's encodings share the one vector phi gives them
     b, length = (1, 2, 0, 1, 0), 5
-    runs = list(reflected_runs(b, length))
+    runs = list(_runs(b, length))
     assert [(s, t) for s, t, *_ in runs] == sorted({(e.start_block, e.end_block) for e in _encodings(b, length)})
-    for s, t, p, q, starts, vector, mirror in runs:
+    for s, t, p, q, a, c, image, starts in runs:
         assert len(starts) > 0
         assert (p, q) == window_of(OddEncoding(b, s, 0, t, 0))  # the whole span of s..t
-        assert mirror == p + q - length
-        assert {phi(encoding_at(b, x, x + length)).vector for x in starts} == {vector}
+        assert (a, c) == (2 * (b[s] + 1), 2 * (b[t] + 1))  # the two blocks' lengths
+        assert {phi(encoding_at(b, x, x + length)).vector for x in starts} == {image}
+
+
+def test_block_pairs_cover_every_pair_once():
+    # one row per pair s < t with t - s odd, in (s, t) order, whether or not
+    # a window of some length lies in it
+    for b in [(0,), (1, 0, 0), (1, 2, 0, 1, 0), (3, 0, 1, 0, 2, 0, 0)]:
+        k = len(b)
+        assert [(s, t) for s, t, *_ in block_pairs(b)] == [
+            (s, t) for s in range(k) for t in range(s + 1, k, 2)
+        ]
+
+
+def test_the_start_mask_is_surviving_windows_up_to_weight_20():
+    # the starts of a word's windows of one length, as bits, are the surviving
+    # starts of its degree-r cut: the verifier's window-set check on true words
+    checked = 0
+    for b in _words_up_to_weight(20):
+        word = pack(blockvector_to_word(b))
+        for length in range(5, weight_of(b) + 2, 2):
+            mask = 0
+            for *_, starts in _runs(b, length):
+                mask |= (1 << starts.stop) - (1 << starts.start)
+            assert mask == surviving_windows(word, length - 2), (b, length)
+            checked += 1
+    assert checked > 1000
 
 
 def test_frozen_enumeration_100():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 from math import factorial, prod
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import multizeta
 from multizeta import encodings, verifier
-from multizeta.coaction import cut, dr_terms, reversal_canonical, surviving_windows
+from multizeta.coaction import pack
 from multizeta.verifier import (
     CancellationCertificate,
     InsertionInstance,
@@ -153,7 +154,7 @@ def test_verify_instance_takes_its_residual_from_expansion_residual(monkeypatch)
     inst = build_instance((2, 1, 0))
     cert = verify_instance(inst)
     assert cert.verdict == "verified"
-    words = [blockvector_to_word(w) for w in inst.words]
+    words = [pack(blockvector_to_word(w)) for w in inst.words]
     assert calls == [(words, r) for r in (3, 5, 7, 9)]
     assert [c.r for c in cert.checks] == [3, 5, 7, 9]
 
@@ -174,6 +175,22 @@ def test_verify_instance_formats_each_vector_at_most_once(monkeypatch):
     assert sum(c.encodings for c in cert.checks) == 64
     assert set(calls) <= set(inst.words)
     assert len(calls) == len(set(calls))
+
+
+def test_verify_instance_keeps_one_degree_live():
+    # 252 words of weight 24: each word's table lives for the whole call, but
+    # the notation lines and the partner map only for one degree at a time
+    # (about 1.6 MB at peak); keeping every degree's alive took about 4.1 MB
+    inst = build_instance((2, 1, 1, 0, 0, 0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        cert = verify_instance(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "verified"
+    assert len(inst.words) == 252
+    assert peak < 2.5 * 1024 * 1024
 
 
 def _reference_digests(words, weight):
@@ -303,7 +320,7 @@ def test_negative_control_certificate():
 
 def test_residual_of_closed_set_is_empty():
     inst = build_instance((1, 1, 0, 0, 0))
-    words = [blockvector_to_word(w) for w in inst.words]
+    words = [pack(blockvector_to_word(w)) for w in inst.words]
     for r in (3, 5, 7, 9, 11):
         assert len(expansion_residual(words, r)) == 0
 
@@ -316,7 +333,7 @@ def test_expansion_residual_on_every_familys_summed_words():
         empty[name] = leftover[name] = 0
         for row in spec.sweep(20):
             _, weight = spec.parse(**row)
-            words = [blockvector_to_word(v) for v in spec.summands(**row)[1]]
+            words = [pack(blockvector_to_word(v)) for v in spec.summands(**row)[1]]
             terms = sum(len(expansion_residual(words, r)) for r in range(3, weight, 2))
             empty[name] += terms == 0
             leftover[name] += terms
@@ -328,10 +345,15 @@ def test_expansion_residual_on_every_familys_summed_words():
 # Negative controls for the orbit route.  A real phi is a fixed-point-free
 # involution with the reversal and quotient properties, so each failure line
 # below is reached by swapping in a broken enumeration or pairing.  The
-# verifier reads the windows and their partners off the runs that
-# `reflected_runs` gives, so a broken enumeration of (e, start, end) triples
-# or a broken pairing, written as a map on encodings, is swapped in as runs
-# of one window each, whose mirror sends it to the window of its image.
+# verifier reads the windows and their partners off each word's table of
+# block pairs, which `block_pairs` gives, so a broken enumeration of
+# (e, start, end) triples or a broken pairing, written as a map on
+# encodings, is swapped in as rows of one window of length 5 each.  Such a
+# row spans [p, q) = [min(x, y), max(x, y) + 5), for the window's start x
+# and its image's start y, so that its mirror p + q - 5 sends x to y; its
+# two block lengths leave x its only start at length 5.  At the longer
+# lengths of the later degrees, which the tests do not read, the rows may
+# hold other windows.
 
 
 def _orbit_route(monkeypatch, *, enumerate_with=None, partner=None, entries=(1, 0, 0)):
@@ -339,14 +361,16 @@ def _orbit_route(monkeypatch, *, enumerate_with=None, partner=None, entries=(1, 
         enumerate_with = enumerate_with or encodings.enumerate_odd_encodings
         partner = partner or encodings.phi
 
-        def runs_of_one(b, length):
-            for e, start, end in enumerate_with(b, length):
-                _, s, l, t, m = e
+        def rows_of_one(b):
+            rows = []
+            for e, x, end in enumerate_with(b, 5):
                 f = partner(e)
-                mirror = encodings.window_of(f)[0] + start
-                yield s, t, start - l, end + m, range(start, start + 1), f.vector, mirror
+                y = encodings.window_of(f)[0]
+                p, q = min(x, y), max(x, y) + 5
+                rows.append((e.start_block, e.end_block, p, q, x + 1 - p, q - 4 - x, f.vector))
+            return rows
 
-        monkeypatch.setattr(verifier, "reflected_runs", runs_of_one)
+        monkeypatch.setattr(verifier, "block_pairs", rows_of_one)
     return verify_instance(build_instance(entries)).checks[0]
 
 
@@ -461,14 +485,31 @@ def test_orbit_route_reports_unequal_quotients_alone(monkeypatch):
 
 # The orbit route as it was before partners were found by their windows:
 # every phi(e) built as an encoding, the pool sorted by `pair_up`, and every
-# left factor canonicalized again at each occurrence.  It is kept as the
+# left factor canonicalized again at each occurrence.  It works on tuple
+# words, slicing them by the definitions in `coaction`, and is kept as the
 # reference for the records of `verifier._check_degree`.
+
+
+def reference_cut(word, start, end):
+    return word[start:end], word[: start + 1] + word[end - 1 :]
+
+
+def reference_terms(word, r):
+    n = len(word) - 2
+    return [reference_cut(word, p, p + r + 2) for p in range(n - r + 1) if word[p] != word[p + r + 1]]
+
+
+def reference_canonical(w):
+    rev, odd_interior = w[::-1], len(w) % 2 == 1
+    if rev == w:
+        return w, 0 if odd_interior else 1
+    return (w, 1) if w < rev else (rev, -1 if odd_interior else 1)
 
 
 def reference_accumulate(terms):
     acc = {}
     for left, right in terms:
-        canonical, sign = reversal_canonical(left)
+        canonical, sign = reference_canonical(left)
         if sign == 0:
             continue
         key = (canonical, right)
@@ -488,7 +529,7 @@ def reference_check_degree(expanded, r):
     cuts = {}
     for w, word, text in expanded:
         window_count += len(word) - 2 - r + 1
-        surviving = {(x, x + r + 2) for x in surviving_windows(word, r)}
+        surviving = {(x, x + r + 2) for x in range(len(word) - r - 1) if word[x] != word[x + r + 1]}
         found = encodings.enumerate_odd_encodings(w, r + 2)
         encs = [e for e, _, _ in found]
         found_encodings += encs
@@ -504,14 +545,14 @@ def reference_check_degree(expanded, r):
     orbits, pair_failures = pair_up(found_encodings)
     failures.extend(pair_failures)
     for e, f in orbits:
-        sub_e, quo_e = cut(*cuts[e])
-        sub_f, quo_f = cut(*cuts[f])
+        sub_e, quo_e = reference_cut(*cuts[e])
+        sub_f, quo_f = reference_cut(*cuts[f])
         if sub_e != sub_f[::-1]:
             failures.append(f"orbit subwords are not mutual reversals: {e} / {f}")
         if quo_e != quo_f:
             failures.append(f"orbit quotients differ: {e} / {f}")
 
-    residual = reference_accumulate(t for _, word, _ in expanded for t in dr_terms(word, r))
+    residual = reference_accumulate(t for _, word, _ in expanded for t in reference_terms(word, r))
     for (left, right), coeff in sorted(residual.items()):
         left, right = format_word(left), format_word(right)
         failures.append(f"residual term left={left} right={right} coefficient={coeff}")
@@ -530,8 +571,9 @@ def reference_check_degree(expanded, r):
 
 def _assert_records_match_the_reference(inst):
     expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in inst.words]
+    expansion = verifier._expand(inst.words)
     for r in range(3, inst.weight, 2):
-        record = verifier._check_degree(expanded, r)
+        record = verifier._check_degree(expansion, r)
         assert record == reference_check_degree(expanded, r), (inst.words, r)
 
 
@@ -557,10 +599,11 @@ def test_check_degree_matches_the_reference(entries):
 def test_check_degree_reports_a_word_listed_twice(entries, twice):
     # the second listing has the first one's number, so its places repeat
     inst = build_instance(entries)
-    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in inst.words]
-    expanded.append(expanded[twice])
+    vectors = inst.words + (inst.words[twice],)
+    expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in vectors]
+    expansion = verifier._expand(vectors)
     for r in range(3, inst.weight, 2):
-        record = verifier._check_degree(expanded, r)
+        record = verifier._check_degree(expansion, r)
         assert record == reference_check_degree(expanded, r), r
         if record.encodings:
             assert "duplicate encodings in input" in record.failures
