@@ -90,13 +90,7 @@ for rec in cert.checks:
 
 # Negative control: drop one word from the symmetrized family and the
 # cancellation genuinely fails, so the residual is nonempty.
-broken = InsertionInstance(
-    base=inst.base,
-    words=inst.words[:-1],
-    multiplicity=inst.multiplicity,
-    weight=inst.weight,
-    sign=inst.sign,
-)
+broken = InsertionInstance(inst.base, inst.words[:-1])
 residual = expansion_residual([pack(blockvector_to_word(w)) for w in broken.words], 3)
 bad = verify_instance(broken)
 print(f"\nwithout {format_vector(inst.words[-1])}: residual size {len(residual)}, "

@@ -1,12 +1,13 @@
 """Cancellation certificates for symmetrized insertion sums.
 
-An instance is built from a block vector a, which `build_instance` checks
-once (`words.block_vector`): its word set C consists of the distinct
-permutations of a's entries, plain tuples each standing for one zeta value
-of the symmetrized sum, together with the multiplicity lambda = (2n+1)! / |C|
-carried by every word.  Because lambda and the common depth sign factor out
-of every degree-r derivation, the verifier works with unweighted, unsigned
-term lists and records both constants in the certificate.
+An instance is a base block vector a and its words C, arrangements of
+a's entries each standing for one zeta value.  a alone fixes the weight, the
+common depth sign and the multiplicity lambda = prod k_i! of every word (k_i
+counts each distinct entry); `build_instance` checks a once
+(`words.block_vector`) and takes C to be all its distinct arrangements, so
+lambda = (2n+1)! / |C|.  Because lambda and the sign factor out of every
+degree-r derivation, the verifier works with unweighted, unsigned term
+lists and records both constants in the certificate.
 
 `verify_instance` is the one entry.  It packs (`coaction.pack`) and
 formats each distinct word of C once, with its block-pair table
@@ -43,7 +44,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import chain
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -63,17 +64,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InsertionInstance:
-    """A symmetrized insertion sum: word set, multiplicity, and global sign."""
+    """An insertion sum: a base block vector and the arrangements of it summed."""
 
     base: BlockVector
     words: Tuple[BlockVector, ...]
-    multiplicity: int
-    weight: int
-    sign: int
+
+    def __post_init__(self) -> None:
+        if not self.words:
+            raise ValueError(f"an instance of {format_vector(self.base)} needs at least one word")
+        entries = sorted(self.base)
+        for w in self.words:
+            if sorted(w) != entries:
+                raise ValueError(f"word {format_vector(w)} is not an arrangement of {format_vector(self.base)}")
 
     @property
     def n(self) -> int:
         return len(self.base) // 2
+
+    @property
+    def weight(self) -> int:
+        return weight_of(self.base)
+
+    @property
+    def multiplicity(self) -> int:
+        return prod(factorial(self.base.count(e)) for e in set(self.base))
+
+    @property
+    def sign(self) -> int:
+        return sign_of(blockvector_to_composition(self.base))
 
 
 class CheckRecord(NamedTuple):
@@ -150,20 +168,13 @@ def build_instance(a: Iterable[int]) -> InsertionInstance:
     """Check a block vector and expand it into its full permutation instance.
 
     The distinct permutations of the 2n+1 entries number the multinomial
-    (2n+1)! / prod k_i!, k_i the multiplicity of each distinct entry, so
-    lambda = (2n+1)! / |C| = prod k_i! exactly.  Every permutation has the
-    base's length and entry sum, so its composition has the base's depth,
-    and the instance carries the base's sign.
+    (2n+1)! / prod k_i!, so the instance's lambda = prod k_i! equals
+    (2n+1)! / |C|.  Every permutation has the base's length and entry sum,
+    so its composition has the base's weight and depth, and the instance's
+    sign is every word's.
     """
     base = block_vector(a)
-    words = tuple(_distinct_permutations(base))
-    return InsertionInstance(
-        base=base,
-        words=words,
-        multiplicity=factorial(len(base)) // len(words),
-        weight=weight_of(base),
-        sign=sign_of(blockvector_to_composition(base)),
-    )
+    return InsertionInstance(base, tuple(_distinct_permutations(base)))
 
 
 def expansion_residual(words: Iterable[int], r: int) -> Dict[Term, int]:
@@ -174,15 +185,16 @@ def expansion_residual(words: Iterable[int], r: int) -> Dict[Term, int]:
 def _expand(vectors: Sequence[BlockVector]) -> tuple:
     """(numbers, vectors, texts, words, listed, tables, stride) for `_check_degree`.
 
-    Vectors are numbered by first occurrence; numbers and the packed words
-    listed keep the instance's order and repeats.  Per `block_pairs` row, a
-    table row, widest first, is (q - p, p, q, p + a, q - c + 1, there,
-    "(b; s,", "; t,"), there = j * stride + p + q for image's number j, or -1.
+    An instance's vectors share one word length, the stride, and are numbered
+    by first occurrence; numbers and the packed words listed keep the
+    instance's order and repeats.  Per `block_pairs` row, a table row, widest
+    first, is (q - p, p, q, p + a, q - c + 1, there, "(b; s,", "; t,"),
+    there = j * stride + p + q for image's number j, or -1.
     """
     distinct = list(dict.fromkeys(vectors))
     number = {w: i for i, w in enumerate(distinct)}
     words = [pack(blockvector_to_word(w)) for w in distinct]
-    stride = max((w.bit_length() - 1 for w in words), default=0)
+    stride = words[0].bit_length() - 1
     middles = [f"; {t}," for t in range(stride)]
     texts = [format_vector(w) for w in distinct]
     tables = []
@@ -204,7 +216,8 @@ def _check_degree(expansion: tuple, r: int) -> CheckRecord:
     numbers, vectors, texts, words, listed, tables, stride = expansion
     length = r + 2
     failures: List[str] = []
-    window_count = encoding_count = 0
+    window_count = len(numbers) * (stride + 1 - length)
+    encoding_count = 0
     lines: List[str] = []
     offsets = [str(x) for x in range(stride)]  # formatted once for every notation line
 
@@ -216,7 +229,6 @@ def _check_degree(expansion: tuple, r: int) -> CheckRecord:
     # in the word numbered i; place -> its partner's place, negative when phi's vector is no word
     partner: Dict[int, int] = {}
     for i in numbers:
-        window_count += words[i].bit_length() - length
         here = i * stride
         encoded = 0  # the windows' starts as bits
         for span, p, q, first_end, last_start, there, head, middle in tables[i]:

@@ -122,13 +122,7 @@ def test_criterion_3_involution_property_suite():
 def test_criterion_4_negative_control():
     instance = build_instance((1, 0, 0))
     assert len(instance.words) >= 3
-    broken = InsertionInstance(
-        base=instance.base,
-        words=tuple(w for w in instance.words if w != (0, 0, 1)),
-        multiplicity=instance.multiplicity,
-        weight=instance.weight,
-        sign=instance.sign,
-    )
+    broken = InsertionInstance(instance.base, tuple(w for w in instance.words if w != (0, 0, 1)))
     record = verify_instance(broken).checks[0]
     assert record.residual > 0
     certificate = CancellationCertificate(instance=broken, checks=(record,))

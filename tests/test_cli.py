@@ -156,14 +156,7 @@ def test_verify_failed_certificate(capsys, monkeypatch, fmt):
 
     def drop_001(a):
         inst = real(a)
-        words = tuple(w for w in inst.words if w != (0, 0, 1))
-        return InsertionInstance(
-            base=inst.base,
-            words=words,
-            multiplicity=inst.multiplicity,
-            weight=inst.weight,
-            sign=inst.sign,
-        )
+        return InsertionInstance(inst.base, tuple(w for w in inst.words if w != (0, 0, 1)))
 
     monkeypatch.setattr(cli, "build_instance", drop_001)
     code, out, err = run_cli(capsys, "verify", "--a", "1,0,0", "--format", fmt)

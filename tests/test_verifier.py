@@ -266,14 +266,7 @@ def test_certificate_bytes_are_stable():
 
 
 def _drop_word(inst: InsertionInstance, entries) -> InsertionInstance:
-    words = tuple(w for w in inst.words if w != entries)
-    return InsertionInstance(
-        base=inst.base,
-        words=words,
-        multiplicity=inst.multiplicity,
-        weight=inst.weight,
-        sign=inst.sign,
-    )
+    return InsertionInstance(inst.base, tuple(w for w in inst.words if w != entries))
 
 
 def test_negative_control_residual():
@@ -316,6 +309,51 @@ def test_negative_control_certificate():
     payload = json.loads(cert.to_json())
     assert payload["verdict"] == "failed"
     assert payload["checks"][0]["failures"]
+
+
+def test_a_constructed_instance_is_checked_at_every_degree_of_its_base():
+    # two of the three words of (1,0,0) still have weight 6, so r = 3 and r = 5 run
+    broken = _drop_word(build_instance((1, 0, 0)), (0, 0, 1))
+    cert = verify_instance(broken)
+    assert [c.r for c in cert.checks] == [3, 5]
+    assert cert.verdict == "failed"
+    payload = cert.to_json_dict()
+    assert (payload["weight"], payload["lambda"], payload["word_count"], payload["sign"]) == (6, 2, 2, -1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_constructed_instance_derives_n_weight_lambda_and_sign_from_its_base(seed):
+    rng = random.Random(2000 + seed)
+    full = build_instance(tuple(rng.randrange(3) for _ in range(rng.choice((1, 3, 5, 7)))))
+    part = InsertionInstance(full.base, tuple(rng.sample(full.words, rng.randrange(1, len(full.words) + 1))))
+    for name in ("n", "weight", "multiplicity", "sign"):
+        assert getattr(part, name) == getattr(full, name), name
+
+
+@pytest.mark.parametrize("field", ["weight", "multiplicity", "sign"])
+def test_instance_takes_no_weight_multiplicity_or_sign(field):
+    inst = build_instance((1, 0, 0))
+    with pytest.raises(TypeError):
+        InsertionInstance(inst.base, inst.words, **{field: getattr(inst, field)})
+
+
+def test_instance_refuses_an_empty_word_list():
+    with pytest.raises(ValueError, match="needs at least one word"):
+        InsertionInstance((2, 0, 0), ())
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        build_instance((1, 1, 0)).words,  # the same length and weight, other entries
+        ((2, 0, 0), (2, 0, 0, 0, 0)),  # a word of another length
+        ((2, 0),),
+    ],
+    ids=["arrangements-of-110", "longer-word", "shorter-word"],
+)
+def test_instance_refuses_a_word_that_is_not_an_arrangement_of_its_base(words):
+    with pytest.raises(ValueError, match=r"is not an arrangement of \[2,0,0\]"):
+        InsertionInstance((2, 0, 0), words)
 
 
 def test_residual_of_closed_set_is_empty():
@@ -639,12 +677,4 @@ def test_check_degree_matches_the_reference_whatever_the_word_order(entries, dro
     # the failure lines follow the encodings' order, not the instance's
     broken = _drop_word(build_instance(entries), dropped)
     _assert_records_match_the_reference(broken)
-    _assert_records_match_the_reference(
-        InsertionInstance(
-            base=broken.base,
-            words=broken.words[::-1],
-            multiplicity=broken.multiplicity,
-            weight=broken.weight,
-            sign=broken.sign,
-        )
-    )
+    _assert_records_match_the_reference(InsertionInstance(broken.base, broken.words[::-1]))
