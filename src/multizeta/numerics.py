@@ -26,13 +26,12 @@ interval, so the package needs no floating-point library.
   degree M, which the geometric factor 2^(-M) makes small, plus at most
   one unit per floor division, carried through the sweep and summed over
   a value's M terms, which bitlength(M) more bits pay for.  A family check
-  sums a row of words, which share one weight and so one M and one
-  bit width, in exact integers (`_split_sum`): the sum lies in an interval
-  over one power of two, k times one word's tail and rounding wide.  Every
-  row of one weight shares M and the bit width too, so a sweep evaluates
-  all the rows of a weight from one depth-first walk over their sorted
-  words and duals (`_prefix_walk`), which sweeps every distinct prefix of
-  the group once: `check_group` runs one weight's rows in order, the first
+  sums a row of words, all of one weight, in exact integers (`_split_sum`):
+  the sum lies in an interval over one power of two, k times one word's
+  tail and rounding wide.  Rows of one weight share M and the bit width, so
+  a sweep evaluates them from one depth-first walk over their sorted words
+  and duals (`_prefix_walk`), which sweeps every distinct prefix of the
+  group once: `check_group` runs one weight's rows in order, the first
   check runs the walk, and each takes its row's share by position.
   `eval_mzv_fast` is the one-word case.
 
@@ -45,11 +44,11 @@ small-denominator rational.  The family checks combine the engines with
 the symbolic verifier; `FAMILIES` holds all that tells one family from
 another.
 
-What the checks took from mpmath is ported to integers, value for value:
-pi at `bits` significant bits rounded either way (`_pi_below`, from
-Machin's formula) and the bits of a decimal precision (`_dps_to_prec`).
-A printed value is the exact rounding of an interval's end or midpoint,
-half up, to the requested significant digits (`format_decimal`).
+Every width of the fast engine and the readback comes from `_widths`,
+derived from one word's tail; the oracle sizes its bits from its own tail.
+pi at P bits rounded either way is an integer port of mpmath's (`_pi_below`,
+Machin's formula), and a printed value is the exact half-up rounding of an
+interval's end or midpoint to the requested digits (`format_decimal`).
 """
 
 from __future__ import annotations
@@ -101,11 +100,6 @@ MAX_EVAL_DIGITS = 200
 # `eval` refuses heavier compositions: at weight 100 the deepest, 98 ones and a 2,
 # takes about 1.4 s, and the oracle's cost grows about 4x per doubling of depth
 MAX_EVAL_WEIGHT = 100
-
-
-def _dps_to_prec(dps: int) -> int:
-    """The bits of `dps` decimal digits, by mpmath's formula, which fixes every width here."""
-    return max(1, int(round((int(dps) + 1) * 3.3219280948873626)))
 
 
 def zero_places(x: Fraction) -> int:
@@ -215,9 +209,9 @@ def eval_mzv_series(c: Composition, terms: int) -> Tuple[int, int, int]:
 
     Sums over 0 < k_1 < ... < k_r <= N, N = `terms`, in fixed point: every
     level is a Python integer scaled by 2^S.  Accuracy is limited by the
-    tail, roughly N^(1 - last part) up to logarithms.  With d the digits
-    the tail bound allows, floor(-log10) of it and at least 1, S = p +
-    bitlength(d_r), p the bits of d + 10 (at least 30) decimal digits.
+    tail T, roughly N^(1 - last part) up to logarithms.  S = bitlength(d_r)
+    + bitlength(floor(1/T)) + 34, the oracle's own, so the width exceeds T
+    by less than (d_r + 1) 2^(-S) < 2^-34 T, as 1/T < 2^bitlength(floor(1/T)).
 
     low is the computed sum, and high adds two parts:
 
@@ -246,9 +240,8 @@ def eval_mzv_series(c: Composition, terms: int) -> Tuple[int, int, int]:
 
     parts = c.parts
     tail = _series_tail_bound(parts, terms)
-    claimed = max(1, zero_places(tail))
     units = _series_rounding_units(len(parts), terms)
-    bits = _dps_to_prec(max(30, claimed + 10)) + units.bit_length()
+    bits = units.bit_length() + (tail.denominator // tail.numerator).bit_length() + 34
     low = _truncated_series(parts, terms, bits)
     tail_units = -(-(tail.numerator << bits) // tail.denominator)
     return low, low + units + tail_units, bits
@@ -302,13 +295,23 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
     return found
 
 
-def _truncation_degree(n: int, digits: int) -> int:
-    """The least M = 2 (n+1) + 8i with 2 (n+1) 2^(-M) <= 10^-(digits+8)."""
+def _widths(n: int, digits: int) -> Tuple[int, int, int]:
+    """(M, B, P) for words of weight w = n + 2, n interior symbols, at `digits` digits.
+
+    All follow from one word's tail, 2 (n+1) 2^(-M) (`_split_sum`).  M is
+    the least 2 (n+1) + 8i whose tail is at most 10^-(digits+8), which backs
+    `eval_mzv_fast`'s stated width.  B = M + bitlength(n) + 10 keeps the
+    rounding part n (n+1) 2^(-B) below 2^-11 of the tail.  Over pi^w <
+    2^(2w), a row of k words times lambda is wider than lambda k 2 (n+1)
+    2^(12-P) with `_check`'s P = M + 2w + 12, and `_over_pi_power` widens it
+    by at most 2 + 4w q units of 2^(-P), q < 2 lambda k / pi^w the quotient
+    (zeta values are below 2): less than 2^-11 of that width.
+    """
     m_max = 2 * (n + 1)
     scaled_tail = 2 * (n + 1) * 10 ** (digits + 8)
     while scaled_tail > 1 << m_max:
         m_max += 8
-    return m_max
+    return m_max, m_max + n.bit_length() + 10, m_max + 2 * n + 16
 
 
 def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, int, int]]:
@@ -316,10 +319,10 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
 
     The word integral over the simplex splits at 1/2 into the convolution
     zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the interior word (the
-    word without its boundary symbols, n = weight), where P_j is the value
+    word without its boundary symbols, n = weight - 2), where P_j is the value
     at 1/2 of the iterated integral of its first j symbols and Q_j the same
     for its reverse-complement dual.  Its callers pass words of one weight,
-    so all share M and the bit width B, and one `_prefix_walk`
+    so all share M and the bit width B (`_widths`), and one `_prefix_walk`
     computes both runs of every word in fixed point, sweeping each distinct
     prefix of all the rows' words and duals once.  A prefix's value depends
     on nothing but the prefix, M and B, so a row's integers are the same
@@ -334,30 +337,23 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
       symbol 1 makes c_(m+1) the mean of c_0 .. c_m.  The constant term is
       0 after the first symbol, so every P_j and Q_j lies in [0, 1], and
       dropping the degrees above M costs each at most 2^(-M) and one
-      convolution at most 2 (n+1) 2^(-M).  `_truncation_degree` picks M
-      so that this tail is at most 10^-(digits+8).
-    * Rounding.  The walk keeps each series as its terms at 1/2, t_m just
-      below c_m 2^(B' - m), and degrees up to M are computed exactly but
-      for the floors.  After k symbols every term is low by less than k
-      units of 2^(-B'), the constant term, then 0, not at all (`_prefix_walk`
-      derives this).  A value is the exact sum of the terms, so P_j is low
-      by less than j M units of 2^(-B'), which is below j 2^(-B) as M < 2^g,
-      and Q_(n-j) by less than (n-j) 2^(-B); with all factors in [0, 1] one
-      convolution is low by less than n (n+1) 2^(-B).
+      convolution at most 2 (n+1) 2^(-M).
+    * Rounding.  The walk keeps each series as its terms at 1/2, each
+      below c_m 2^(B' - m) by less than k units of 2^(-B') after k symbols
+      (`_prefix_walk` derives this), so P_j is low by less than j M units
+      of 2^(-B'), below j 2^(-B) as M < 2^g, and Q_(n-j) by less than
+      (n-j) 2^(-B); with all factors in [0, 1] one convolution is low by
+      less than n (n+1) 2^(-B).
 
     Both parts only lower a convolution, and the integer sum adds no error,
     so low is the sum and a row of k words falls short by less than k times
-    (tail + rounding).  B = p + 2 bitlength(n), p the bits of digits + 15
-    decimal digits, makes the rounding part below 2^(-p) per word; the g
-    more bits of the walk pay for its M terms per value.  The
-    empty interior word, n = 0, has the one exact convolution 1 * 1; its
-    rounding term is 0 and its tail is kept.
+    (tail + rounding).  The empty interior word, n = 0, has the one exact
+    convolution 1 * 1; its rounding term is 0 and its tail is kept.
     """
     interiors = [[word[1:-1] for word in words] for words in rows]
     duals = [[tuple(1 - s for s in reversed(word)) for word in row] for row in interiors]
     n = len(interiors[0][0])
-    m_max = _truncation_degree(n, digits)
-    bits = _dps_to_prec(digits + 15) + 2 * n.bit_length()
+    m_max, bits, _ = _widths(n, digits)
     scale = bits + m_max.bit_length()
     prefix = _prefix_walk(chain.from_iterable(interiors + duals), m_max, scale)
     exponent = 2 * scale
@@ -528,8 +524,8 @@ def _check(
     encloses the row's zeta sum S at digits + 10, with the other rows of
     a `check_group` if this is its running row's call (same digits, same
     argument objects), which takes that row's parse and share by position;
-    lambda S / pi^weight is then enclosed in [low, high] / 2^bits, and
-    `value` shows its midpoint.  Every family sum is a positive combination
+    lambda S / pi^weight is then enclosed in [low, high] / 2^P (`_widths`),
+    and `value` shows its midpoint.  Every family sum is a positive combination
     of zeta values, so `reconstruct_rational` reads a fraction off the interval only
     when low > 0: an interval that reaches 0 has not resolved the value.
     """
@@ -548,7 +544,7 @@ def _check(
         words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
         group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
     (multiplicity, _, details), (low, high, exponent) = group.evaluated[group.at]
-    bits = 4 * (digits + 40)
+    _, _, bits = _widths(weight - 2, digits + 10)
     low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
     high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
     target = spec.target(weight, **params)

@@ -3,11 +3,11 @@
 An instance is a base block vector a and its words C, arrangements of
 a's entries each standing for one zeta value.  a alone fixes the weight, the
 common depth sign and the multiplicity lambda = prod k_i! of every word (k_i
-counts each distinct entry); `build_instance` checks a once
-(`words.block_vector`) and takes C to be all its distinct arrangements, so
-lambda = (2n+1)! / |C|.  Because lambda and the sign factor out of every
-degree-r derivation, the verifier works with unweighted, unsigned term
-lists and records both constants in the certificate.
+counts each distinct entry).  An instance checks a (`words.block_vector`)
+and its words; `build_instance` takes C to be all a's distinct
+arrangements, so lambda = (2n+1)! / |C|.  As lambda and the sign factor
+out of every degree-r derivation, the verifier works with unweighted,
+unsigned term lists and records both constants in the certificate.
 
 `verify_instance` is the one entry.  It packs (`coaction.pack`) and
 formats each distinct word of C once, with its block-pair table
@@ -70,6 +70,7 @@ class InsertionInstance:
     words: Tuple[BlockVector, ...]
 
     def __post_init__(self) -> None:
+        block_vector(self.base)
         if not self.words:
             raise ValueError(f"an instance of {format_vector(self.base)} needs at least one word")
         entries = sorted(self.base)
@@ -117,7 +118,9 @@ class CancellationCertificate:
 
     @property
     def verdict(self) -> str:
-        return "verified" if all(c.ok for c in self.checks) else "failed"
+        """`verified` only with one ok record for every odd 3 <= r < weight, in order."""
+        every = tuple(c.r for c in self.checks) == tuple(range(3, self.instance.weight, 2))
+        return "verified" if every and all(c.ok for c in self.checks) else "failed"
 
     def to_json_dict(self) -> dict:
         checks = []

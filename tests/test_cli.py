@@ -555,6 +555,22 @@ def test_sweep_reads_back_no_fraction_but_the_target(capsys, family, settings):
         assert declined == [row["params"] for row in rows if int(row["weight"]) >= 36]
 
 
+def test_bowman_bradley_reads_back_every_proved_target_to_weight_20_at_20_digits(capsys):
+    # the readback floor at 20 digits: only (n = 5, m = 0), weight 20, declines;
+    # a truncation degree without its step-8 rule turns 4 more rows of weight 20
+    # into no-reconstruction
+    code, out, _ = run_cli(
+        capsys, "check", "--family", "bowman-bradley", "--sweep", "--weight-cap", "20",
+        "--digits", "20", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 25
+    missed = [row["params"] for row in rows
+              if (row["reconstructed"], row["status"]) != (row["target"], "verified-rational")]
+    assert missed == ["m=0;n=5"]
+
+
 # from about weight 56 at 20 digits, and 80 at 60, the certified interval of
 # a row's ratio reaches down to 0, and 0/1 was read back as verified-rational
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ from multizeta.numerics import (
     _series_tail_bound,
     _split_sum,
     _truncated_series,
-    _truncation_degree,
+    _widths,
     check_bbbl_family,
     check_bowman_bradley,
     check_cyclic_insertion,
@@ -153,7 +153,7 @@ def mpf_half_split(c, digits):
         return values
 
     with mp.workdps(digits + 15):
-        m_max = _truncation_degree(n, digits)
+        m_max, _, _ = _widths(n, digits)
         prefix = prefix_values(word, m_max)
         suffix = prefix_values(tuple(1 - s for s in reversed(word)), m_max)
         return mp.fsum(prefix[j] * suffix[n - j] for j in range(n + 1))
@@ -183,16 +183,14 @@ def walk_convolutions(words, m_max, bits):
 
 
 def split_precision(words, digits):
-    """M, B and p of a row of full `words` at `digits` digits, and the walk's scale.
+    """M and B of a row of full `words` at `digits` digits, from `_widths`, and the walk's scale.
 
     The scale is read off `_split_sum`: half its exponent.
     """
-    n = len(words[0]) - 2
-    with mp.workdps(digits + 15):
-        prec = mp.prec
+    m_max, bits, _ = _widths(len(words[0]) - 2, digits)
     [(_, _, exponent)] = _split_sum([words[:1]], digits)
     assert exponent % 2 == 0
-    return _truncation_degree(n, digits), prec + 2 * n.bit_length(), prec, exponent // 2
+    return m_max, bits, exponent // 2
 
 
 @pytest.mark.parametrize("digits", [20, 200])
@@ -200,7 +198,7 @@ def split_precision(words, digits):
 def test_fixed_point_rounding_within_stated_bound(parts, digits):
     full = composition_to_word(Composition(parts))
     word, n = full[1:-1], len(full) - 2
-    m_max, bits, _, scale = split_precision([full], digits)
+    m_max, bits, scale = split_precision([full], digits)
     # m_max units of 2^-scale are less than the one unit of 2^-B per symbol
     # that the row's width counts
     assert m_max << bits < 1 << scale
@@ -267,7 +265,7 @@ def coefficient_prefix_values(symbols, m_max, bits):
 def coefficient_split_sum(words, digits):
     """A row's (low, high, e) from the coefficient sweep, with the same width."""
     n = len(words[0]) - 2
-    m_max, bits, _, _ = split_precision(words, digits)
+    m_max, bits, _ = split_precision(words, digits)
     exponent = 2 * (bits + m_max)
     low = sum(reference_half_split(w[1:-1], m_max, bits, coefficient_prefix_values) for w in words)
     per_word = (2 * (n + 1) << (exponent - m_max)) + (n * (n + 1) << (exponent - bits))
@@ -321,7 +319,7 @@ def split_rows():
 def test_row_walk_is_bit_identical_to_the_per_word_sweep():
     for row_id, digits, words in split_rows():
         interiors = [w[1:-1] for w in words]
-        m_max, _, _, scale = split_precision(words, digits)
+        m_max, _, scale = split_precision(words, digits)
         expected = [reference_half_split(w, m_max, scale) for w in interiors]
         assert walk_convolutions(interiors, m_max, scale) == expected, row_id
         # a row's lower end is the sum of the reference integers, over the
@@ -345,7 +343,7 @@ def test_scaled_walk_agrees_with_the_coefficient_sweep():
     rows += [(str(c), 200, [composition_to_word(c)]) for c in golden_eval_compositions()]
     for row_id, digits, words in rows:
         k, n = len(words), len(words[0]) - 2
-        _, bits, _, _ = split_precision(words, digits)
+        _, bits, _ = split_precision(words, digits)
         [(low, high, exponent)] = _split_sum([words], digits)
         old_low, old_high, old_exponent = coefficient_split_sum(words, digits)
         new_low, new_high = Fraction(low, 2**exponent), Fraction(high, 2**exponent)
@@ -433,7 +431,7 @@ def test_row_error_bound_holds_and_is_derived_for_the_sum(digits):
         fine_low, fine_high = (Fraction(end, 2**fine_exponent) for end in (fine_low, fine_high))
         # the finer sum falls short by far less, so it lies in the interval
         assert low <= fine_low <= high, row_id
-        m_max, bits, _, _ = split_precision(words, digits)
+        m_max, bits, _ = split_precision(words, digits)
         per_word = Fraction(2 * (n + 1), 2**m_max) + Fraction(n * (n + 1), 2**bits)
         # the width is every word's tail and rounding, exactly
         assert high - low == k * per_word, row_id
@@ -447,13 +445,33 @@ def test_empty_composition_is_exactly_one_with_a_positive_bound(digits):
     assert (high - low) * 10**digits <= 2**exponent
 
 
-@pytest.mark.parametrize("n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102)])
-def test_truncation_degree_is_the_least_admissible(n, digits, degree):
-    m_max = _truncation_degree(n, digits)
+@pytest.mark.parametrize("digits", [1, 20, 60, 200])
+def test_fast_width_is_below_its_documented_bound(digits):
+    # every admissible composition of weight 2 to 10
+    compositions = admissible_compositions(10)
+    assert len(compositions) == 511
+    for c in compositions:
+        low, high, exponent = eval_mzv_fast(c, digits)
+        assert (high - low) * 10 ** (digits + 7) < 2**exponent, c
+
+
+@pytest.mark.parametrize(
+    "n, digits, degree", [(14, 70, 270), (16, 215, 746), (2, 20, 102), (0, 1, 34), (100, 410, 1402)]
+)
+def test_widths_are_the_least_admissible_degree_and_bound_rounding_and_pi(n, digits, degree):
+    m_max, bits, pi_bits = _widths(n, digits)
     assert m_max == degree
     assert (m_max - 2 * (n + 1)) % 8 == 0
-    assert Fraction(2 * (n + 1), 2**m_max) <= Fraction(1, 10 ** (digits + 8))
+    tail = Fraction(2 * (n + 1), 2**m_max)
+    assert tail <= Fraction(1, 10 ** (digits + 8))
     assert Fraction(2 * (n + 1), 2 ** (m_max - 8)) > Fraction(1, 10 ** (digits + 8))
+    # a word's rounding part is below 2^-11 of its tail
+    assert Fraction(n * (n + 1), 2**bits) < tail / 2**11
+    # over pi^w < 4^w, w = n + 2, a row's ratio is at least tail / 4^w wide per
+    # word and lambda; the division's 2 units and its 4 w q units, q below
+    # 2 / pi^w < 2 / 3^w per word and lambda, add at most 2^-11 of that
+    w = n + 2
+    assert (2 + Fraction(8 * w, 3**w)) / 2**pi_bits <= tail / 4**w / 2**11
 
 
 def exact_nested_sum(parts, terms):
@@ -489,13 +507,11 @@ def test_series_oracle_value_within_rounding(parts, terms):
     truncated = exact_nested_sum(parts, terms)
     low, high, exponent = eval_mzv_series(Composition(parts), terms)
     tail = _series_tail_bound(parts, terms)
-    with mp.workdps(max(30, numerics.zero_places(tail) + 10)):
-        prec = mp.prec
     gap = truncated - Fraction(low, 2**exponent)
-    # what is left of the width once the tail is taken out: the rounding,
-    # below 2^-prec, and the tail's rounding up to a unit of the sweep, below that
+    # what is left of the width once the tail is taken out: the rounding and
+    # the tail's rounding up to a unit of the sweep, together below 2^-34 of the tail
     rest = Fraction(high - low, 2**exponent) - tail
-    assert 0 <= gap <= rest < Fraction(2, 2**prec)
+    assert 0 <= gap <= rest < tail / 2**34
 
 
 @pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 8, 3), (1, 5, 5, 3), (1, 2, 1, 2, 1, 2, 2)])
@@ -617,12 +633,16 @@ def test_log_bound_is_above_and_within_a_few_units(x):
 
 def test_oracle_claims_the_same_digits_as_the_mpf_tail():
     # every admissible composition of weight up to 12 at the CLI's 5000 terms:
-    # the digits that set the oracle's bit width
+    # the tail's zero places, and its bits, which set the oracle's bit width
     for parts in sorted({c.parts for c in admissible_compositions(12)}):
+        tail = _series_tail_bound(parts, 5000)
         with mp.workdps(30):
-            before = max(1, int(mp.floor(-mp.log10(mpf_series_tail_bound(parts, 5000)))))
-        claimed = max(1, numerics.zero_places(_series_tail_bound(parts, 5000)))
+            reference = mpf_series_tail_bound(parts, 5000)
+            before = max(1, int(mp.floor(-mp.log10(reference))))
+            bits = int(mp.floor(-mp.log(reference, 2))) + 1
+        claimed = max(1, numerics.zero_places(tail))
         assert claimed == before, parts
+        assert (tail.denominator // tail.numerator).bit_length() == bits, parts
 
 
 def test_engines_agree_within_bounds_weight_up_to_7():
@@ -856,9 +876,9 @@ def readback_cases(rng, scale, width):
 def test_readback_is_the_continued_fraction_walk_at_the_package_scales():
     rng = random.Random(21)
     cases = []
-    # a check's interval over 2^(4 (digits + 40)), from one unit to 10^-4 of the scale wide
+    # a weight-14 check's interval over 2^P, from one unit to 10^-4 of the scale wide
     for digits in (20, 60, 200):
-        scale = 1 << 4 * (digits + 40)
+        scale = 1 << _widths(14 - 2, digits + 10)[2]
         for _ in range(60):
             width = rng.randint(1, 10 ** rng.randint(0, len(str(scale)) - 5))
             cases += readback_cases(rng, scale, width)
@@ -992,20 +1012,21 @@ def test_pi_power_division_rounds_outward(weight, shift):
         assert high - low <= 2 + 4 * weight * mp.ldexp(quotient, -bits)
 
 
-@pytest.mark.parametrize("widths", [[4 * (digits + 40) for digits in range(1, 401)], range(2, 300)])
+# every P that `_check` takes for 1 to 400 digits at weights 4 to 100, and the narrow widths
+PI_WIDTHS = [
+    sorted({_widths(weight - 2, digits + 10)[2] for weight in range(4, 101) for digits in range(1, 401)}),
+    range(2, 400),
+]
+
+
+@pytest.mark.parametrize("widths", PI_WIDTHS)
 def test_pi_bounds_are_mpmaths(widths):
-    # every width `_check` takes for 1 to 400 digits, and the narrow ones
+    assert len(set().union(*PI_WIDTHS)) >= 698
     for bits in widths:
         below = Fraction(numerics._pi_below(bits), 2 ** (bits - 2))
         assert below == Fraction(*to_rational(mpf_pi(bits, round_floor))), bits
         assert below + Fraction(1, 2 ** (bits - 2)) == Fraction(
             *to_rational(mpf_pi(bits, round_ceiling))), bits
-
-
-def test_bits_per_digit_is_mpmaths():
-    assert [numerics._dps_to_prec(n) for n in range(10**4 + 1)] == [
-        dps_to_prec(n) for n in range(10**4 + 1)
-    ]
 
 
 def decimal_near(rng, digits):

@@ -356,6 +356,30 @@ def test_instance_refuses_a_word_that_is_not_an_arrangement_of_its_base(words):
         InsertionInstance((2, 0, 0), words)
 
 
+@pytest.mark.parametrize(
+    "base, words, message",
+    [
+        # weight 2 has no odd degree to check, so no degree check can refuse it
+        ((-1, 0, 0), ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), "block vector entries must be >= 0, got -1"),
+        # an even length would first fail inside coaction.cut
+        ((1, 0), ((1, 0), (0, 1)), "a block vector has an odd number of entries, got 2"),
+    ],
+    ids=["negative-entry", "even-length"],
+)
+def test_instance_refuses_a_base_that_is_no_block_vector(base, words, message):
+    with pytest.raises(ValueError, match=message):
+        InsertionInstance(base, words)
+
+
+def test_certificate_is_verified_only_with_every_degree_checked():
+    inst = build_instance((1, 0, 0))
+    checks = verify_instance(inst).checks
+    assert [c.r for c in checks] == [3, 5] and all(c.ok for c in checks)
+    assert CancellationCertificate(inst, checks).verdict == "verified"
+    for partial in ((), checks[:1], checks[::-1], checks + checks[1:]):
+        assert CancellationCertificate(inst, partial).verdict == "failed", [c.r for c in partial]
+
+
 def test_residual_of_closed_set_is_empty():
     inst = build_instance((1, 1, 0, 0, 0))
     words = [pack(blockvector_to_word(w)) for w in inst.words]
