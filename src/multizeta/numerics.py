@@ -296,22 +296,23 @@ def _prefix_walk(sequences: Iterable[Word], m_max: int, bits: int) -> Dict[Word,
 
 
 def _widths(n: int, digits: int) -> Tuple[int, int, int]:
-    """(M, B, P) for words of weight w = n + 2, n interior symbols, at `digits` digits.
+    """(M, B, P) for words of weight n, whose interiors have n symbols, at `digits` digits.
 
     All follow from one word's tail, 2 (n+1) 2^(-M) (`_split_sum`).  M is
     the least 2 (n+1) + 8i whose tail is at most 10^-(digits+8), which backs
     `eval_mzv_fast`'s stated width.  B = M + bitlength(n) + 10 keeps the
-    rounding part n (n+1) 2^(-B) below 2^-11 of the tail.  Over pi^w <
-    2^(2w), a row of k words times lambda is wider than lambda k 2 (n+1)
-    2^(12-P) with `_check`'s P = M + 2w + 12, and `_over_pi_power` widens it
-    by at most 2 + 4w q units of 2^(-P), q < 2 lambda k / pi^w the quotient
-    (zeta values are below 2): less than 2^-11 of that width.
+    rounding part n (n+1) 2^(-B) below 2^-11 of the tail.  Over pi^n <
+    2^(2n), a row of k words times lambda is wider than lambda k 2 (n+1)
+    2^(12-P) with `_check`'s P = M + 2n + 12, and `_over_pi_power` widens it
+    by at most 2 + 4n q units of 2^(-P), q < 2 lambda k / pi^n the quotient
+    (zeta values are below 2): less than 2^-11 of that width, as
+    2 + 8n / pi^n < 4 (n+1).
     """
     m_max = 2 * (n + 1)
     scaled_tail = 2 * (n + 1) * 10 ** (digits + 8)
     while scaled_tail > 1 << m_max:
         m_max += 8
-    return m_max, m_max + n.bit_length() + 10, m_max + 2 * n + 16
+    return m_max, m_max + n.bit_length() + 10, m_max + 2 * n + 12
 
 
 def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, int, int]]:
@@ -319,7 +320,7 @@ def _split_sum(rows: Sequence[Sequence[Word]], digits: int) -> List[Tuple[int, i
 
     The word integral over the simplex splits at 1/2 into the convolution
     zeta = sum_j P_j Q_(n-j) over the n + 1 cuts of the interior word (the
-    word without its boundary symbols, n = weight - 2), where P_j is the value
+    word without its boundary symbols, n = weight), where P_j is the value
     at 1/2 of the iterated integral of its first j symbols and Q_j the same
     for its reverse-complement dual.  Its callers pass words of one weight,
     so all share M and the bit width B (`_widths`), and one `_prefix_walk`
@@ -369,8 +370,8 @@ def eval_mzv_fast(c: Composition, digits: int = DEFAULT_DIGITS) -> Tuple[int, in
     """(low, high, e) with zeta(c) in [low, high] / 2^e: the one-word row of `_split_sum`.
 
     The width is below 10^-(digits+7) times 2^e.  Any precision is
-    accepted; `eval` refuses requests above `MAX_EVAL_DIGITS`.  The empty
-    composition comes out with low exactly 2^e and a positive width.
+    accepted; `eval` and the checks refuse requests above `MAX_EVAL_DIGITS`.
+    The empty composition comes out with low exactly 2^e and a positive width.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
@@ -519,8 +520,9 @@ def _check(
 ) -> dict:
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
-    The cap is enforced before any word is expanded, since the number of
-    summed words can be factorial in the vector length.  `_split_sum`
+    The digits, at most `MAX_EVAL_DIGITS` as for `eval`, and the weight cap
+    are enforced before any word is expanded, since the number of summed
+    words can be factorial in the vector length.  `_split_sum`
     encloses the row's zeta sum S at digits + 10, with the other rows of
     a `check_group` if this is its running row's call (same digits, same
     argument objects), which takes that row's parse and share by position;
@@ -531,6 +533,8 @@ def _check(
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
+    if digits > MAX_EVAL_DIGITS:
+        raise ValueError(f"precision request {digits} exceeds the cap {MAX_EVAL_DIGITS}")
     spec = FAMILIES[family]
     group = _open_group
     if not (group and (group.family, group.digits) == (family, digits)
@@ -544,7 +548,7 @@ def _check(
         words = [[blockvector_to_word(w) for w in row_words] for _, row_words, _ in summed]
         group.evaluated = list(zip(summed, _split_sum(words, digits + 10)))
     (multiplicity, _, details), (low, high, exponent) = group.evaluated[group.at]
-    _, _, bits = _widths(weight - 2, digits + 10)
+    _, _, bits = _widths(weight, digits + 10)
     low = _over_pi_power(multiplicity * low, exponent, weight, bits, up=False)
     high = _over_pi_power(multiplicity * high, exponent, weight, bits, up=True)
     target = spec.target(weight, **params)

@@ -9,15 +9,16 @@ arrangements, so lambda = (2n+1)! / |C|.  As lambda and the sign factor
 out of every degree-r derivation, the verifier works with unweighted,
 unsigned term lists and records both constants in the certificate.
 
-`verify_instance` is the one entry.  It packs (`coaction.pack`) and
-formats each distinct word of C once, with its block-pair table
-(`encodings.block_pairs`), and checks one odd degree 3 <= r < weight at a
-time, so that only one degree's lines and partner map are live, along two
-independent routes:
+`verify_instance` is the one function per instance.  It packs
+(`coaction.pack`) and formats each distinct word of C once, with its
+block-pair table (`encodings.block_pairs`), and checks one odd degree
+3 <= r < weight at a time in a nested step, so that only one degree's
+lines and partner map are live, along two independent routes:
 
 1. Orbit route: the odd encodings of length r + 2 over C are paired under
-   the offset-swapping involution phi.  Each table row gives the starts of
-   its windows by arithmetic, a range, and phi reflects them onto one word,
+   the offset-swapping involution phi.  Each table row, read in block-pair
+   order, gives the starts of its windows by arithmetic, a range that is
+   empty when the row is too short, and phi reflects them onto one word,
    looked up once per instance.  A window is keyed by its place, its
    word's number (by first occurrence) times a stride plus its start; the
    notation lines are written straight from the rows, and an encoding is
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import factorial, prod
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .coaction import Term, accumulate, cut, dr_terms, pack, reverse, surviving_windows, unpack
 from .encodings import OddEncoding, block_pairs, encoding_at, phi
@@ -185,124 +186,119 @@ def expansion_residual(words: Iterable[int], r: int) -> Dict[Term, int]:
     return accumulate(chain.from_iterable(dr_terms(w, r) for w in words))
 
 
-def _expand(vectors: Sequence[BlockVector]) -> tuple:
-    """(numbers, vectors, texts, words, listed, tables, stride) for `_check_degree`.
+def verify_instance(instance: InsertionInstance) -> CancellationCertificate:
+    """Check every odd degree 3 <= r < weight and assemble the certificate.
 
-    An instance's vectors share one word length, the stride, and are numbered
-    by first occurrence; numbers and the packed words listed keep the
-    instance's order and repeats.  Per `block_pairs` row, a table row, widest
-    first, is (q - p, p, q, p + a, q - c + 1, there, "(b; s,", "; t,"),
-    there = j * stride + p + q for image's number j, or -1.
+    The instance's vectors share one word length, the stride, and are
+    numbered by first occurrence; the numbers and the packed words listed
+    keep the instance's order and repeats.  A distinct word's table has,
+    per `block_pairs` row and in its order, the row (p, q, p + a,
+    q - c + 1, there, "(b; s,", "; t,"), there = j * stride + p + q for
+    image's number j, or -1.
     """
-    distinct = list(dict.fromkeys(vectors))
+    distinct = list(dict.fromkeys(instance.words))
     number = {w: i for i, w in enumerate(distinct)}
+    numbers = [number[w] for w in instance.words]
     words = [pack(blockvector_to_word(w)) for w in distinct]
+    listed = [words[i] for i in numbers]
     stride = words[0].bit_length() - 1
+    offsets = [str(x) for x in range(stride)]  # formatted once for every notation line
     middles = [f"; {t}," for t in range(stride)]
     texts = [format_vector(w) for w in distinct]
     tables = []
     for w, text in zip(distinct, texts):
         heads = [f"({text}; {s}," for s in range(len(w))]
-        rows = [
-            (q - p, p, q, p + a, q - c + 1, -1 if j is None else j * stride + p + q, heads[s], middles[t])
+        tables.append([
+            (p, q, p + a, q - c + 1, -1 if j is None else j * stride + p + q, heads[s], middles[t])
             for s, t, p, q, a, c, image in block_pairs(w)
             for j in (number.get(image),)
-        ]
-        rows.sort(reverse=True)
-        tables.append(rows)
-    numbers = [number[w] for w in vectors]
-    return numbers, distinct, texts, words, [words[i] for i in numbers], tables, stride
+        ])
 
+    def check(r: int) -> CheckRecord:
+        """Run both proof routes for one odd degree."""
+        length = r + 2
+        failures: List[str] = []
+        encoding_count = 0
+        lines: List[str] = []
 
-def _check_degree(expansion: tuple, r: int) -> CheckRecord:
-    """Run both proof routes for one odd degree over the expanded words."""
-    numbers, vectors, texts, words, listed, tables, stride = expansion
-    length = r + 2
-    failures: List[str] = []
-    window_count = len(numbers) * (stride + 1 - length)
-    encoding_count = 0
-    lines: List[str] = []
-    offsets = [str(x) for x in range(stride)]  # formatted once for every notation line
+        def encoding(place: int) -> OddEncoding:
+            i, start = divmod(place, stride)
+            return encoding_at(distinct[i], start, start + length)
 
-    def encoding(place: int) -> OddEncoding:
-        i, start = divmod(place, stride)
-        return encoding_at(vectors[i], start, start + length)
+        # each window is keyed by its place, i * stride + x for the window starting at x
+        # in the word numbered i; place -> its partner's place, negative when phi's vector is no word
+        partner: Dict[int, int] = {}
+        for i in numbers:
+            here = i * stride
+            encoded = 0  # the windows' starts as bits
+            for p, q, first_end, last_start, there, head, middle in tables[i]:
+                lo = last_start - length
+                if lo < p:
+                    lo = p
+                hi = q - length + 1
+                if hi > first_end:
+                    hi = first_end
+                if lo >= hi:  # also every row spanning less than the length
+                    continue
+                encoded |= (1 << hi) - (1 << lo)
+                encoding_count += hi - lo
+                there -= length  # phi's window of the one at x starts at there - x
+                tail = q - length
+                for x in range(lo, hi):
+                    lines.append(f"{head}{offsets[x - p]}{middle}{offsets[tail - x]})")
+                    partner[here + x] = there - x
+            surviving = surviving_windows(words[i], r)
+            if encoded != surviving:
+                encoded, surviving = (
+                    [(x, x + length) for x in range(stride) if m >> x & 1] for m in (encoded, surviving)
+                )
+                failures.append(
+                    f"window sets disagree on {texts[i]} at r={r}: encoded {encoded} vs surviving {surviving}"
+                )
 
-    # each window is keyed by its place, i * stride + x for the window starting at x
-    # in the word numbered i; place -> its partner's place, negative when phi's vector is no word
-    partner: Dict[int, int] = {}
-    for i in numbers:
-        here = i * stride
-        encoded = 0  # the windows' starts as bits
-        for span, p, q, first_end, last_start, there, head, middle in tables[i]:
-            if span < length:
-                break  # every later row spans less
-            lo = last_start - length
-            if lo < p:
-                lo = p
-            hi = q - length + 1
-            if hi > first_end:
-                hi = first_end
-            if lo >= hi:
-                continue
-            encoded |= (1 << hi) - (1 << lo)
-            encoding_count += hi - lo
-            there -= length  # phi's window of the one at x starts at there - x
-            tail = q - length
-            for x in range(lo, hi):
-                lines.append(f"{head}{offsets[x - p]}{middle}{offsets[tail - x]})")
-                partner[here + x] = there - x
-        surviving = surviving_windows(words[i], r)
-        if encoded != surviving:
-            encoded, surviving = ([(x, x + length) for x in range(stride) if m >> x & 1] for m in (encoded, surviving))
-            failures.append(f"window sets disagree on {texts[i]} at r={r}: encoded {encoded} vs surviving {surviving}")
+        orbits = 0
+        if len(partner) != encoding_count:
+            failures.append("duplicate encodings in input")
+        else:
+            unpaired, unmatched = [], []  # (encoding, line) pairs, each put in ascending encoding order
+            reversed_of: Dict[int, int] = {}
+            for here, there in partner.items():
+                back = partner.get(there)
+                if back == here and there != here:
+                    if here < there:  # each orbit once, from its smaller place
+                        orbits += 1
+                        i, x = divmod(here, stride)
+                        j, y = divmod(there, stride)
+                        sub_e, quo_e = cut(words[i], x, x + length)
+                        sub_f, quo_f = cut(words[j], y, y + length)
+                        rev = reversed_of.get(sub_f)
+                        if rev is None:
+                            rev = reversed_of[sub_f] = reverse(sub_f)
+                        if sub_e != rev or quo_e != quo_f:
+                            e, f = sorted((encoding(here), encoding(there)))
+                            if sub_e != rev:
+                                unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
+                            if quo_e != quo_f:
+                                unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
+                    continue
+                e = encoding(here)
+                if back is None:  # the missing place is phi(e)'s window
+                    line = f"phi image missing from the collection: {e} -> {phi(e)}"
+                elif there == here:
+                    line = f"fixed point of phi: {e}"
+                else:
+                    line = f"phi is not an involution: {e} -> {encoding(there)}"
+                unpaired.append((e, line))
+            for tagged in (unpaired, unmatched):
+                failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
 
-    orbits = 0
-    if len(partner) != encoding_count:
-        failures.append("duplicate encodings in input")
-    else:
-        unpaired, unmatched = [], []  # (encoding, line) pairs, each put in ascending encoding order
-        reversed_of: Dict[int, int] = {}
-        for here, there in partner.items():
-            back = partner.get(there)
-            if back == here and there != here:
-                if here < there:  # each orbit once, from its smaller place
-                    orbits += 1
-                    i, x = divmod(here, stride)
-                    j, y = divmod(there, stride)
-                    sub_e, quo_e = cut(words[i], x, x + length)
-                    sub_f, quo_f = cut(words[j], y, y + length)
-                    rev = reversed_of.get(sub_f)
-                    if rev is None:
-                        rev = reversed_of[sub_f] = reverse(sub_f)
-                    if sub_e != rev or quo_e != quo_f:
-                        e, f = sorted((encoding(here), encoding(there)))
-                        if sub_e != rev:
-                            unmatched.append((e, f"orbit subwords are not mutual reversals: {e} / {f}"))
-                        if quo_e != quo_f:
-                            unmatched.append((e, f"orbit quotients differ: {e} / {f}"))
-                continue
-            e = encoding(here)
-            if back is None:  # the missing place is phi(e)'s window
-                line = f"phi image missing from the collection: {e} -> {phi(e)}"
-            elif there == here:
-                line = f"fixed point of phi: {e}"
-            else:
-                line = f"phi is not an involution: {e} -> {encoding(there)}"
-            unpaired.append((e, line))
-        for tagged in (unpaired, unmatched):
-            failures += [line for _, line in sorted(tagged, key=itemgetter(0))]
+        residual = expansion_residual(listed, r)
+        for left, right, coeff in sorted((unpack(u), unpack(v), c) for (u, v), c in residual.items()):
+            failures.append(f"residual term left={format_word(left)} right={format_word(right)} coefficient={coeff}")
 
-    residual = expansion_residual(listed, r)
-    for left, right, coeff in sorted((unpack(u), unpack(v), c) for (u, v), c in residual.items()):
-        failures.append(f"residual term left={format_word(left)} right={format_word(right)} coefficient={coeff}")
+        digest = hashlib.sha256("\n".join(sorted(lines)).encode("ascii")).hexdigest()
+        windows = len(numbers) * (stride + 1 - length)
+        return CheckRecord(r, windows, encoding_count, orbits, len(residual), digest, tuple(failures))
 
-    digest = hashlib.sha256("\n".join(sorted(lines)).encode("ascii")).hexdigest()
-    return CheckRecord(r, window_count, encoding_count, orbits, len(residual), digest, tuple(failures))
-
-
-def verify_instance(instance: InsertionInstance) -> CancellationCertificate:
-    """Check every odd degree 3 <= r < weight and assemble the certificate."""
-    expansion = _expand(instance.words)
-    checks = tuple(_check_degree(expansion, r) for r in range(3, instance.weight, 2))
+    checks = tuple(check(r) for r in range(3, instance.weight, 2))
     return CancellationCertificate(instance=instance, checks=checks)

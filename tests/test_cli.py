@@ -378,6 +378,34 @@ def test_eval_digits_cap(capsys):
     assert err == "error: precision request 201 exceeds the cap 200\n"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_digits_cap_precedes_every_row(capsys, monkeypatch, jobs):
+    # as for `eval`; past about 4,275 digits the report's value would exceed
+    # str()'s default digit limit after the whole row had been evaluated
+    def refuse(**params):
+        raise AssertionError("a row was expanded before the digits were checked")
+
+    spec = FAMILIES["bbbl"]
+    monkeypatch.setitem(FAMILIES, "bbbl", dataclasses.replace(spec, summands=refuse))
+    code, out, err = run_cli(
+        capsys, "check", "--family", "bbbl", "--sweep", "--digits", "201", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "error: precision request 201 exceeds the cap 200\n"
+    monkeypatch.setenv("MULTIZETA_DIGITS", "201")
+    code, out, err = run_cli(capsys, "check", "--family", "bbbl", "--n", "1", "--m", "0", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == "error: precision request 201 exceeds the cap 200\n"
+
+
+@pytest.mark.parametrize("family", ["symmetric", "cyclic"])
+def test_check_of_the_weight_zero_vector_reads_back_one(capsys, family):
+    # (0) is the empty composition, zeta = 1 = pi^0, whose width plan has n = 0
+    code, out, err = run_cli(capsys, "check", "--family", family, "--a", "0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["weight"], report["reconstructed"]) == (0, {"num": 1, "den": 1})
+
+
 def test_eval_weight_cap_precedes_both_engines(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("an engine ran before the weight was checked")

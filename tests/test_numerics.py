@@ -467,10 +467,10 @@ def test_widths_are_the_least_admissible_degree_and_bound_rounding_and_pi(n, dig
     assert Fraction(2 * (n + 1), 2 ** (m_max - 8)) > Fraction(1, 10 ** (digits + 8))
     # a word's rounding part is below 2^-11 of its tail
     assert Fraction(n * (n + 1), 2**bits) < tail / 2**11
-    # over pi^w < 4^w, w = n + 2, a row's ratio is at least tail / 4^w wide per
-    # word and lambda; the division's 2 units and its 4 w q units, q below
+    # over pi^w < 4^w, w = n the weight, a row's ratio is at least tail / 4^w wide
+    # per word and lambda; the division's 2 units and its 4 w q units, q below
     # 2 / pi^w < 2 / 3^w per word and lambda, add at most 2^-11 of that
-    w = n + 2
+    w = n
     assert (2 + Fraction(8 * w, 3**w)) / 2**pi_bits <= tail / 4**w / 2**11
 
 
@@ -878,7 +878,7 @@ def test_readback_is_the_continued_fraction_walk_at_the_package_scales():
     cases = []
     # a weight-14 check's interval over 2^P, from one unit to 10^-4 of the scale wide
     for digits in (20, 60, 200):
-        scale = 1 << _widths(14 - 2, digits + 10)[2]
+        scale = 1 << _widths(14, digits + 10)[2]
         for _ in range(60):
             width = rng.randint(1, 10 ** rng.randint(0, len(str(scale)) - 5))
             cases += readback_cases(rng, scale, width)
@@ -1012,9 +1012,9 @@ def test_pi_power_division_rounds_outward(weight, shift):
         assert high - low <= 2 + 4 * weight * mp.ldexp(quotient, -bits)
 
 
-# every P that `_check` takes for 1 to 400 digits at weights 4 to 100, and the narrow widths
+# every P of weights 4 to 100 at 1 to 400 digits (`_check` takes up to 200), and the narrow widths
 PI_WIDTHS = [
-    sorted({_widths(weight - 2, digits + 10)[2] for weight in range(4, 101) for digits in range(1, 401)}),
+    sorted({_widths(weight, digits + 10)[2] for weight in range(4, 101) for digits in range(1, 401)}),
     range(2, 400),
 ]
 
@@ -1027,6 +1027,41 @@ def test_pi_bounds_are_mpmaths(widths):
         assert below == Fraction(*to_rational(mpf_pi(bits, round_floor))), bits
         assert below + Fraction(1, 2 ** (bits - 2)) == Fraction(
             *to_rational(mpf_pi(bits, round_ceiling))), bits
+
+
+@pytest.mark.parametrize("bits", [64, 300])
+def test_pi_below_doubles_its_guard_when_the_bound_straddles(monkeypatch, bits):
+    # the first atan(1/5) sum gets 2^guard more error, so t +- e spans more
+    # than 2^(guard + 5); the uncached body must retry at twice the guard
+    calls = []
+    arctan_inverse = numerics._arctan_inverse
+
+    def widened(x, width):
+        t, e = arctan_inverse(x, width)
+        calls.append(width)
+        if len(calls) == 1:
+            e += 1 << (width - bits + 2)
+        return t, e
+
+    monkeypatch.setattr(numerics, "_arctan_inverse", widened)
+    below = numerics._pi_below.__wrapped__(bits)
+    guard = calls[0] - (bits - 2)
+    assert calls == [bits - 2 + guard] * 2 + [bits - 2 + 2 * guard] * 2
+    assert Fraction(below, 2 ** (bits - 2)) == Fraction(*to_rational(mpf_pi(bits, round_floor)))
+
+
+def test_the_oracle_shares_no_code_with_the_fast_engine(monkeypatch):
+    # eval_mzv_series is the independent check of eval_mzv_fast
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a part of the fast engine")
+
+    for name in ("_prefix_walk", "_split_sum", "_widths", "_pi_below", "_over_pi_power"):
+        monkeypatch.setattr(numerics, name, refuse)
+    compositions = admissible_compositions(8)
+    assert len(compositions) == 127
+    for c in compositions:
+        low, high, _ = eval_mzv_series(c, 50)
+        assert 0 < low < high, c
 
 
 def decimal_near(rng, digits):
@@ -1201,6 +1236,8 @@ def test_family_parameter_validation():
         check_bbbl_family(1, 2)  # weight 16 over the default cap
     with pytest.raises(ValueError, match="need digits >= 1, got 0"):
         check_bbbl_family(1, 0, 0)
+    with pytest.raises(ValueError, match="^precision request 201 exceeds the cap 200$"):
+        check_bbbl_family(1, 0, 201)
     with pytest.raises(ValueError):
         check_cyclic_insertion((1, 0))
 

@@ -52,3 +52,23 @@ def test_public_numerics_run_without_mpmath():
     )
     proc = run_child(script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None 1\n", "")
+
+
+def test_the_benchmark_wraps_every_name_it_rebinds(tmp_path):
+    # bench/child.py rebinds functions of the package by name for its traced
+    # runs; a refactor that unbinds one fails here, not only in a traced run
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    script = (
+        "import contextlib, io, pathlib, sys\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import child, spans\n"
+        "from multizeta import cli\n"
+        f"recorder = spans.Recorder(pathlib.Path({str(tmp_path)!r}), row_layer='numerics.check')\n"
+        "spans.install(recorder, child._targets(recorder, True))\n"
+        "child._time_the_pool(cli, recorder)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--a', '1,0,0'])\n"
+        "print(code, recorder.calls['verifier.verify_instance'], recorder.calls['coaction.expansion'] > 0)\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1 True\n", "")

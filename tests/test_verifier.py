@@ -549,7 +549,7 @@ def test_orbit_route_reports_unequal_quotients_alone(monkeypatch):
 # every phi(e) built as an encoding, the pool sorted by `pair_up`, and every
 # left factor canonicalized again at each occurrence.  It works on tuple
 # words, slicing them by the definitions in `coaction`, and is kept as the
-# reference for the records of `verifier._check_degree`.
+# reference for the records of `verify_instance`.
 
 
 def reference_cut(word, start, end):
@@ -633,10 +633,10 @@ def reference_check_degree(expanded, r):
 
 def _assert_records_match_the_reference(inst):
     expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in inst.words]
-    expansion = verifier._expand(inst.words)
-    for r in range(3, inst.weight, 2):
-        record = verifier._check_degree(expansion, r)
-        assert record == reference_check_degree(expanded, r), (inst.words, r)
+    checks = verify_instance(inst).checks
+    assert [record.r for record in checks] == list(range(3, inst.weight, 2))
+    for record in checks:
+        assert record == reference_check_degree(expanded, record.r), (inst.words, record.r)
 
 
 def _symmetric_vectors_of_weight_22():
@@ -663,10 +663,10 @@ def test_check_degree_reports_a_word_listed_twice(entries, twice):
     inst = build_instance(entries)
     vectors = inst.words + (inst.words[twice],)
     expanded = [(w, blockvector_to_word(w), format_vector(w)) for w in vectors]
-    expansion = verifier._expand(vectors)
-    for r in range(3, inst.weight, 2):
-        record = verifier._check_degree(expansion, r)
-        assert record == reference_check_degree(expanded, r), r
+    checks = verify_instance(InsertionInstance(inst.base, vectors)).checks
+    assert [record.r for record in checks] == list(range(3, inst.weight, 2))
+    for record in checks:
+        assert record == reference_check_degree(expanded, record.r), record.r
         if record.encodings:
             assert "duplicate encodings in input" in record.failures
             assert record.orbits == 0
