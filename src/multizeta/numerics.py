@@ -48,7 +48,8 @@ Every width of the fast engine and the readback comes from `_widths`,
 derived from one word's tail; the oracle sizes its bits from its own tail.
 pi at P bits rounded either way is an integer port of mpmath's (`_pi_below`,
 Machin's formula), and a printed value is the exact half-up rounding of an
-interval's end or midpoint to the requested digits (`format_decimal`).
+interval's end or midpoint to the requested digits, by one decimal division
+in a ROUND_HALF_UP context (`format_decimal`).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, combinations, repeat, tee
@@ -487,32 +489,27 @@ def _over_pi_power(value: int, exponent: int, weight: int, bits: int, up: bool) 
 def format_decimal(numerator: int, exponent: int, digits: int) -> str:
     """numerator / 2^exponent rounded half up to `digits` >= 1 significant digits, exactly.
 
-    With 10^p <= |x| < 10^(p+1), the digits are floor(|x| 10^(digits-1-p)
-    + 1/2), and a carry to 10^digits raises p by one.  They print in fixed
-    point when p lies strictly between min(-(digits // 3), -5) and
-    `digits`, else as d.ddd e+p or d.ddd e-p, trailing zeros stripped and
-    the sign kept.  0 prints as 0.0.
+    The digits and the decimal exponent p, 10^p <= |rounded| < 10^(p+1),
+    come from one decimal division, correctly rounded in a ROUND_HALF_UP
+    context of `digits` digits.  They print in fixed point when p lies
+    strictly between min(-(digits // 3), -5) and `digits`, else as d.ddd e+p
+    or d.ddd e-p, trailing zeros stripped and the sign kept.  0 prints as 0.0.
     """
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
     if numerator == 0:
         return "0.0"
-    sign, top = ("-", -numerator) if numerator < 0 else ("", numerator)
-    top, bottom = top << max(-exponent, 0), 1 << max(exponent, 0)
-    # 10^(p-1) < |x| < 10^(p+1) for this p, so the decimal exponent is p or p - 1
-    power = len(str(top)) - len(str(bottom))
-    power -= top * 10 ** max(-power, 0) < bottom * 10 ** max(power, 0)
-    shift = digits - 1 - power
-    scaled, unit = (top * 10**shift, bottom) if shift >= 0 else (top, bottom * 10**-shift)
-    lead = (2 * scaled + unit) // (2 * unit)
-    if lead == 10**digits:
-        lead, power = lead // 10, power + 1
-    text, split = str(lead), 1
+    context = Context(prec=digits, rounding=ROUND_HALF_UP, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    rounded = context.divide(numerator << max(-exponent, 0), 1 << max(exponent, 0))
+    negative, lead, _ = rounded.as_tuple()
+    text, split, power = "".join(map(str, lead)).ljust(digits, "0"), 1, rounded.adjusted()
     if min(-(digits // 3), -5) < power < digits:
         # zeros lead a value below 1 ("0" * -power is empty above); the point follows the units
         text, split, power = "0" * -power + text, max(power, 0) + 1, 0
     text = (text[:split] + "." + text[split:]).rstrip("0")
     if text.endswith("."):
         text += "0"
-    return sign + text + (f"e{power:+d}" if power else "")
+    return "-" * negative + text + (f"e{power:+d}" if power else "")
 
 
 def _check(
@@ -520,21 +517,24 @@ def _check(
 ) -> dict:
     """The body of every family check; `FAMILIES[family]` supplies the rest.
 
-    The digits, at most `MAX_EVAL_DIGITS` as for `eval`, and the weight cap
-    are enforced before any word is expanded, since the number of summed
-    words can be factorial in the vector length.  `_split_sum`
-    encloses the row's zeta sum S at digits + 10, with the other rows of
-    a `check_group` if this is its running row's call (same digits, same
-    argument objects), which takes that row's parse and share by position;
-    lambda S / pi^weight is then enclosed in [low, high] / 2^P (`_widths`),
-    and `value` shows its midpoint.  Every family sum is a positive combination
-    of zeta values, so `reconstruct_rational` reads a fraction off the interval only
-    when low > 0: an interval that reaches 0 has not resolved the value.
+    The digits, at most `MAX_EVAL_DIGITS` as for `eval`, a denominator cap
+    of at least 1 and the weight cap are enforced before any word is
+    expanded, since the number of summed words can be factorial in the
+    vector length.  `_split_sum` encloses the row's zeta sum S at
+    digits + 10, with the other rows of a `check_group` if this is its
+    running row's call (same digits, same argument objects), which takes
+    that row's parse and share by position; lambda S / pi^weight is then
+    enclosed in [low, high] / 2^P (`_widths`), and `value` shows its
+    midpoint.  Every family sum is a positive combination of zeta values,
+    so `reconstruct_rational` reads a fraction off the interval only when
+    low > 0: an interval that reaches 0 has not resolved the value.
     """
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
     if digits > MAX_EVAL_DIGITS:
         raise ValueError(f"precision request {digits} exceeds the cap {MAX_EVAL_DIGITS}")
+    if max_denominator is not None and max_denominator < 1:
+        raise ValueError(f"need max_denominator >= 1, got {max_denominator}")
     spec = FAMILIES[family]
     group = _open_group
     if not (group and (group.family, group.digits) == (family, digits)
@@ -719,29 +719,16 @@ def _weak_compositions(total: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (places,)))
 
 
-def _greatest_arrangements(total: int, slots: int) -> List[Tuple[int, ...]]:
-    """The greatest arrangement of every multiset of entries, greatest first."""
-    return sorted(
-        (c for c in _weak_compositions(total, slots) if c == tuple(sorted(c, reverse=True))),
-        reverse=True,
-    )
-
-
-def _least_rotations(total: int, slots: int):
-    """The least rotation of every rotation class of weak compositions."""
-    for comp in _weak_compositions(total, slots):
-        if comp == min(comp[i:] + comp[:i] for i in range(slots)):
-            yield comp
-
-
-def _vector_sweep(vectors, weight_cap: int) -> List[dict]:
-    """`{"a": v}` for each v that `vectors(total, 2n + 1)` yields, shortest
-    vectors first, then by entry sum; a vector's weight is 4n + 2 total."""
+def _vector_sweep(canonical, descending: bool, weight_cap: int) -> List[dict]:
+    """`{"a": v}` for each weak composition v that equals `canonical(v)`,
+    shortest vectors first, then by entry sum, then in lexicographic order,
+    descending if asked; a vector's weight is 4n + 2 total."""
     return [
         {"a": list(v)}
         for n in range(1, weight_cap // 4 + 1)
         for total in range((weight_cap - 4 * n) // 2 + 1)
-        for v in vectors(total, 2 * n + 1)
+        for v in sorted((c for c in _weak_compositions(total, 2 * n + 1) if c == canonical(c)),
+                        reverse=descending)
     ]
 
 
@@ -814,7 +801,7 @@ FAMILIES: Dict[str, Family] = {
         proven_rational=True,
         conjectural_target=False,
         # order inside the vector is irrelevant to the symmetrized sum
-        sweep=partial(_vector_sweep, _greatest_arrangements),
+        sweep=partial(_vector_sweep, lambda c: tuple(sorted(c, reverse=True)), True),
     ),
     "cyclic": Family(
         check=check_cyclic_insertion.__name__,
@@ -825,7 +812,7 @@ FAMILIES: Dict[str, Family] = {
         proven_rational=False,
         conjectural_target=True,
         # rotations give equal sums, keep one representative each
-        sweep=partial(_vector_sweep, _least_rotations),
+        sweep=partial(_vector_sweep, lambda c: min(c[i:] + c[:i] for i in range(len(c))), False),
     ),
     "bowman-bradley": Family(
         check=check_bowman_bradley.__name__,

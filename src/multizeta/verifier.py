@@ -65,13 +65,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InsertionInstance:
-    """An insertion sum: a base block vector and the arrangements of it summed."""
+    """An insertion sum: a base block vector and the arrangements of it summed.
+
+    Both are stored as tuples, however they are spelled, so an instance hashes."""
 
     base: BlockVector
     words: Tuple[BlockVector, ...]
 
     def __post_init__(self) -> None:
-        block_vector(self.base)
+        object.__setattr__(self, "base", block_vector(self.base))
+        object.__setattr__(self, "words", tuple(map(tuple, self.words)))
         if not self.words:
             raise ValueError(f"an instance of {format_vector(self.base)} needs at least one word")
         entries = sorted(self.base)

@@ -17,6 +17,7 @@ from multizeta.cli import main
 from multizeta.numerics import (
     FAMILIES,
     MAX_EVAL_WEIGHT,
+    check_bbbl_family,
     check_cyclic_insertion,
     check_group,
     check_symmetric_sum,
@@ -850,6 +851,20 @@ def test_weight_group_serves_only_its_own_rows(monkeypatch):
     with pytest.raises(ValueError, match=r"a weight group needs rows of one weight, got \[4, 6\]"):
         check_group("cyclic", FAMILIES["cyclic"].sweep(6), 30)
     assert numerics._open_group is None
+
+
+def test_a_denominator_cap_below_one_is_refused_before_any_row_is_expanded(monkeypatch):
+    # the bbbl row, whose interval reaches 0, used to report no-reconstruction
+    def expanded(vector):
+        raise AssertionError(f"expanded {vector}")
+
+    monkeypatch.setattr(numerics, "blockvector_to_word", expanded)
+    for run in (lambda: check_symmetric_sum([1, 0, 0], 30, max_denominator=0),
+                lambda: check_bbbl_family(15, 0, 20, max_denominator=0, weight_cap=200),
+                lambda: check_group("cyclic", FAMILIES["cyclic"].sweep(8)[2:4], 30, 0)):
+        with pytest.raises(ValueError, match="^need max_denominator >= 1, got 0$"):
+            run()
+        assert numerics._open_group is None
 
 
 def test_check_deterministic_bytes(capsys):

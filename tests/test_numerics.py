@@ -49,6 +49,7 @@ from conftest import (
     weak_compositions,
     zeta_even_rational,
 )
+from test_cli import run_child
 from test_golden import recorded_calls
 
 
@@ -1174,6 +1175,33 @@ def test_formatter_rounds_half_up_below_two_to_the_minus_3500():
         text = decimal_reference(value, digits)
         assert "e-" in text
         assert numerics.format_decimal(numerator, exponent, digits) == text
+    # exponents of 15,000 to 30,000 bits either way scale a value to integers of
+    # up to 9,000 decimal digits, past str()'s default limit of 4,300; no digit
+    # limit may reach the formatter, however low it is set
+    calls, texts = [], []
+    for _ in range(200):
+        numerator = (rng.getrandbits(rng.randint(1, 400)) | 1) * rng.choice([1, -1])
+        exponent, digits = rng.choice([1, -1]) * rng.randint(15000, 30000), rng.randint(1, 80)
+        calls.append((numerator, exponent, digits))
+        texts.append(decimal_reference(Fraction(numerator) / Fraction(2) ** exponent, digits))
+        assert numerics.format_decimal(*calls[-1]) == texts[-1]
+    assert numerics.format_decimal(1, 20000, 20) == "2.5123880576987445852e-6021"
+    proc = run_child(
+        "import sys\n"
+        "sys.set_int_max_str_digits(640)\n"
+        "from multizeta.numerics import format_decimal\n"
+        f"for call in {calls!r}:\n"
+        "    print(format_decimal(*call))\n"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == texts
+
+
+@pytest.mark.parametrize("digits", [0, -1])
+def test_formatter_refuses_digits_below_one(digits):
+    # 5 at 0 digits printed 0.0e+1
+    with pytest.raises(ValueError, match=f"^need digits >= 1, got {digits}$"):
+        numerics.format_decimal(5, 0, digits)
 
 
 def test_readback_declines_a_fraction_that_the_interval_does_not_single_out(monkeypatch):

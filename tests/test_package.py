@@ -72,3 +72,16 @@ def test_the_benchmark_wraps_every_name_it_rebinds(tmp_path):
     )
     proc = run_child(script)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1 True\n", "")
+
+
+def test_the_readme_quick_start_runs():
+    # README's ```python blocks, run in order in one interpreter against the public API
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [block.split("\n```", 1)[0] for block in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    proc = run_child("\n".join(blocks))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    places = [lines.index(line) for line in
+              ("verified", "verified-rational", "{'num': 1, 'den': 2520}", "None")]
+    assert places == sorted(places), proc.stdout

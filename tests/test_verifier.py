@@ -337,6 +337,22 @@ def test_instance_takes_no_weight_multiplicity_or_sign(field):
         InsertionInstance(inst.base, inst.words, **{field: getattr(inst, field)})
 
 
+@pytest.mark.parametrize(
+    "base, words",
+    [
+        ((1, 0, 0), [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        ([1, 0, 0], build_instance((1, 0, 0)).words),
+        ([1, 0, 0], [(0, 0, 1), [0, 1, 0], (1, 0, 0)]),
+    ],
+    ids=["list-words", "list-base", "mixed"],
+)
+def test_instance_spelled_with_lists_holds_tuples(base, words):
+    # both raised TypeError: unhashable type: 'list' from verify_instance or hash
+    inst, built = InsertionInstance(base, words), build_instance((1, 0, 0))
+    assert inst == built and hash(inst) == hash(built)
+    assert verify_instance(inst).to_json() == verify_instance(built).to_json()
+
+
 def test_instance_refuses_an_empty_word_list():
     with pytest.raises(ValueError, match="needs at least one word"):
         InsertionInstance((2, 0, 0), ())
