@@ -461,6 +461,22 @@ def test_no_command_imports_mpmath():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0, 0] []\n", "")
 
 
+def test_no_command_imports_a_stdlib_pool():
+    # `--jobs` forks its own workers, so neither stdlib pool is ever loaded
+    script = (
+        "import contextlib, io, sys\n"
+        "from multizeta.cli import main\n"
+        "calls = [['verify', '--a', '1,0,0'],\n"
+        "         ['check', '--family', 'cyclic', '--sweep', '--weight-cap', '8', '--jobs', '2']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in calls]\n"
+        "print(codes, sorted(name for name in sys.modules\n"
+        "                    if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    proc = run_child(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+
+
 def test_eval_bad_tokens_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--zeta", "1,x"])
@@ -600,27 +616,43 @@ def test_bowman_bradley_reads_back_every_proved_target_to_weight_20_at_20_digits
     assert missed == ["m=0;n=5"]
 
 
-# from about weight 56 at 20 digits, and 80 at 60, the certified interval of
-# a row's ratio reaches down to 0, and 0/1 was read back as verified-rational
-@pytest.mark.parametrize("argv", [
+# from weight 58 at 20 digits, the certified interval of a row's ratio can
+# reach down to 0, and 0/1 was read back as verified-rational; the cases that
+# reach 0 (`reaches_zero`) check that they still do, through the row's interval
+@pytest.mark.parametrize("argv, reaches_zero", [
+    pytest.param(("--family", "bbbl", "--n", "1", "--m", "9", "--digits", "20",
+                  "--weight-cap", "58"), True, id="bbbl-w58-20d"),
     pytest.param(("--family", "bbbl", "--n", "14", "--m", "0", "--digits", "20",
-                  "--weight-cap", "56"), id="bbbl-w56-20d"),
-    pytest.param(("--family", "symmetric", "--a", "40,0,0", "--weight-cap", "200"),
+                  "--weight-cap", "56"), False, id="bbbl-w56-20d"),
+    pytest.param(("--family", "symmetric", "--a", "40,0,0", "--weight-cap", "200"), False,
                  id="symmetric-w84"),
     pytest.param(("--family", "bowman-bradley", "--n", "1", "--m", "39", "--weight-cap", "84"),
-                 id="bowman-bradley-w82"),
-    pytest.param(("--family", "bbbl", "--sweep", "--weight-cap", "84"), id="bbbl-sweep-cap84"),
+                 False, id="bowman-bradley-w82"),
+    pytest.param(("--family", "bbbl", "--sweep", "--weight-cap", "84"), False,
+                 id="bbbl-sweep-cap84"),
 ])
-def test_interval_reaching_zero_reads_nothing_back(capsys, argv):
+def test_interval_reaching_zero_reads_nothing_back(capsys, monkeypatch, argv, reaches_zero):
+    lower_ends = []
+    over_pi_power = numerics._over_pi_power
+
+    def recorded(value, exponent, weight, bits, up):
+        end = over_pi_power(value, exponent, weight, bits, up)
+        if not up:
+            lower_ends.append(end)
+        return end
+
+    monkeypatch.setattr(numerics, "_over_pi_power", recorded)
     code, out, _ = run_cli(capsys, "check", *argv, "--format", "csv")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows
+    assert rows and len(lower_ends) == len(rows)
     # every family sum is positive, so 0/1, or any fraction but the target, is wrong
     assert [row["params"] for row in rows if row["reconstructed"] not in ("", row["target"])] == []
     if "--sweep" not in argv:
         [row] = rows
         assert (row["reconstructed"], row["status"]) == ("", "no-reconstruction")
+    if reaches_zero:
+        assert lower_ends[0] <= 0
 
 
 def test_check_sweep_json_is_array(capsys):
@@ -702,6 +734,111 @@ def test_check_sweep_hands_out_the_heaviest_job_first(capsys, monkeypatch):
     ]
     # and the reports come back in sweep order
     assert [rep["params"] for rep in json.loads(out)] == FAMILIES["cyclic"].sweep(8)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_forked_sweeps_match_serial_bytes(capsys, family):
+    # the caller and two or four forked children claim the groups of a cap-16 sweep
+    args = ["check", "--family", family, "--sweep", "--weight-cap", "16", "--format", "csv"]
+    runs = [run_cli(capsys, *args, "--jobs", jobs) for jobs in ("1", "3", "5")]
+    assert runs[0][0] == 0 and runs[0][1].count("\n") > 5
+    assert runs[1:] == runs[:1] * 2
+    assert_no_child_left()
+
+
+def test_the_heaviest_job_runs_in_the_caller(capsys, monkeypatch):
+    calls = []
+    group = cli.check_group
+
+    def recorded(family, rows, **settings):
+        calls.append((os.getpid(), rows))  # a forked child's entries stay in the child
+        return group(family, rows, **settings)
+
+    monkeypatch.setattr(cli, "check_group", recorded)
+    code, _, _ = run_cli(capsys, "check", "--family", "cyclic", "--sweep", "--weight-cap", "8",
+                         "--digits", "30", "--jobs", "3")
+    assert code == 0
+    assert calls[0] == (os.getpid(), [{"a": [0, 0, 2]}, {"a": [0, 1, 1]}, {"a": [0, 0, 0, 0, 0]}])
+    assert_no_child_left()
+
+
+def test_a_failure_in_a_forked_worker_exits_as_a_serial_run(capsys, monkeypatch):
+    # the weight-6 group fails; with --jobs 2 the caller holds on to the heaviest
+    # group until the forked child has taken the weight-6 one and failed
+    caller, (taken, took) = os.getpid(), os.pipe()
+    group, wait = cli.check_group, []
+
+    def failing(family, rows, **settings):
+        if rows == [{"a": [0, 0, 1]}]:
+            if os.getpid() != caller:
+                os.write(took, b"!")
+            raise ValueError("the weight-6 group failed")
+        if wait and len(rows) == 3:
+            assert os.read(taken, 1) == b"!"
+        return group(family, rows, **settings)
+
+    monkeypatch.setattr(cli, "check_group", failing)
+    argv = ["check", "--family", "cyclic", "--sweep", "--weight-cap", "8", "--digits", "30"]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    wait.append(True)
+    forked = run_cli(capsys, *argv, "--jobs", "2")
+    os.close(taken)
+    os.close(took)
+    assert serial == forked == (2, "", "error: the weight-6 group failed\n")
+    assert_no_child_left()
+
+
+def test_a_worker_that_sends_no_results_is_an_error():
+    # the child takes item 1 while the caller waits on item 0, and leaves at once
+    caller, (taken, took) = os.getpid(), os.pipe()
+
+    def item(index):
+        if os.getpid() != caller:
+            os.write(took, b"!")
+            os._exit(3)
+        return os.read(taken, 1) if index == 0 else index
+
+    with pytest.raises(RuntimeError, match="exited with status 3 and sent no results"):
+        cli.ProcessPoolExecutor(max_workers=2).map(item, [0, 1])
+    os.close(taken)
+    os.close(took)
+    assert_no_child_left()
+
+
+def test_the_pool_raises_the_failure_of_least_index():
+    # each child starts one of items 1 and 2 while the caller holds item 0;
+    # once both have started, both fail
+    caller, (started, start) = os.getpid(), os.pipe()
+    released, release = os.pipe()
+
+    def item(index):
+        if os.getpid() == caller:
+            assert [os.read(started, 1) for _ in range(2)] == [b"!"] * 2
+            os.write(release, b"!!")
+            return index
+        os.write(start, b"!")
+        os.read(released, 1)
+        raise ValueError(f"item {index}")
+
+    with pytest.raises(ValueError, match="^item 1$"):
+        cli.ProcessPoolExecutor(max_workers=3).map(item, range(3))
+    for end in (started, start, released, release):
+        os.close(end)
+    assert_no_child_left()
+
+
+def test_without_fork_a_sweep_runs_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.delattr(os, "fork")
+    args = ["check", "--family", "cyclic", "--sweep", "--weight-cap", "8", "--digits", "30"]
+    assert run_cli(capsys, *args, "--jobs", "3") == run_cli(capsys, *args)
+    assert _SerialPool.sizes == []
 
 
 # the defaults' sweep rows fall in this many weight groups: six weights each
