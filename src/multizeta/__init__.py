@@ -19,18 +19,10 @@ from .words import (
     sign_of,
     weight_of,
 )
-from .coaction import accumulate, cut, dr_terms, pack, reversal_canonical, surviving_windows, unpack
-from .encodings import (
-    OddEncoding,
-    enumerate_odd_encodings,
-    phi,
-    quotient_of,
-    subsequence_of,
-    window_of,
-)
+from .coaction import dr_terms, pack
+from .encodings import enumerate_odd_encodings, phi, quotient_of, subsequence_of
 from .verifier import (
     CancellationCertificate,
-    CheckRecord,
     InsertionInstance,
     build_instance,
     expansion_residual,
@@ -50,11 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CancellationCertificate",
-    "CheckRecord",
     "Composition",
     "InsertionInstance",
-    "OddEncoding",
-    "accumulate",
     "block_vector",
     "blockvector_to_composition",
     "blockvector_to_word",
@@ -64,7 +53,6 @@ __all__ = [
     "check_cyclic_insertion",
     "check_symmetric_sum",
     "composition_to_word",
-    "cut",
     "dr_terms",
     "enumerate_odd_encodings",
     "eval_mzv_fast",
@@ -76,12 +64,8 @@ __all__ = [
     "phi",
     "quotient_of",
     "reconstruct_rational",
-    "reversal_canonical",
     "sign_of",
     "subsequence_of",
-    "surviving_windows",
-    "unpack",
     "verify_instance",
     "weight_of",
-    "window_of",
 ]

@@ -25,11 +25,9 @@ inputs and configuration: fixed key order, no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
-import pickle
 import sys
 from fractions import Fraction
 from functools import partial
@@ -241,6 +239,7 @@ def _flatten(report: dict) -> dict:
 
 
 def _reports_csv(reports: List[dict]) -> str:
+    import csv  # here, so that a JSON or text run does not import it
     buf = io.StringIO()
     writer = csv.DictWriter(buf, _CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -280,6 +279,7 @@ class ProcessPoolExecutor:
         return False
 
     def map(self, fn: Callable, items: Sequence) -> List:
+        import pickle  # here, so that a run with one job does not import it
         items, ticket, children, sent, done, failed = list(items), os.pipe(), [], [], {}, {}
 
         def claim(after: Optional[int] = None) -> int:

@@ -56,14 +56,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, combinations, repeat, tee
 from math import comb, factorial, isqrt
 from operator import floordiv, lshift, mul, rshift
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .verifier import build_instance, verify_instance
 from .words import (
@@ -420,16 +420,7 @@ def _fraction_obj(q: Optional[Fraction]) -> Optional[dict]:
     return {"num": q.numerator, "den": q.denominator}
 
 
-@dataclass
-class _WeightGroup:
-    family: str
-    parsed: List[Tuple[dict, int]]
-    digits: int
-    at: int = 0
-    evaluated: Optional[List[tuple]] = None
-
-
-_open_group: Optional[_WeightGroup] = None
+_open_group: Optional[SimpleNamespace] = None
 
 
 def _arctan_inverse(x: int, bits: int) -> Tuple[int, int]:
@@ -539,7 +530,8 @@ def _check(
     group = _open_group
     if not (group and (group.family, group.digits) == (family, digits)
             and all(a is group.parsed[group.at][0][p] for a, p in zip(args, spec.params))):
-        group = _WeightGroup(family, [spec.parse(*args)], digits)
+        group = SimpleNamespace(family=family, parsed=[spec.parse(*args)], digits=digits,
+                                at=0, evaluated=None)
     params, weight = group.parsed[group.at]
     if weight > weight_cap:
         raise ValueError(f"weight {weight} exceeds the cap {weight_cap}")
@@ -669,7 +661,8 @@ def check_group(
     weights = sorted({weight for _, weight in parsed})
     if len(weights) > 1:
         raise ValueError(f"a weight group needs rows of one weight, got {weights}")
-    _open_group = group = _WeightGroup(family, parsed, digits)
+    _open_group = group = SimpleNamespace(family=family, parsed=parsed, digits=digits,
+                                          at=0, evaluated=None)
     try:
         return [check(*(params[p] for p in spec.params), digits, max_denominator, weight_cap)
                 for group.at, (params, _) in enumerate(parsed)]
@@ -681,8 +674,7 @@ def check_group(
 # the family table
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """Everything that tells one symmetrized family from another.
 
     `params` names the parameters in report order.  `parse` validates raw

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import chain
 from math import factorial, prod
 from operator import itemgetter
@@ -63,24 +62,24 @@ __all__ = [
     "verify_instance",
 ]
 
-@dataclass(frozen=True)
-class InsertionInstance:
+class InsertionInstance(NamedTuple("InsertionInstance", [("base", BlockVector),
+                                                         ("words", Tuple[BlockVector, ...])])):
     """An insertion sum: a base block vector and the arrangements of it summed.
 
     Both are stored as tuples, however they are spelled, so an instance hashes."""
 
-    base: BlockVector
-    words: Tuple[BlockVector, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", block_vector(self.base))
-        object.__setattr__(self, "words", tuple(map(tuple, self.words)))
-        if not self.words:
-            raise ValueError(f"an instance of {format_vector(self.base)} needs at least one word")
-        entries = sorted(self.base)
-        for w in self.words:
+    def __new__(cls, base: Iterable[int], words: Iterable[Iterable[int]]) -> InsertionInstance:
+        base, words = block_vector(base), tuple(map(tuple, words))
+        if not words:
+            raise ValueError(f"an instance of {format_vector(base)} needs at least one word")
+        entries = sorted(base)
+        for w in words:
             if sorted(w) != entries:
-                raise ValueError(f"word {format_vector(w)} is not an arrangement of {format_vector(self.base)}")
+                raise ValueError(f"word {format_vector(w)} is not an arrangement of {format_vector(base)}")
+        return super().__new__(cls, base, words)
 
     @property
     def n(self) -> int:
@@ -115,8 +114,7 @@ class CheckRecord(NamedTuple):
         return self.residual == 0 and not self.failures
 
 
-@dataclass(frozen=True)
-class CancellationCertificate:
+class CancellationCertificate(NamedTuple):
     instance: InsertionInstance
     checks: Tuple[CheckRecord, ...]
 

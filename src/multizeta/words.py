@@ -21,8 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 __all__ = [
     "Word",
@@ -42,17 +41,18 @@ Word = Tuple[int, ...]
 BlockVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(NamedTuple("Composition", [("parts", Tuple[int, ...])])):
     """A finite sequence of positive integer parts indexing a zeta value."""
 
-    parts: Tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
+    def __new__(cls, parts: Iterable[int]) -> Composition:
+        parts = tuple(parts)
+        for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
+        return super().__new__(cls, parts)
 
     @property
     def weight(self) -> int:

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import errno
 import io
 import json
@@ -387,7 +386,7 @@ def test_check_digits_cap_precedes_every_row(capsys, monkeypatch, jobs):
         raise AssertionError("a row was expanded before the digits were checked")
 
     spec = FAMILIES["bbbl"]
-    monkeypatch.setitem(FAMILIES, "bbbl", dataclasses.replace(spec, summands=refuse))
+    monkeypatch.setitem(FAMILIES, "bbbl", spec._replace(summands=refuse))
     code, out, err = run_cli(
         capsys, "check", "--family", "bbbl", "--sweep", "--digits", "201", "--jobs", jobs)
     assert (code, out) == (2, "")
@@ -462,19 +461,23 @@ def test_no_command_imports_mpmath():
 
 
 def test_no_command_imports_a_stdlib_pool():
-    # `--jobs` forks its own workers, so neither stdlib pool is ever loaded
+    # `--jobs` forks its own workers, so neither stdlib pool is ever loaded; the
+    # package imports no `dataclasses`, and `csv` and `pickle` only where a run uses them
     script = (
         "import contextlib, io, sys\n"
+        "def loaded():\n"
+        "    return sorted(name for name in sys.modules if name.split('.')[0] in\n"
+        "                  ('concurrent', 'multiprocessing', 'dataclasses', 'csv', 'pickle'))\n"
         "from multizeta.cli import main\n"
+        "print(loaded())\n"
         "calls = [['verify', '--a', '1,0,0'],\n"
         "         ['check', '--family', 'cyclic', '--sweep', '--weight-cap', '8', '--jobs', '2']]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in calls]\n"
-        "print(codes, sorted(name for name in sys.modules\n"
-        "                    if name.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        "print(codes, loaded())\n"
     )
     proc = run_child(script)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[0, 0] ['pickle']\n", "")
 
 
 def test_eval_bad_tokens_usage_error(capsys):
@@ -891,7 +894,7 @@ def test_sweep_parses_each_row_twice(capsys, monkeypatch):
             parses.append(args or kwargs)
             return parse(*args, **kwargs)
 
-        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, parse=counted))
+        monkeypatch.setitem(FAMILIES, family, spec._replace(parse=counted))
     sweep_every_family(capsys)
     rows = sum(len(spec.sweep(numerics.DEFAULT_WEIGHT_CAP)) for spec in FAMILIES.values())
     assert rows == 75

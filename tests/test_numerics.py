@@ -475,6 +475,17 @@ def test_widths_are_the_least_admissible_degree_and_bound_rounding_and_pi(n, dig
     assert (2 + Fraction(8 * w, 3**w)) / 2**pi_bits <= tail / 4**w / 2**11
 
 
+def test_the_truncation_degree_is_the_least_that_bounds_the_tail():
+    # M is the least 2 (n+1) + 8i with 2 (n+1) 2^-M <= 10^-(digits+8), at weights to
+    # 100 and at the 1 to 210 digits that `eval` and `check` (digits + 10) ask for
+    for n in range(101):
+        for digits in range(1, 211):
+            m_max = _widths(n, digits)[0]
+            scaled_tail = 2 * (n + 1) * 10 ** (digits + 8)
+            assert (m_max - 2 * (n + 1)) % 8 == 0 and scaled_tail <= 1 << m_max, (n, digits)
+            assert m_max - 8 < 2 * (n + 1) or scaled_tail > 1 << (m_max - 8), (n, digits)
+
+
 def exact_nested_sum(parts, terms):
     """The sum over 0 < k_1 < ... < k_r <= terms of prod k_i^(-n_i), exactly."""
     levels = [Fraction(1)] + [Fraction(0)] * len(parts)
@@ -490,6 +501,12 @@ SERIES_CASES = [(2,), (1, 2), (3, 2), (3, 1, 2), (1, 1, 1, 2), (2, 3, 1, 4), (1,
 def test_harmonic_estimate_behind_the_rounding_units():
     # the rounding recurrence bounds 1 + ln N by bitlength(N)
     assert all(1 + math.log(n) <= n.bit_length() for n in range(8, 1 << 16))
+
+
+def test_rounding_units_at_the_oracle_terms():
+    # u_j = N (1 + ceil(h^(j-1) / (j-1)!) + u_(j-1)) at N = 5000, h = 13, for depth 1 to 4
+    assert [_series_rounding_units(depth, 5000) for depth in range(1, 5)] == [
+        10_000, 50_070_000, 250_350_430_000, 1_251_752_151_840_000]
 
 
 @pytest.mark.parametrize("terms", [10, 23, 60])

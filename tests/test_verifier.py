@@ -356,6 +356,9 @@ def test_instance_spelled_with_lists_holds_tuples(base, words):
 def test_instance_refuses_an_empty_word_list():
     with pytest.raises(ValueError, match="needs at least one word"):
         InsertionInstance((2, 0, 0), ())
+    # `_replace` checks a record's new fields as the constructor does
+    with pytest.raises(ValueError, match="needs at least one word"):
+        build_instance((2, 0, 0))._replace(words=())
 
 
 @pytest.mark.parametrize(
@@ -392,7 +395,10 @@ def test_certificate_is_verified_only_with_every_degree_checked():
     checks = verify_instance(inst).checks
     assert [c.r for c in checks] == [3, 5] and all(c.ok for c in checks)
     assert CancellationCertificate(inst, checks).verdict == "verified"
-    for partial in ((), checks[:1], checks[::-1], checks + checks[1:]):
+    # a residual term fails its record even where no failure line was written
+    silent = checks[0]._replace(residual=1)
+    assert not silent.ok
+    for partial in ((), checks[:1], checks[::-1], checks + checks[1:], (silent,) + checks[1:]):
         assert CancellationCertificate(inst, partial).verdict == "failed", [c.r for c in partial]
 
 

@@ -55,6 +55,10 @@ def test_composition_rejects_bad_parts():
         Composition((0, 2))
     with pytest.raises(ValueError):
         Composition((-1,))
+    # `_replace` checks a record's new fields as the constructor does
+    with pytest.raises(ValueError):
+        Composition((1, 3))._replace(parts=(0, 2))
+    assert Composition((1, 3))._replace(parts=[2, 2]).parts == (2, 2)
 
 
 def test_composition_refuses_bool_parts():
